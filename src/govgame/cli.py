@@ -9,6 +9,7 @@ and other diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pure-only",
         action="store_true",
-        help="skip support enumeration and list only pure equilibria",
+        help="skip vertex enumeration and list only pure equilibria",
     )
     p.set_defaults(func=cmd_solve)
 
@@ -239,15 +240,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
             + list(game.col_labels)
             + ["payoff1", "payoff2"]
         )
-        print(",".join(header))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
         for idx, eq in enumerate(equilibria, start=1):
-            cells = (
+            writer.writerow(
                 [str(idx), eq.kind.value]
                 + [format_rational(p) for p in eq.profile.sigma1.probs]
                 + [format_rational(p) for p in eq.profile.sigma2.probs]
                 + [format_rational(eq.payoffs[0]), format_rational(eq.payoffs[1])]
             )
-            print(",".join(cells))
     else:
         if not equilibria:
             print("no equilibria")

@@ -2,8 +2,10 @@
 
 Payoffs are rationals and every computation is exact, so the set of
 equilibria reported for a game is reproduced bit for bit across runs.
-Mixed equilibria are found by support enumeration, which is complete
-for the small games this package targets.
+Mixed equilibria are found by enumerating the vertices of the two
+best-response polytopes with integer pivoting (Avis, Rosenberg, Savani
+and von Stengel 2010), which yields every extreme equilibrium of any
+game, degenerate or not.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
 
 from .errors import ValidationError
-from .linsolve import SolveStatus, solve_linear_system
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_json, parse_rational
 
 PayoffMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -156,8 +157,9 @@ class EquilibriumResult:
 
     kind is PURE exactly when both strategies place probability 1 on a
     single pure strategy. degenerate_game is set on every result when
-    support enumeration found a continuum of equilibria; the continuum
-    itself is not described, only its vertex equilibria are returned.
+    two of the game's extreme equilibria span a continuum of equilibria;
+    the continuum itself is not described, only its vertex equilibria
+    are returned.
     """
 
     profile: StrategyProfile
@@ -201,22 +203,10 @@ def expected_payoff(
     _check_profile(game, profile)
     x = profile.sigma1.probs
     y = profile.sigma2.probs
-    u1 = sum(
-        (
-            x[i] * y[j] * game.payoff1[i][j]
-            for i in range(game.rows)
-            for j in range(game.cols)
-        ),
-        Fraction(0),
-    )
-    u2 = sum(
-        (
-            x[i] * y[j] * game.payoff2[i][j]
-            for i in range(game.rows)
-            for j in range(game.cols)
-        ),
-        Fraction(0),
-    )
+    # Cells off the support contribute zero, so only the support is summed.
+    cells = [(i, j, x[i] * y[j]) for i in profile.sigma1.support for j in profile.sigma2.support]
+    u1 = sum((w * game.payoff1[i][j] for i, j, w in cells), Fraction(0))
+    u2 = sum((w * game.payoff2[i][j] for i, j, w in cells), Fraction(0))
     return (u1, u2)
 
 
@@ -321,101 +311,147 @@ def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     return results
 
 
-def _supports(size: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for length in range(1, size + 1):
-        out.extend(combinations(range(size), length))
-    return out
+def _positive_integers(matrix: PayoffMatrix) -> list[list[int]]:
+    """Scale a payoff matrix to integers and shift every entry to >= 1.
 
-
-_UNDERDETERMINED = object()
-
-
-def _support_candidate(
-    game: BimatrixGame,
-    support_r: tuple[int, ...],
-    support_c: tuple[int, ...],
-) -> object:
-    """Solve the indifference systems for one support pair.
-
-    Returns (x, y) full-length probability tuples when both systems
-    have unique solutions, None when either is inconsistent (the pair
-    hosts no equilibrium), or the _UNDERDETERMINED sentinel when both
-    are consistent but at least one has a free variable (the pair hosts
-    a continuum, which marks the game degenerate).
+    Both steps are positive affine maps of one player's payoffs, so they
+    leave the game's Nash equilibria unchanged. Entries >= 1 make the
+    best-response polytope built from the matrix bounded.
     """
-    # Player 1's weights on support_r must equalize player 2's payoff
-    # across support_c; the extra unknown is that common payoff value.
-    matrix = [
-        [game.payoff2[i][j] for i in support_r] + [Fraction(-1)] for j in support_c
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+    shift = 1 - min(min(row) for row in ints)
+    return [[v + shift for v in row] for row in ints]
+
+
+def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
+    """Every vertex of {z >= 0 : coeffs z <= 1} with its label bitmask.
+
+    coeffs is r x d with positive integer entries. Variable t < d is z_t
+    and variable d + k is the slack of constraint k; a vertex carries the
+    label bit of every variable that is zero there. Vertices are keyed by
+    their integer coordinates divided by their gcd, which identifies them
+    because no two nonzero vertices of such a polytope are proportional.
+
+    The search walks the feasible bases from the slack basis by integer
+    pivoting: entries stay integers. Pivoting on entry piv of row r turns
+    each entry a of another row into (a * piv - f * b) // det, where f is
+    that row's entry in the pivot column, b the pivot row's entry in a's
+    column and det the previous pivot (1 at the start); the division is
+    exact.
+    Every nonbasic column is tried with every tied minimum-ratio row, so
+    under degeneracy every basis, and with it every vertex, is reached.
+    """
+    rows, d = len(coeffs), len(coeffs[0])
+    width = d + rows
+    full = (1 << width) - 1
+    start = [
+        list(coeff) + [1 if c == k else 0 for c in range(rows)] + [1]
+        for k, coeff in enumerate(coeffs)
     ]
-    matrix.append([Fraction(1)] * len(support_r) + [Fraction(0)])
-    rhs = [Fraction(0)] * len(support_c) + [Fraction(1)]
-    row_side = solve_linear_system(matrix, rhs)
-    if row_side.status is SolveStatus.INCONSISTENT:
-        return None
+    basis = [d + k for k in range(rows)]
+    seen = {sum(1 << v for v in basis)}
+    stack = [(start, basis, 1)]
+    found: dict[tuple[int, ...], int] = {}
+    while stack:
+        tableau, basis, det = stack.pop()
+        point = [0] * d
+        labels = full
+        for k, var in enumerate(basis):
+            value = tableau[k][width]
+            if value:
+                labels ^= 1 << var
+                if var < d:
+                    point[var] = value
+        divisor = gcd(*point)
+        found.setdefault(tuple(v // divisor for v in point) if divisor else tuple(point), labels)
 
-    # Player 2's weights on support_c must equalize player 1's payoff
-    # across support_r.
-    matrix = [
-        [game.payoff1[i][j] for j in support_c] + [Fraction(-1)] for i in support_r
-    ]
-    matrix.append([Fraction(1)] * len(support_c) + [Fraction(0)])
-    rhs = [Fraction(0)] * len(support_r) + [Fraction(1)]
-    col_side = solve_linear_system(matrix, rhs)
-    if col_side.status is SolveStatus.INCONSISTENT:
-        return None
-
-    if not (row_side.is_unique and col_side.is_unique):
-        return _UNDERDETERMINED
-
-    x = [Fraction(0)] * game.rows
-    for idx, i in enumerate(support_r):
-        x[i] = row_side.solution[idx]
-    y = [Fraction(0)] * game.cols
-    for idx, j in enumerate(support_c):
-        y[j] = col_side.solution[idx]
-    return (tuple(x), tuple(y))
+        basic = sum(1 << v for v in basis)
+        for col in range(width):
+            if basic >> col & 1:
+                continue
+            tied: list[int] = []
+            for k, row in enumerate(tableau):
+                entry = row[col]
+                if entry <= 0:
+                    continue
+                if not tied:
+                    tied = [k]
+                    continue
+                best = tableau[tied[0]]
+                cross = row[width] * best[col] - best[width] * entry
+                if cross < 0:
+                    tied = [k]
+                elif cross == 0:
+                    tied.append(k)
+            for r in tied:
+                key = basic ^ (1 << basis[r]) ^ (1 << col)
+                if key in seen:
+                    continue
+                seen.add(key)
+                pivot_row = tableau[r]
+                piv = pivot_row[col]
+                stack.append(
+                    (
+                        [
+                            row
+                            if k == r
+                            else [(a * piv - row[col] * b) // det for a, b in zip(row, pivot_row)]
+                            for k, row in enumerate(tableau)
+                        ],
+                        basis[:r] + [col] + basis[r + 1 :],
+                        piv,
+                    )
+                )
+    return found
 
 
 def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
-    """All Nash equilibria found by exact support enumeration.
+    """All extreme Nash equilibria, by exact vertex enumeration.
 
-    Every pair of non-empty supports is tried in a canonical order
-    (by support size, then lexicographic indices), so pure equilibria
-    come first in row-major order followed by proper mixed ones. A
-    support pair contributes a candidate only when both indifference
-    systems solve uniquely; candidates with negative entries are
-    dropped and the rest must pass is_equilibrium with tolerance 0.
-    Duplicate profiles reached through different supports are reported
-    once.
+    Each payoff matrix is scaled to positive integers, and every vertex
+    of the two best-response polytopes P = {x >= 0 : B^T x <= 1} and
+    Q = {y >= 0 : A y <= 1} is found by integer pivoting. Label i < m is
+    "row i unplayed" on P and "row i a best response" on Q; label m + j
+    is "column j a best response" on P and "column j unplayed" on Q. The
+    extreme equilibria are the nonzero vertex pairs that carry all m + n
+    labels between them, each normalised to sum 1. This is complete for
+    degenerate games as well as nondegenerate ones.
 
-    When some support system is consistent but underdetermined the
-    game has a continuum of equilibria: the continuum is not listed,
-    and instead every returned vertex result carries
-    degenerate_game = True.
+    Results are ordered by row support size, row support, column support
+    size, column support, then the strategies themselves, so pure
+    equilibria come first in row-major order.
+
+    degenerate_game is set on every result when two distinct extreme
+    equilibria (x1, y1) and (x2, y2) are cross-compatible: (x1, y2) and
+    (x2, y1) are equilibria too. They then span a convex set of
+    equilibria, a continuum that is reported only by its vertices.
     """
-    degenerate = False
-    found: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    seen: set[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = set()
-    for support_r in _supports(game.rows):
-        for support_c in _supports(game.cols):
-            candidate = _support_candidate(game, support_r, support_c)
-            if candidate is None:
-                continue
-            if candidate is _UNDERDETERMINED:
-                degenerate = True
-                continue
-            x, y = candidate
-            if any(p < 0 for p in x) or any(q < 0 for q in y):
-                continue
-            if (x, y) in seen:
-                continue
-            profile = StrategyProfile(MixedStrategy(x), MixedStrategy(y))
-            if is_equilibrium(game, profile):
-                seen.add((x, y))
-                found.append((x, y))
-    return [_make_result(game, x, y, degenerate) for x, y in found]
+    m = game.rows
+    full = (1 << (m + game.cols)) - 1
+    a = _positive_integers(game.payoff1)
+    b = _positive_integers(game.payoff2)
+    p = _vertices([list(col) for col in zip(*b)])
+    q = _vertices(a)
+    xs = [(x, labels) for x, labels in p.items() if any(x)]
+    # Q's own labels put its n coordinates first; move them after P's m rows.
+    low = (1 << game.cols) - 1
+    ys = [(y, (labels & low) << m | labels >> game.cols) for y, labels in q.items() if any(y)]
+    pairs = [(x, lx, y, ly) for x, lx in xs for y, ly in ys if lx | ly == full]
+    degenerate = any(
+        lx1 | ly2 == full and lx2 | ly1 == full
+        for i, (_, lx1, _, ly1) in enumerate(pairs)
+        for (_, lx2, _, ly2) in pairs[i + 1 :]
+    )
+    found = []
+    for x, _, y, _ in pairs:
+        sx = tuple(i for i, v in enumerate(x) if v)
+        sy = tuple(j for j, v in enumerate(y) if v)
+        fx = tuple(Fraction(v, sum(x)) for v in x)
+        fy = tuple(Fraction(v, sum(y)) for v in y)
+        found.append((len(sx), sx, len(sy), sy, fx, fy))
+    found.sort()
+    return [_make_result(game, fx, fy, degenerate) for *_, fx, fy in found]
 
 
 def _dominates(
@@ -476,12 +512,7 @@ def load_game(text: str) -> BimatrixGame:
     against the matrices when present. Decimal literals are read as the
     exact rationals they denote.
     """
-    try:
-        data = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    data = parse_json(text)
     if not isinstance(data, dict):
         raise ValidationError("game file must contain a JSON object")
     for field in ("payoff1", "payoff2"):

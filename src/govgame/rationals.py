@@ -10,6 +10,7 @@ denotes, not as the nearest binary float.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -41,6 +42,25 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
         except ValueError:
             raise ValidationError(f"{field}: cannot parse {value!r} as a rational") from None
     raise ValidationError(f"{field} must be a number or 'p/q' string, got {type(value).__name__}")
+
+
+def parse_json(text: str) -> object:
+    """Decode JSON text, reading every decimal literal as an exact Fraction.
+
+    Malformed text, nesting too deep for the decoder and number literals
+    longer than the interpreter's integer digit limit all raise
+    ValidationError.
+    """
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:
+        raise ValidationError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("not valid JSON: nesting is too deep") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -29,7 +29,7 @@ from .governance import (
     predict_outcome,
     prediction_to_dict,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_json, parse_rational
 
 
 @dataclass(frozen=True)
@@ -407,12 +407,7 @@ def load_scenarios(text: str) -> list[Scenario]:
     numbers or "p/q" strings and are parsed exactly. Unknown fields are
     rejected so typos cannot silently change a scenario's meaning.
     """
-    try:
-        data = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    data = parse_json(text)
     if not isinstance(data, dict) or set(data) != {"scenarios"}:
         raise ValidationError(
             'scenario file must be an object with a single "scenarios" array'

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -53,6 +55,22 @@ class TestSolve:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "equilibrium_index,kind,Yes,No,Upgraded,Original,payoff1,payoff2"
         assert lines[1] == "1,pure,1,0,1,0,3/5,7/10"
+
+    def test_csv_quotes_labels_with_commas(self, tmp_path, capsys):
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps({**json.loads(SIM6_GAME), "row_labels": ["a,b", "c"]}))
+        assert main(["solve", str(path), "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0][2:4] == ["a,b", "c"]
+        assert [len(row) for row in rows] == [8, 8]
+
+    def test_deeply_nested_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nesting is too deep" in err
+        assert "Traceback" not in err
 
     def test_pure_only_constant_game(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

@@ -342,6 +342,15 @@ class TestGameInterchange:
         with pytest.raises(ValidationError, match="rows is declared as 3 but the payoff matrices have 1"):
             load_game(text)
 
+    def test_load_rejects_deep_nesting(self):
+        with pytest.raises(ValidationError, match="nesting is too deep"):
+            load_game("[" * 200000)
+
+    @pytest.mark.parametrize("literal", ["1" * 5000, "0." + "1" * 5000])
+    def test_load_rejects_overlong_number(self, literal):
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_game('{"payoff1": [[%s]], "payoff2": [[1]]}' % literal)
+
     def test_load_requires_both_matrices(self):
         with pytest.raises(ValidationError):
             load_game('{"payoff1": [[1]]}')

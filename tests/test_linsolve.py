@@ -1,4 +1,4 @@
-"""Tests for the exact linear system solver."""
+"""Tests for the exact linear system solver the reference solvers rest on."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from govgame.linsolve import SolveStatus, solve_linear_system
+from reference_solvers import SolveStatus, solve_linear_system
 
 F = Fraction
 

@@ -261,6 +261,10 @@ class TestLoadScenarios:
         with pytest.raises(ValidationError, match="k must not exceed n"):
             load_scenarios(text)
 
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ValidationError, match="nesting is too deep"):
+            load_scenarios("[" * 200000)
+
     def test_unknown_field_rejected(self):
         text = '{"scenarios": [{"name": "x", "beta": "1/2", "gamma": "1/2", "betta": 1}]}'
         with pytest.raises(ValidationError, match="unknown field 'betta'"):

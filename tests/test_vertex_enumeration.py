@@ -1,0 +1,109 @@
+"""The vertex-enumeration solver against independent reference solvers."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from govgame.game_core import BimatrixGame, enumerate_mixed_equilibria, expected_payoff
+from reference_solvers import support_enumeration, vertex_oracle
+
+F = Fraction
+
+
+def _profiles(results) -> list:
+    return [(r.profile.sigma1.probs, r.profile.sigma2.probs) for r in results]
+
+
+def _canonical_key(profile) -> tuple:
+    x, y = profile
+    sx = tuple(i for i, p in enumerate(x) if p)
+    sy = tuple(j for j, q in enumerate(y) if q)
+    return (len(sx), sx, len(sy), sy, x, y)
+
+
+def test_all_2x2_games_with_payoffs_in_minus_one_to_one():
+    values = (-1, 0, 1)
+    for entries in product(values, repeat=8):
+        game = BimatrixGame(
+            payoff1=[list(entries[0:2]), list(entries[2:4])],
+            payoff2=[list(entries[4:6]), list(entries[6:8])],
+        )
+        results = enumerate_mixed_equilibria(game)
+        extreme, flagged, _ = vertex_oracle(game)
+        profiles = _profiles(results)
+        assert set(profiles) == extreme, entries
+        assert len(profiles) == len(extreme), entries
+        assert profiles == sorted(profiles, key=_canonical_key), entries
+        assert all(r.degenerate_game == flagged for r in results), entries
+        for result in results:
+            assert result.payoffs == expected_payoff(game, result.profile)
+
+
+def _generic_game(rng: random.Random, rows: int, cols: int) -> BimatrixGame:
+    def matrix():
+        return [[F(rng.randint(-999, 999), rng.randint(1, 7)) for _ in range(cols)] for _ in range(rows)]
+
+    return BimatrixGame(payoff1=matrix(), payoff2=matrix())
+
+
+def test_generic_games_match_support_enumeration_in_order():
+    rng = random.Random(2010)
+    shapes = [(2, 2)] * 20 + [(2, 3), (3, 2), (3, 4), (4, 2)] * 3 + [(3, 3)] * 10 + [(4, 4)] * 5 + [(5, 5)] * 2
+    checked = 0
+    for rows, cols in shapes:
+        game = _generic_game(rng, rows, cols)
+        if not vertex_oracle(game)[2]:
+            continue
+        checked += 1
+        old, underdetermined = support_enumeration(game)
+        results = enumerate_mixed_equilibria(game)
+        assert not underdetermined
+        assert _profiles(results) == old
+        assert not any(r.degenerate_game for r in results)
+    assert checked >= len(shapes) - 2
+
+
+def test_small_integer_games_match_the_vertex_oracle():
+    # Payoffs from a handful of integers make most of these games degenerate.
+    rng = random.Random(42)
+    for rows, cols, count in ((3, 3, 150), (3, 4, 40), (4, 4, 40)):
+        for _ in range(count):
+            game = BimatrixGame(
+                payoff1=[[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)],
+                payoff2=[[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)],
+            )
+            results = enumerate_mixed_equilibria(game)
+            extreme, flagged, _ = vertex_oracle(game)
+            profiles = _profiles(results)
+            assert set(profiles) == extreme and len(profiles) == len(extreme)
+            assert profiles == sorted(profiles, key=_canonical_key)
+            assert all(r.degenerate_game == flagged for r in results)
+
+
+def test_identity_against_all_ones_reports_four_vertices():
+    game = BimatrixGame(payoff1=[[1, 0], [0, 1]], payoff2=[[1, 1], [1, 1]])
+    results = enumerate_mixed_equilibria(game)
+    e0, e1, half = (F(1), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2))
+    assert _profiles(results) == [(e0, e0), (e0, half), (e1, e1), (e1, half)]
+    assert all(r.degenerate_game for r in results)
+    # Support enumeration skipped the two mixed vertices as underdetermined.
+    old, underdetermined = support_enumeration(game)
+    assert len(old) == 2 and underdetermined
+
+
+def test_nondegenerate_3x3_with_five_equilibria_is_not_flagged():
+    game = BimatrixGame(
+        payoff1=[[5, 4, 2], [1, 2, 4], [7, 2, 0]],
+        payoff2=[[1, 9, 8], [6, 0, 3], [9, 5, 4]],
+    )
+    results = enumerate_mixed_equilibria(game)
+    extreme, flagged, nondegenerate = vertex_oracle(game)
+    assert nondegenerate and not flagged
+    assert len(results) == 5
+    assert set(_profiles(results)) == extreme
+    assert not any(r.degenerate_game for r in results)
+    # Support enumeration found the same five but flagged the game.
+    old, underdetermined = support_enumeration(game)
+    assert set(old) == extreme and underdetermined
