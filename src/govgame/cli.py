@@ -23,20 +23,21 @@ from .game_core import (
     load_game,
 )
 from .governance import (
-    Chain,
-    ForkRisk,
+    SURPLUS_FIELDS,
     GovernanceParams,
     Mode,
     PredictionResult,
-    Regime,
+    SurplusReport,
     predict_outcome,
     prediction_to_dict,
 )
 from .rationals import approx, format_rational, parse_rational
 from .scenario_runner import (
+    RESULT_CSV_COLUMNS,
     CheckStatus,
     ScenarioResult,
     load_scenarios,
+    result_rows,
     results_to_csv,
     results_to_json,
     run_ethereum_case_study,
@@ -47,25 +48,6 @@ from .scenario_runner import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
-
-REGIME_DISPLAY = {
-    Regime.UNANIMOUS_ACCEPT: "UnanimousAccept",
-    Regime.MAJORITY_ACCEPT: "MajorityAccept",
-    Regime.MAJORITY_REJECT: "MajorityReject",
-    Regime.TIE: "Tie",
-}
-CHAIN_DISPLAY = {
-    Chain.UPGRADED: "Upgraded",
-    Chain.ORIGINAL: "Original",
-    Chain.SPLIT_50_50: "Split5050",
-}
-RISK_DISPLAY = {
-    ForkRisk.NONE: "None",
-    ForkRisk.REDUCED: "Reduced",
-    ForkRisk.PRESENT: "Present",
-    ForkRisk.HIGH: "High",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit with code 1."""
@@ -172,7 +154,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
@@ -271,22 +253,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     mode = Mode(args.mode)
-    if args.beta is None:
+    beta = args.beta
+    if beta is None:
         if mode is not Mode.NO_GOVERNANCE:
             raise ValidationError("beta is required unless mode is 'none'")
         # Without governance no vote takes place; an even split is the
         # neutral stand-in so the voter-side fields stay defined.
         beta = Fraction(1, 2)
-    else:
-        beta = parse_rational(args.beta, "beta")
     params = GovernanceParams(
         beta=beta,
-        gamma=parse_rational(args.gamma, "gamma"),
-        gamma_prime=(
-            None
-            if args.gamma_prime is None
-            else parse_rational(args.gamma_prime, "gamma_prime")
-        ),
+        gamma=args.gamma,
+        gamma_prime=args.gamma_prime,
         k=args.k,
         n=args.n,
         s_v=parse_rational(args.sv, "sv"),
@@ -300,92 +277,50 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(json.dumps(prediction_to_dict(prediction), indent=2))
     elif args.format == "csv":
         surplus = prediction.surplus
-        print(
-            "regime,majority_chain,fork_risk,s_yes,s_no,s_u,s_o,"
-            "surplus_v,surplus_c,total"
-        )
-        print(
-            ",".join(
-                [
-                    prediction.regime.value,
-                    prediction.majority_chain.value,
-                    prediction.fork_risk.value,
-                    format_rational(surplus.s_yes),
-                    format_rational(surplus.s_no),
-                    format_rational(surplus.s_u),
-                    format_rational(surplus.s_o),
-                    format_rational(surplus.surplus_v),
-                    format_rational(surplus.surplus_c),
-                    format_rational(surplus.total),
-                ]
-            )
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["regime", "majority_chain", "fork_risk", *SURPLUS_FIELDS])
+        writer.writerow(
+            [
+                prediction.regime.value,
+                prediction.majority_chain.value,
+                prediction.fork_risk.value,
+                *(format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS),
+            ]
         )
     else:
-        _print_prediction_table(prediction)
+        print(_headline(prediction))
+        _print_surplus(prediction.surplus, SURPLUS_FIELDS, indent="  ")
+        for note in prediction.notes:
+            print(f"note: {note}")
     return EXIT_OK
 
 
-def _print_prediction_table(prediction: PredictionResult) -> None:
-    print(
-        f"{REGIME_DISPLAY[prediction.regime]} / "
-        f"{CHAIN_DISPLAY[prediction.majority_chain]} / "
-        f"{RISK_DISPLAY[prediction.fork_risk]}"
-    )
-    surplus = prediction.surplus
-    print(f"  s_yes     = {_payoff_text(surplus.s_yes)}")
-    print(f"  s_no      = {_payoff_text(surplus.s_no)}")
-    print(f"  s_u       = {_payoff_text(surplus.s_u)}")
-    print(f"  s_o       = {_payoff_text(surplus.s_o)}")
-    print(f"  surplus_v = {_payoff_text(surplus.surplus_v)}")
-    print(f"  surplus_c = {_payoff_text(surplus.surplus_c)}")
-    print(f"  total     = {_payoff_text(surplus.total)}")
-    for note in prediction.notes:
-        print(f"note: {note}")
+def _headline(prediction: PredictionResult) -> str:
+    """'MajorityAccept / Upgraded / Present': each enum value in CamelCase."""
+    members = (prediction.regime, prediction.majority_chain, prediction.fork_risk)
+    return " / ".join(member.value.title().replace("_", "") for member in members)
+
+
+def _print_surplus(surplus: SurplusReport, names: tuple[str, ...], indent: str = "") -> None:
+    for name in names:
+        print(f"{indent}{name:<9} = {_payoff_text(getattr(surplus, name))}")
 
 
 def _print_result_table(results: list[ScenarioResult]) -> None:
-    header = [
-        "simulation",
-        "beta",
-        "gamma",
-        "eq",
-        "yes",
-        "no",
-        "upgraded",
-        "original",
-        "v_payoff",
-        "c_payoff",
-        "status",
-    ]
+    header = [*RESULT_CSV_COLUMNS[:3], "eq", *RESULT_CSV_COLUMNS[4:], "status"]
     rows = []
     for result in results:
-        for idx, eq in enumerate(result.equilibria, start=1):
-            first = idx == 1
-            rows.append(
-                [
-                    result.name if first else "",
-                    format_rational(result.params.beta) if first else "",
-                    format_rational(result.params.gamma) if first else "",
-                    str(idx),
-                    format_rational(eq.profile.sigma1.probs[0]),
-                    format_rational(eq.profile.sigma1.probs[1]),
-                    format_rational(eq.profile.sigma2.probs[0]),
-                    format_rational(eq.profile.sigma2.probs[1]),
-                    format_rational(eq.payoffs[0]),
-                    format_rational(eq.payoffs[1]),
-                    result.expectation_check.status.value if first else "",
-                ]
-            )
+        for idx, row in enumerate(result_rows(result)):
+            if idx:
+                # Follow-on equilibria leave the scenario columns blank.
+                rows.append(["", "", "", *row[3:], ""])
+            else:
+                rows.append([*row, result.expectation_check.status.value])
     _print_grid(header, rows)
     print()
     print("predictions:")
     for result in results:
-        prediction = result.prediction
-        print(
-            f"  {result.name}: {REGIME_DISPLAY[prediction.regime]} / "
-            f"{CHAIN_DISPLAY[prediction.majority_chain]} / "
-            f"{RISK_DISPLAY[prediction.fork_risk]}"
-        )
+        print(f"  {result.name}: {_headline(result.prediction)}")
 
 
 def _emit_results(args: argparse.Namespace, results: list[ScenarioResult]) -> None:
@@ -419,10 +354,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_casestudy(args: argparse.Namespace) -> int:
-    result = run_ethereum_case_study(
-        beta=None if args.beta is None else parse_rational(args.beta, "beta"),
-        gamma=None if args.gamma is None else parse_rational(args.gamma, "gamma"),
-    )
+    result = run_ethereum_case_study(beta=args.beta, gamma=args.gamma)
     if args.format == "json":
         print(results_to_json([result]))
     elif args.format == "csv":
@@ -430,23 +362,11 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
         for note in result.notes:
             _diag(args, f"note: {note}")
     else:
-        prediction = result.prediction
-        print(
-            f"{REGIME_DISPLAY[prediction.regime]} / "
-            f"{CHAIN_DISPLAY[prediction.majority_chain]} / "
-            f"{RISK_DISPLAY[prediction.fork_risk]}"
-        )
-        print(f"beta  = {format_rational(result.params.beta)} ({approx(result.params.beta)})")
-        gamma_assumed = args.gamma is None
-        suffix = " [assumed; no measured value exists]" if gamma_assumed else ""
-        print(
-            f"gamma = {format_rational(result.params.gamma)} "
-            f"({approx(result.params.gamma)}){suffix}"
-        )
-        surplus = prediction.surplus
-        print(f"surplus_v = {_payoff_text(surplus.surplus_v)}")
-        print(f"surplus_c = {_payoff_text(surplus.surplus_c)}")
-        print(f"total     = {_payoff_text(surplus.total)}")
+        print(_headline(result.prediction))
+        print(f"beta  = {_payoff_text(result.params.beta)}")
+        suffix = " [assumed; no measured value exists]" if args.gamma is None else ""
+        print(f"gamma = {_payoff_text(result.params.gamma)}{suffix}")
+        _print_surplus(result.prediction.surplus, ("surplus_v", "surplus_c", "total"))
         print(f"historical comparison: {result.expectation_check.status.value}")
         for note in result.notes:
             print(f"note: {note}")

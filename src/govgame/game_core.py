@@ -175,16 +175,12 @@ def pure_profile(game: BimatrixGame, row: int, col: int) -> StrategyProfile:
     )
 
 
-def _check_profile(game: BimatrixGame, profile: StrategyProfile) -> None:
-    if len(profile.sigma1.probs) != game.rows:
+def _check_mix(game: BimatrixGame, player: int, mix: MixedStrategy) -> None:
+    size, unit = (game.rows, "rows") if player == 1 else (game.cols, "columns")
+    if len(mix.probs) != size:
         raise ValidationError(
-            f"player 1 strategy has {len(profile.sigma1.probs)} entries, "
-            f"game has {game.rows} rows"
-        )
-    if len(profile.sigma2.probs) != game.cols:
-        raise ValidationError(
-            f"player 2 strategy has {len(profile.sigma2.probs)} entries, "
-            f"game has {game.cols} columns"
+            f"player {player} strategy has {len(mix.probs)} entries, "
+            f"game has {size} {unit}"
         )
 
 
@@ -200,7 +196,8 @@ def expected_payoff(
     Returns:
         (player 1 payoff, player 2 payoff) as exact rationals.
     """
-    _check_profile(game, profile)
+    _check_mix(game, 1, profile.sigma1)
+    _check_mix(game, 2, profile.sigma2)
     x = profile.sigma1.probs
     y = profile.sigma2.probs
     # Cells off the support contribute zero, so only the support is summed.
@@ -220,50 +217,21 @@ def best_response_payoff(
     """
     if player not in (1, 2):
         raise ValidationError("player must be 1 or 2")
-    if player == 1:
-        if len(opponent.probs) != game.cols:
-            raise ValidationError(
-                f"player 2 strategy has {len(opponent.probs)} entries, "
-                f"game has {game.cols} columns"
-            )
-        return max(
-            sum(
-                (game.payoff1[i][j] * opponent.probs[j] for j in range(game.cols)),
-                Fraction(0),
-            )
-            for i in range(game.rows)
-        )
-    if len(opponent.probs) != game.rows:
-        raise ValidationError(
-            f"player 1 strategy has {len(opponent.probs)} entries, "
-            f"game has {game.rows} rows"
-        )
+    _check_mix(game, 3 - player, opponent)
+    # Player 1's pure strategies are the rows of payoff1, player 2's the
+    # columns of payoff2.
+    lines = game.payoff1 if player == 1 else zip(*game.payoff2)
     return max(
-        sum(
-            (game.payoff2[i][j] * opponent.probs[i] for i in range(game.rows)),
-            Fraction(0),
-        )
-        for j in range(game.cols)
+        sum((v * p for v, p in zip(line, opponent.probs)), Fraction(0)) for line in lines
     )
 
 
-def is_equilibrium(
-    game: BimatrixGame,
-    profile: StrategyProfile,
-    tolerance: Fraction = Fraction(0),
-) -> bool:
-    """Whether no player can gain more than tolerance by deviating.
-
-    With the default tolerance of 0 the check is exact. A positive
-    tolerance is only useful for profiles derived from inexact input.
-    """
-    tol = parse_rational(tolerance, "tolerance")
-    if tol < 0:
-        raise ValidationError("tolerance must be non-negative")
+def is_equilibrium(game: BimatrixGame, profile: StrategyProfile) -> bool:
+    """Whether no player can gain by deviating unilaterally; the check is exact."""
     u1, u2 = expected_payoff(game, profile)
-    if u1 < best_response_payoff(game, 1, profile.sigma2) - tol:
+    if u1 < best_response_payoff(game, 1, profile.sigma2):
         return False
-    return u2 >= best_response_payoff(game, 2, profile.sigma1) - tol
+    return u2 >= best_response_payoff(game, 2, profile.sigma1)
 
 
 def _is_pure_equilibrium(game: BimatrixGame, row: int, col: int) -> bool:
@@ -494,13 +462,7 @@ def is_strong_nash(game: BimatrixGame, row: int, col: int) -> bool:
         raise ValidationError(f"col {col} out of range for {game.cols} columns")
     if not _is_pure_equilibrium(game, row, col):
         return False
-    mine = (game.payoff1[row][col], game.payoff2[row][col])
-    return not any(
-        _dominates((game.payoff1[r][c], game.payoff2[r][c]), mine)
-        for r in range(game.rows)
-        for c in range(game.cols)
-        if (r, c) != (row, col)
-    )
+    return (row, col) in pareto_optimal_pure_profiles(game)
 
 
 def load_game(text: str) -> BimatrixGame:

@@ -10,7 +10,8 @@ under each governance mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -44,9 +45,7 @@ class Chain(Enum):
     SPLIT_50_50 = "split_50_50"
 
 
-_RISK_ORDER = ("none", "reduced", "present", "high")
-
-
+@functools.total_ordering
 class ForkRisk(Enum):
     """Ordinal chain-split risk level: NONE < REDUCED < PRESENT < HIGH.
 
@@ -61,27 +60,12 @@ class ForkRisk(Enum):
     @property
     def rank(self) -> int:
         """Position on the ordinal scale, NONE = 0 up to HIGH = 3."""
-        return _RISK_ORDER.index(self.value)
+        return list(ForkRisk).index(self)
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, ForkRisk):
             return NotImplemented
         return self.rank < other.rank
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, ForkRisk):
-            return NotImplemented
-        return self.rank <= other.rank
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, ForkRisk):
-            return NotImplemented
-        return self.rank > other.rank
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, ForkRisk):
-            return NotImplemented
-        return self.rank >= other.rank
 
 
 @dataclass(frozen=True)
@@ -174,6 +158,10 @@ class SurplusReport:
     total: Fraction
 
 
+# Field names in declaration order; every surplus writer iterates these.
+SURPLUS_FIELDS = tuple(field.name for field in fields(SurplusReport))
+
+
 @dataclass(frozen=True)
 class PredictionResult:
     """Predicted outcome of one governance scenario."""
@@ -218,47 +206,6 @@ def build_governance_game(
         row_labels=("Yes", "No"),
         col_labels=("Upgraded", "Original"),
     )
-
-
-def cumulative_payoffs(
-    k: int, n: int, s_v: Fraction, s_c: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Total payoff mass for voters and community: (k*s_v, n*s_c).
-
-    Entities within each group are assumed homogeneous, so the group
-    payoff is the member count times the per-member unit.
-    """
-    for field, value in (("k", k), ("n", n)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValidationError(f"{field} must be a positive integer")
-    s_v = parse_rational(s_v, "s_v")
-    s_c = parse_rational(s_c, "s_c")
-    if s_v <= 0:
-        raise ValidationError("s_v must be positive")
-    if s_c <= 0:
-        raise ValidationError("s_c must be positive")
-    return (k * s_v, n * s_c)
-
-
-def no_governance_split(
-    gamma: Fraction, n: int, s_c: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Community payoff masses (upgraded, original) when nothing governs.
-
-    Each member picks a chain independently, so the masses are
-    gamma*n*s_c and (1-gamma)*n*s_c; both are bounded by n*s_c and sum
-    to it exactly.
-    """
-    gamma = parse_rational(gamma, "gamma")
-    if not 0 <= gamma <= 1:
-        raise ValidationError("gamma out of [0,1]")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("n must be a positive integer")
-    s_c = parse_rational(s_c, "s_c")
-    if s_c <= 0:
-        raise ValidationError("s_c must be positive")
-    mass = n * s_c
-    return (gamma * mass, (1 - gamma) * mass)
 
 
 def classify_regime(params: GovernanceParams) -> Regime:
@@ -467,13 +414,7 @@ def prediction_to_dict(prediction: PredictionResult) -> dict:
         "majority_chain": prediction.majority_chain.value,
         "fork_risk": prediction.fork_risk.value,
         "surplus": {
-            "s_yes": format_rational(surplus.s_yes),
-            "s_no": format_rational(surplus.s_no),
-            "s_u": format_rational(surplus.s_u),
-            "s_o": format_rational(surplus.s_o),
-            "surplus_v": format_rational(surplus.surplus_v),
-            "surplus_c": format_rational(surplus.surplus_c),
-            "total": format_rational(surplus.total),
+            name: format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS
         },
         "notes": list(prediction.notes),
     }

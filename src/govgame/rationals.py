@@ -69,5 +69,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def approx(value: Fraction, digits: int = 6) -> str:
-    """Fixed-point decimal approximation for human-facing table output."""
-    return f"{float(value):.{digits}f}"
+    """Fixed-point decimal approximation for human-facing table output.
+
+    Values beyond float range read "inf" or "-inf", as Python formats an
+    infinite float.
+    """
+    try:
+        return f"{float(value):.{digits}f}"
+    except OverflowError:
+        return "inf" if value > 0 else "-inf"

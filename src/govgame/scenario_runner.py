@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -247,7 +248,7 @@ HISTORICAL_OUTCOME = (
 
 
 def run_ethereum_case_study(
-    beta: Fraction | None = None, gamma: Fraction | None = None
+    beta: Fraction | str | None = None, gamma: Fraction | str | None = None
 ) -> ScenarioResult:
     """Replay the 2016 Ethereum DAO-fork vote against the predictor.
 
@@ -268,8 +269,6 @@ def run_ethereum_case_study(
         notes.append(
             f"gamma = {format_rational(gamma)} (assumed; no measured value exists)"
         )
-    else:
-        gamma = parse_rational(gamma, "gamma")
     params = GovernanceParams(beta=beta, gamma=gamma, mode=Mode.OFF_CHAIN)
     base = run_scenario(Scenario(name="ethereum-dao-fork", params=params))
     details = []
@@ -292,18 +291,8 @@ def run_ethereum_case_study(
     )
 
 
-_SCENARIO_KEYS = {
-    "name",
-    "mode",
-    "beta",
-    "gamma",
-    "gamma_prime",
-    "k",
-    "n",
-    "s_v",
-    "s_c",
-    "expected",
-}
+_PARAM_KEYS = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
+_SCENARIO_KEYS = {"name", "mode", *_PARAM_KEYS, "expected"}
 _EXPECTED_KEYS = {"equilibria", "majority_chain"}
 _EQUILIBRIUM_KEYS = {"row", "col", "payoff_v", "payoff_c"}
 _MODES = {mode.value: mode for mode in Mode}
@@ -336,19 +325,12 @@ def _parse_expected(raw: object) -> ExpectedOutcome | None:
                 raise ValidationError(
                     f"expected equilibrium {pos} is missing {missing[0]!r}"
                 )
-            parsed.append(
-                ExpectedEquilibrium(
-                    row=entry["row"],
-                    col=entry["col"],
-                    payoff_v=parse_rational(entry["payoff_v"], "payoff_v"),
-                    payoff_c=parse_rational(entry["payoff_c"], "payoff_c"),
-                )
-            )
+            parsed.append(ExpectedEquilibrium(**entry))
         equilibria = tuple(parsed)
     chain = None
     if "majority_chain" in raw:
         token = raw["majority_chain"]
-        if token not in _CHAINS:
+        if not isinstance(token, str) or token not in _CHAINS:
             raise ValidationError(
                 f"majority_chain must be one of {sorted(_CHAINS)}, got {token!r}"
             )
@@ -370,26 +352,14 @@ def _parse_scenario(index: int, entry: object) -> Scenario:
             if required not in entry:
                 raise ValidationError(f"missing field {required!r}")
         mode_token = entry.get("mode", Mode.OFF_CHAIN.value)
-        if mode_token not in _MODES:
+        if not isinstance(mode_token, str) or mode_token not in _MODES:
             raise ValidationError(
                 f"mode must be one of {sorted(_MODES)}, got {mode_token!r}"
             )
-        k = entry.get("k", 1)
-        n = entry.get("n", 1)
-        for field, value in (("k", k), ("n", n)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{field} must be an integer")
-        gamma_prime = entry.get("gamma_prime")
+        # GovernanceParams parses and range-checks every field it is given;
+        # absent optional fields take its defaults.
         params = GovernanceParams(
-            beta=parse_rational(entry["beta"], "beta"),
-            gamma=parse_rational(entry["gamma"], "gamma"),
-            gamma_prime=(
-                None if gamma_prime is None else parse_rational(gamma_prime, "gamma_prime")
-            ),
-            k=k,
-            n=n,
-            s_v=parse_rational(entry.get("s_v", "1"), "s_v"),
-            s_c=parse_rational(entry.get("s_c", "1"), "s_c"),
+            **{field: entry[field] for field in _PARAM_KEYS if field in entry},
             mode=_MODES[mode_token],
         )
         expected = _parse_expected(entry.get("expected"))
@@ -418,19 +388,7 @@ def load_scenarios(text: str) -> list[Scenario]:
 
 
 def _scenario_to_dict(scenario: Scenario) -> dict:
-    params = scenario.params
-    entry: dict = {
-        "name": scenario.name,
-        "mode": params.mode.value,
-        "beta": format_rational(params.beta),
-        "gamma": format_rational(params.gamma),
-    }
-    if params.gamma_prime is not None:
-        entry["gamma_prime"] = format_rational(params.gamma_prime)
-    entry["k"] = params.k
-    entry["n"] = params.n
-    entry["s_v"] = format_rational(params.s_v)
-    entry["s_c"] = format_rational(params.s_c)
+    entry: dict = {"name": scenario.name, **_params_to_dict(scenario.params)}
     if scenario.expected is not None:
         expected: dict = {}
         if scenario.expected.equilibria is not None:
@@ -515,6 +473,23 @@ RESULT_CSV_COLUMNS = (
 )
 
 
+def result_rows(result: ScenarioResult) -> Iterator[list[str]]:
+    """Yield one row of RESULT_CSV_COLUMNS strings per equilibrium, in order."""
+    beta = format_rational(result.params.beta)
+    gamma = format_rational(result.params.gamma)
+    for idx, eq in enumerate(result.equilibria, start=1):
+        yield [
+            result.name,
+            beta,
+            gamma,
+            str(idx),
+            *(format_rational(p) for p in eq.profile.sigma1.probs),
+            *(format_rational(p) for p in eq.profile.sigma2.probs),
+            format_rational(eq.payoffs[0]),
+            format_rational(eq.payoffs[1]),
+        ]
+
+
 def results_to_csv(results: list[ScenarioResult]) -> str:
     """CSV with one line per equilibrium, all values exact.
 
@@ -526,19 +501,5 @@ def results_to_csv(results: list[ScenarioResult]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RESULT_CSV_COLUMNS)
     for result in results:
-        for idx, eq in enumerate(result.equilibria, start=1):
-            writer.writerow(
-                [
-                    result.name,
-                    format_rational(result.params.beta),
-                    format_rational(result.params.gamma),
-                    idx,
-                    format_rational(eq.profile.sigma1.probs[0]),
-                    format_rational(eq.profile.sigma1.probs[1]),
-                    format_rational(eq.profile.sigma2.probs[0]),
-                    format_rational(eq.profile.sigma2.probs[1]),
-                    format_rational(eq.payoffs[0]),
-                    format_rational(eq.payoffs[1]),
-                ]
-            )
+        writer.writerows(result_rows(result))
     return buffer.getvalue()

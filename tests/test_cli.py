@@ -108,6 +108,14 @@ class TestSolve:
         assert main(["solve", missing]) == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
 
+    def test_payoff_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"payoff1": [[1e400, 0], [0, 1]], "payoff2": [[1, 0], [0, 1]]}')
+        assert main(["solve", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"{10**400} (inf)" in out
+        assert "1 (1.000000)" in out
+
 
 class TestPredict:
     def test_case_parameters(self, capsys):
@@ -183,6 +191,13 @@ class TestPredict:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("regime,majority_chain,fork_risk")
         assert lines[1] == "majority_accept,upgraded,present,27/50,23/50,7/10,3/10,2/25,2/5,12/25"
+
+    def test_unit_beyond_float_range(self, capsys):
+        code = main(["predict", "--beta", "3/5", "--gamma", "7/10", "--sv", "1e400"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"  s_yes     = {6 * 10**399} (inf)" in out
+        assert "  s_u       = 7/10 (0.700000)" in out
 
     def test_gamma_prime_warning_off_chain(self, capsys):
         code = main(["predict", "--beta", "3/5", "--gamma", "7/10", "--gamma-prime", "4/5"])
@@ -311,6 +326,28 @@ class TestRun:
         data = json.loads(capsys.readouterr().out)
         assert data[0]["name"] == "a"
         assert data[0]["expectation_check"]["status"] == "not_checked"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["solve", "run"])
+    def test_non_utf8_file(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main([command, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"mode": []}, {"mode": {}}, {"expected": {"majority_chain": {}}}],
+    )
+    def test_non_string_token(self, tmp_path, capsys, fields):
+        path = tmp_path / "tokens.json"
+        path.write_text(json.dumps({"scenarios": [{"beta": "1/2", "gamma": "1/2", **fields}]}))
+        assert main(["run", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be one of" in err
 
 
 class TestExitContract:

@@ -181,17 +181,6 @@ class TestIsEquilibrium:
             for j in range(2):
                 assert is_equilibrium(ALL_ZERO, pure_profile(ALL_ZERO, i, j))
 
-    def test_tolerance_admits_near_equilibria(self):
-        game = vote_game(1, 1)
-        almost = pure_profile(game, 1, 1)
-        assert is_equilibrium(game, almost, tolerance=F(1))
-        assert not is_equilibrium(game, almost, tolerance=F(1, 2))
-
-    def test_negative_tolerance_rejected(self):
-        game = vote_game(1, 1)
-        with pytest.raises(ValidationError, match="tolerance must be non-negative"):
-            is_equilibrium(game, pure_profile(game, 0, 0), tolerance=F(-1))
-
 
 class TestEnumeratePure:
     def test_constant_vote_game_has_four(self):

@@ -1,0 +1,119 @@
+"""Byte-for-byte checks of CLI standard output against golden files.
+
+Each case runs `govgame.cli.main` in process and compares its standard
+output and exit code with `tests/golden/<case>.out` and the exit code
+recorded in `tests/golden/exit_codes.json`. The golden files are a
+reference, not a description of the code under test: regenerate them
+only from a commit whose output is known to be right, with
+
+    PYTHONPATH=<that checkout>/src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from govgame.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+FORMATS = ("table", "json", "csv")
+
+# case stem -> argv; "inputs/<file>" names a file under tests/golden.
+_COMMANDS = {
+    "table1": ["table1"],
+    "table1_verify": ["table1", "--verify"],
+    "casestudy": ["casestudy"],
+    "casestudy_beta_1_5": ["casestudy", "--beta", "1/5"],
+    "casestudy_beta_1": ["casestudy", "--beta", "1"],
+    "casestudy_gamma_3_5": ["casestudy", "--gamma", "3/5"],
+    "predict_off_chain_accept": ["predict", "--beta", "27/50", "--gamma", "7/10"],
+    "predict_on_chain_reject": [
+        "predict", "--mode", "on_chain", "--beta", "2/5", "--gamma", "2/5",
+        "--gamma-prime", "4/5", "--k", "3", "--n", "10", "--sv", "2", "--sc", "1/2",
+    ],
+    "predict_on_chain_reject_original": [
+        "predict", "--mode", "on_chain", "--beta", "1/5", "--gamma", "1/5",
+        "--gamma-prime", "3/10",
+    ],
+    "predict_on_chain_reject_zero_total": [
+        "predict", "--mode", "on_chain", "--beta", "1/4", "--gamma", "1/4",
+        "--gamma-prime", "3/4",
+    ],
+    "predict_none_without_beta": ["predict", "--mode", "none", "--gamma", "3/10"],
+    "predict_tie": ["predict", "--beta", "1/2", "--gamma", "7/10"],
+    "predict_tie_on_chain": ["predict", "--mode", "on_chain", "--beta", "1/2", "--gamma", "7/10"],
+    "predict_tie_break_reject": [
+        "predict", "--beta", "1/2", "--gamma", "7/10", "--tie-break", "reject",
+    ],
+    "predict_beta_1_above_gamma": ["predict", "--beta", "1", "--gamma", "3/5"],
+    "predict_unanimity": ["predict", "--mode", "on_chain", "--beta", "1", "--gamma", "1"],
+    "predict_missing_gamma_prime": [
+        "predict", "--mode", "on_chain", "--beta", "2/5", "--gamma", "2/5",
+    ],
+    "predict_bad_beta": ["predict", "--beta", "x", "--gamma", "1/2"],
+    "solve_sim6": ["solve", "inputs/sim6.json"],
+    "solve_sim6_pure": ["solve", "inputs/sim6.json", "--pure-only"],
+    "solve_all_zero": ["solve", "inputs/all_zero.json"],
+    "solve_all_zero_pure": ["solve", "inputs/all_zero.json", "--pure-only"],
+    "solve_identity_vs_ones": ["solve", "inputs/identity_vs_ones.json"],
+    "solve_identity_vs_ones_pure": ["solve", "inputs/identity_vs_ones.json", "--pure-only"],
+    "solve_nondegenerate_3x3": ["solve", "inputs/nondegenerate_3x3.json"],
+    "solve_nondegenerate_3x3_pure": ["solve", "inputs/nondegenerate_3x3.json", "--pure-only"],
+    "run_scenarios": ["run", "inputs/scenarios.json"],
+}
+
+CASES = {
+    f"{stem}.{fmt}": argv + ["--format", fmt]
+    for stem, argv in _COMMANDS.items()
+    for fmt in FORMATS
+}
+
+
+def run_case(argv: list[str]) -> tuple[int, str]:
+    """Run the CLI in process; return its exit code and standard output."""
+    argv = [str(GOLDEN / a) if a.startswith("inputs/") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _read(path: Path) -> str:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case):
+    code, out = run_case(CASES[case])
+    expected_codes = json.loads(_read(GOLDEN / "exit_codes.json"))
+    assert code == expected_codes[case]
+    assert out == _read(GOLDEN / f"{case}.out")
+
+
+def test_every_golden_file_has_a_case():
+    stems = {path.name[: -len(".out")] for path in GOLDEN.glob("*.out")}
+    assert stems == set(CASES)
+
+
+def _write() -> None:
+    codes = {}
+    for case, argv in sorted(CASES.items()):
+        codes[case], out = run_case(argv)
+        with open(GOLDEN / f"{case}.out", "w", encoding="utf-8", newline="") as handle:
+            handle.write(out)
+    with open(GOLDEN / "exit_codes.json", "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    _write()

@@ -17,8 +17,6 @@ from govgame.governance import (
     build_governance_game,
     classify_regime,
     community_surplus,
-    cumulative_payoffs,
-    no_governance_split,
     predict_outcome,
     prediction_to_dict,
     total_surplus,
@@ -129,40 +127,58 @@ class TestBuildGovernanceGame:
             build_governance_game(F(1, 2), F(1, 2), F(0), F(1))
 
 
+def masses(prediction) -> tuple[F, F]:
+    """Voter and community payoff masses carried by a prediction's surplus."""
+    surplus = prediction.surplus
+    return (surplus.s_yes + surplus.s_no, surplus.s_u + surplus.s_o)
+
+
 class TestCumulativePayoffs:
+    """The group masses k*s_v and n*s_c, as the surplus report splits them."""
+
     def test_identity_scale(self):
-        assert cumulative_payoffs(1, 1, F(1), F(1)) == (F(1), F(1))
+        assert masses(predict_outcome(params("3/5", "7/10"))) == (F(1), F(1))
 
     def test_multiplies(self):
-        assert cumulative_payoffs(10, 100, F(2), F(3)) == (F(20), F(300))
+        p = params("3/5", "7/10", k=10, n=100, s_v=F(2), s_c=F(3))
+        assert masses(predict_outcome(p)) == (F(20), F(300))
 
     def test_fractional_units(self):
-        assert cumulative_payoffs(5, 5, F(1, 5), F(1, 5)) == (F(1), F(1))
+        p = params("3/5", "7/10", k=5, n=5, s_v=F(1, 5), s_c=F(1, 5))
+        assert masses(predict_outcome(p)) == (F(1), F(1))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
-            cumulative_payoffs(0, 1, F(1), F(1))
+            params("3/5", "7/10", k=0)
         with pytest.raises(ValidationError):
-            cumulative_payoffs(1, 1, F(0), F(1))
+            params("3/5", "7/10", s_v=F(0))
 
 
 class TestNoGovernanceSplit:
+    """Community masses (s_u, s_o) = (gamma, 1 - gamma) * n*s_c without governance."""
+
+    @staticmethod
+    def split(gamma, n, s_c) -> tuple[F, F]:
+        p = params("1/5", gamma, n=n, s_c=s_c, mode=Mode.NO_GOVERNANCE)
+        surplus = predict_outcome(p).surplus
+        return (surplus.s_u, surplus.s_o)
+
     def test_whole_community_upgrades(self):
-        assert no_governance_split(F(1), 100, F(1)) == (F(100), F(0))
+        assert self.split(F(1), 100, F(1)) == (F(100), F(0))
 
     def test_seventy_thirty(self):
-        assert no_governance_split(F(7, 10), 100, F(1)) == (F(70), F(30))
+        assert self.split(F(7, 10), 100, F(1)) == (F(70), F(30))
 
     def test_even_split(self):
-        assert no_governance_split(F(1, 2), 2, F(1)) == (F(1), F(1))
+        assert self.split(F(1, 2), 2, F(1)) == (F(1), F(1))
 
     def test_mass_conserved(self):
-        s_u, s_o = no_governance_split(F(18, 25), 7, F(3))
+        s_u, s_o = self.split(F(18, 25), 7, F(3))
         assert s_u + s_o == 21
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValidationError, match=r"gamma out of \[0,1\]"):
-            no_governance_split(F(3, 2), 1, F(1))
+            self.split(F(3, 2), 1, F(1))
 
 
 class TestClassifyRegime:

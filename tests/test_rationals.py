@@ -75,3 +75,10 @@ def test_approx_six_decimals():
 
 def test_approx_custom_digits():
     assert approx(Fraction(1, 2), digits=2) == "0.50"
+
+
+def test_approx_beyond_float_range_is_infinite():
+    # float() of these raises OverflowError; the text matches an infinite float's.
+    assert approx(Fraction(10) ** 400) == "inf"
+    assert approx(-(Fraction(10) ** 400)) == "-inf"
+    assert approx(Fraction(10) ** 400, digits=2) == f"{float('inf'):.2f}"

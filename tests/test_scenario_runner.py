@@ -295,7 +295,7 @@ class TestLoadScenarios:
 
     def test_k_must_be_json_integer(self):
         text = '{"scenarios": [{"name": "x", "beta": "1/2", "gamma": "1/2", "k": "3", "n": 5}]}'
-        with pytest.raises(ValidationError, match="k"):
+        with pytest.raises(ValidationError, match="k must be a positive integer"):
             load_scenarios(text)
 
     def test_expected_row_token_validated(self):
