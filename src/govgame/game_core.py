@@ -243,21 +243,16 @@ def _is_pure_equilibrium(game: BimatrixGame, row: int, col: int) -> bool:
 
 
 def _make_result(
-    game: BimatrixGame,
     x: tuple[Fraction, ...],
     y: tuple[Fraction, ...],
+    payoffs: tuple[Fraction, Fraction],
+    pure: bool,
     degenerate: bool,
 ) -> EquilibriumResult:
-    profile = StrategyProfile(MixedStrategy(x), MixedStrategy(y))
-    kind = (
-        EquilibriumKind.PURE
-        if profile.sigma1.is_pure and profile.sigma2.is_pure
-        else EquilibriumKind.MIXED
-    )
     return EquilibriumResult(
-        profile=profile,
-        payoffs=expected_payoff(game, profile),
-        kind=kind,
+        profile=StrategyProfile(MixedStrategy(x), MixedStrategy(y)),
+        payoffs=payoffs,
+        kind=EquilibriumKind.PURE if pure else EquilibriumKind.MIXED,
         degenerate_game=degenerate,
     )
 
@@ -275,7 +270,8 @@ def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
             if _is_pure_equilibrium(game, i, j):
                 x = tuple(Fraction(1 if r == i else 0) for r in range(game.rows))
                 y = tuple(Fraction(1 if c == j else 0) for c in range(game.cols))
-                results.append(_make_result(game, x, y, False))
+                payoffs = (game.payoff1[i][j], game.payoff2[i][j])
+                results.append(_make_result(x, y, payoffs, True, False))
     return results
 
 
@@ -302,31 +298,31 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
     because no two nonzero vertices of such a polytope are proportional.
 
     The search walks the feasible bases from the slack basis by integer
-    pivoting: entries stay integers. Pivoting on entry piv of row r turns
-    each entry a of another row into (a * piv - f * b) // det, where f is
-    that row's entry in the pivot column, b the pivot row's entry in a's
-    column and det the previous pivot (1 at the start); the division is
-    exact.
+    pivoting. The tableau is condensed: row k belongs to basic variable
+    basis[k], column c < d to nonbasic variable nonbasic[c], and column d
+    is the right-hand side; the basic columns, always det times a unit
+    vector with det the last pivot (1 at the start), are not stored.
+    Pivoting on entry piv in row r and column s turns each entry a of
+    another row into (a * piv - f * b) // det, an exact division, where f
+    is that row's old entry in column s and b the pivot row's entry in
+    a's column. Column s, now the leaving variable's, then holds -f in
+    that row and det in row r, which is otherwise kept; piv is the new det.
     Every nonbasic column is tried with every tied minimum-ratio row, so
     under degeneracy every basis, and with it every vertex, is reached.
     """
     rows, d = len(coeffs), len(coeffs[0])
-    width = d + rows
-    full = (1 << width) - 1
-    start = [
-        list(coeff) + [1 if c == k else 0 for c in range(rows)] + [1]
-        for k, coeff in enumerate(coeffs)
-    ]
-    basis = [d + k for k in range(rows)]
-    seen = {sum(1 << v for v in basis)}
-    stack = [(start, basis, 1)]
+    full = (1 << (d + rows)) - 1
+    basic = full ^ ((1 << d) - 1)
+    seen = {basic}
+    start = [list(coeff) + [1] for coeff in coeffs]
+    stack = [(start, list(range(d, d + rows)), list(range(d)), basic, 1)]
     found: dict[tuple[int, ...], int] = {}
     while stack:
-        tableau, basis, det = stack.pop()
+        tableau, basis, nonbasic, basic, det = stack.pop()
         point = [0] * d
         labels = full
-        for k, var in enumerate(basis):
-            value = tableau[k][width]
+        for var, row in zip(basis, tableau):
+            value = row[d]
             if value:
                 labels ^= 1 << var
                 if var < d:
@@ -334,43 +330,38 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
         divisor = gcd(*point)
         found.setdefault(tuple(v // divisor for v in point) if divisor else tuple(point), labels)
 
-        basic = sum(1 << v for v in basis)
-        for col in range(width):
-            if basic >> col & 1:
-                continue
+        for s, entering in enumerate(nonbasic):
             tied: list[int] = []
             for k, row in enumerate(tableau):
-                entry = row[col]
+                entry = row[s]
                 if entry <= 0:
                     continue
-                if not tied:
-                    tied = [k]
-                    continue
-                best = tableau[tied[0]]
-                cross = row[width] * best[col] - best[width] * entry
+                cross = row[d] * best[s] - best[d] * entry if tied else -1
                 if cross < 0:
-                    tied = [k]
+                    tied, best = [k], row
                 elif cross == 0:
                     tied.append(k)
             for r in tied:
-                key = basic ^ (1 << basis[r]) ^ (1 << col)
+                leaving = basis[r]
+                key = basic ^ (1 << leaving) ^ (1 << entering)
                 if key in seen:
                     continue
                 seen.add(key)
                 pivot_row = tableau[r]
-                piv = pivot_row[col]
-                stack.append(
-                    (
-                        [
-                            row
-                            if k == r
-                            else [(a * piv - row[col] * b) // det for a, b in zip(row, pivot_row)]
-                            for k, row in enumerate(tableau)
-                        ],
-                        basis[:r] + [col] + basis[r + 1 :],
-                        piv,
-                    )
-                )
+                piv = pivot_row[s]
+                pivoted = []
+                for k, row in enumerate(tableau):
+                    f = row[s]
+                    if k == r:
+                        row = row[:]
+                        row[s] = det
+                    else:
+                        row = [(a * piv - f * b) // det for a, b in zip(row, pivot_row)]
+                        row[s] = -f
+                    pivoted.append(row)
+                basis_next = basis[:r] + [entering] + basis[r + 1 :]
+                nonbasic_next = nonbasic[:s] + [leaving] + nonbasic[s + 1 :]
+                stack.append((pivoted, basis_next, nonbasic_next, key, piv))
     return found
 
 
@@ -384,7 +375,9 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     is "column j a best response" on P and "column j unplayed" on Q. The
     extreme equilibria are the nonzero vertex pairs that carry all m + n
     labels between them, each normalised to sum 1. This is complete for
-    degenerate games as well as nondegenerate ones.
+    degenerate games as well as nondegenerate ones. Every row in supp(x)
+    is a best response to y, and every column in supp(y) to x, so player
+    1's payoff is read from one such row and player 2's from one column.
 
     Results are ordered by row support size, row support, column support
     size, column support, then the strategies themselves, so pure
@@ -415,11 +408,17 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     for x, _, y, _ in pairs:
         sx = tuple(i for i, v in enumerate(x) if v)
         sy = tuple(j for j, v in enumerate(y) if v)
-        fx = tuple(Fraction(v, sum(x)) for v in x)
-        fy = tuple(Fraction(v, sum(y)) for v in y)
-        found.append((len(sx), sx, len(sy), sy, fx, fy))
+        tx, ty = sum(x), sum(y)
+        fx = tuple(Fraction(v, tx) for v in x)
+        fy = tuple(Fraction(v, ty) for v in y)
+        u1 = sum(game.payoff1[sx[0]][j] * fy[j] for j in sy)
+        u2 = sum(game.payoff2[i][sy[0]] * fx[i] for i in sx)
+        found.append((len(sx), sx, len(sy), sy, fx, fy, (u1, u2)))
     found.sort()
-    return [_make_result(game, fx, fy, degenerate) for *_, fx, fy in found]
+    return [
+        _make_result(fx, fy, payoffs, nx == ny == 1, degenerate)
+        for nx, _, ny, _, fx, fy, payoffs in found
+    ]
 
 
 def _dominates(

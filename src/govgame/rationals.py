@@ -11,11 +11,27 @@ denotes, not as the nearest binary float.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import ValidationError
 
 Rational = Fraction
+
+# Fraction expands "1e<exp>" into an integer of about exp digits, at a
+# cost that grows with exp rather than with the length of the text. 4300
+# is also the interpreter's default limit on the digits of an integer
+# converted to text, so a value with a larger exponent could not be printed.
+_MAX_EXPONENT = 4300
+
+
+def _checked_exponent(text: str, field: str) -> str:
+    """The text unchanged, unless its decimal exponent exceeds _MAX_EXPONENT."""
+    _, marker, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+        raise ValidationError(f"{field}: exponent in {text!r} exceeds {_MAX_EXPONENT}")
+    return text
 
 
 def parse_rational(value: object, field: str = "value") -> Fraction:
@@ -35,6 +51,7 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
             f"{field} must be given as text or an integer; binary floats are inexact"
         )
     if isinstance(value, str):
+        _checked_exponent(value, field)
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -47,16 +64,20 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
 def parse_json(text: str) -> object:
     """Decode JSON text, reading every decimal literal as an exact Fraction.
 
-    Malformed text, nesting too deep for the decoder and number literals
-    longer than the interpreter's integer digit limit all raise
-    ValidationError.
+    Malformed text, nesting too deep for the decoder, number literals
+    longer than the interpreter's integer digit limit and decimal
+    exponents beyond 4300 all raise ValidationError.
     """
     try:
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(
+            text, parse_float=lambda literal: Fraction(_checked_exponent(literal, "JSON number"))
+        )
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValidationError:
+        raise
     except ValueError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from None
     except RecursionError:
@@ -64,8 +85,17 @@ def parse_json(text: str) -> object:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render exactly: "p/q", or just "p" when the denominator is 1."""
-    return str(value)
+    """Render exactly: "p/q", or just "p" when the denominator is 1.
+
+    A numerator or denominator longer than the interpreter's limit on
+    integer string conversion (4300 digits by default) raises
+    ValidationError.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"cannot print a value of more than {limit} digits") from None
 
 
 def approx(value: Fraction, digits: int = 6) -> str:

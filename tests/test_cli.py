@@ -116,6 +116,22 @@ class TestSolve:
         assert f"{10**400} (inf)" in out
         assert "1 (1.000000)" in out
 
+    def test_payoff_too_long_to_print(self, tmp_path, capsys):
+        # 1e4300 passes the exponent bound, but its 4301 digits cannot be printed.
+        path = tmp_path / "long.json"
+        path.write_text('{"payoff1": [["1e4300", 0], [0, 1]], "payoff2": [[1, 0], [0, 1]]}')
+        assert main(["solve", str(path), "--format", "json"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4300 digits" in err
+        assert "Traceback" not in err
+
+    def test_huge_exponent_is_rejected_before_expansion(self, tmp_path, capsys):
+        path = tmp_path / "exponent.json"
+        path.write_text('{"payoff1": [[1e999999999, 0], [0, 1]], "payoff2": [[1, 0], [0, 1]]}')
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "exceeds 4300" in err
+
 
 class TestPredict:
     def test_case_parameters(self, capsys):
@@ -198,6 +214,12 @@ class TestPredict:
         out = capsys.readouterr().out
         assert f"  s_yes     = {6 * 10**399} (inf)" in out
         assert "  s_u       = 7/10 (0.700000)" in out
+
+    def test_unit_too_long_to_print(self, capsys):
+        code = main(["predict", "--beta", "3/5", "--gamma", "7/10", "--sv", "1e4300"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4300 digits" in err
 
     def test_gamma_prime_warning_off_chain(self, capsys):
         code = main(["predict", "--beta", "3/5", "--gamma", "7/10", "--gamma-prime", "4/5"])
@@ -282,6 +304,15 @@ class TestRun:
         path.write_text('{"scenarios": [{"name": "open", "beta": "3/5", "gamma": "7/10"}]}')
         assert main(["run", str(path)]) == EXIT_OK
         assert "not_checked" in capsys.readouterr().out
+
+    def test_huge_exponent_is_rejected_before_expansion(self, tmp_path, capsys):
+        path = tmp_path / "exponent.json"
+        path.write_text(
+            '{"scenarios": [{"name": "e", "beta": "3/5", "gamma": "7/10", "s_v": "1e999999999"}]}'
+        )
+        assert main(["run", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "exceeds 4300" in err
 
     def test_wrong_expectation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wrong.json"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from govgame.errors import ValidationError
-from govgame.rationals import approx, format_rational, parse_rational
+from govgame.rationals import approx, format_rational, parse_json, parse_rational
 
 
 def test_parse_fraction_string():
@@ -82,3 +82,22 @@ def test_approx_beyond_float_range_is_infinite():
     assert approx(Fraction(10) ** 400) == "inf"
     assert approx(-(Fraction(10) ** 400)) == "-inf"
     assert approx(Fraction(10) ** 400, digits=2) == f"{float('inf'):.2f}"
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "2.5e+04300"])
+def test_exponent_at_the_bound_is_parsed(text):
+    assert parse_rational(text) == Fraction(text)
+    assert parse_json(f"[{text}]") == [Fraction(text)]
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e" + "9" * 5000])
+def test_exponent_beyond_the_bound_is_rejected(text):
+    with pytest.raises(ValidationError, match="exceeds 4300"):
+        parse_rational(text, "sv")
+    with pytest.raises(ValidationError, match="JSON number: exponent .* exceeds 4300"):
+        parse_json(f"[{text}]")
+
+
+def test_format_rational_beyond_the_digit_limit():
+    with pytest.raises(ValidationError, match="more than 4300 digits"):
+        format_rational(Fraction(10**4300, 3))

@@ -6,7 +6,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from govgame.game_core import BimatrixGame, enumerate_mixed_equilibria, expected_payoff
+from govgame.game_core import (
+    BimatrixGame,
+    EquilibriumKind,
+    enumerate_mixed_equilibria,
+    expected_payoff,
+)
 from reference_solvers import support_enumeration, vertex_oracle
 
 F = Fraction
@@ -14,6 +19,13 @@ F = Fraction
 
 def _profiles(results) -> list:
     return [(r.profile.sigma1.probs, r.profile.sigma2.probs) for r in results]
+
+
+def _check_payoffs_and_kind(game, results) -> None:
+    for result in results:
+        assert result.payoffs == expected_payoff(game, result.profile)
+        pure = result.profile.sigma1.is_pure and result.profile.sigma2.is_pure
+        assert (result.kind is EquilibriumKind.PURE) == pure
 
 
 def _canonical_key(profile) -> tuple:
@@ -37,8 +49,7 @@ def test_all_2x2_games_with_payoffs_in_minus_one_to_one():
         assert len(profiles) == len(extreme), entries
         assert profiles == sorted(profiles, key=_canonical_key), entries
         assert all(r.degenerate_game == flagged for r in results), entries
-        for result in results:
-            assert result.payoffs == expected_payoff(game, result.profile)
+        _check_payoffs_and_kind(game, results)
 
 
 def _generic_game(rng: random.Random, rows: int, cols: int) -> BimatrixGame:
@@ -62,6 +73,7 @@ def test_generic_games_match_support_enumeration_in_order():
         assert not underdetermined
         assert _profiles(results) == old
         assert not any(r.degenerate_game for r in results)
+        _check_payoffs_and_kind(game, results)
     assert checked >= len(shapes) - 2
 
 
@@ -80,6 +92,7 @@ def test_small_integer_games_match_the_vertex_oracle():
             assert set(profiles) == extreme and len(profiles) == len(extreme)
             assert profiles == sorted(profiles, key=_canonical_key)
             assert all(r.degenerate_game == flagged for r in results)
+            _check_payoffs_and_kind(game, results)
 
 
 def test_identity_against_all_ones_reports_four_vertices():
