@@ -3,13 +3,16 @@
 Exit codes: 0 on success, 1 on input or usage errors, 2 when computed
 results contradict an expectation (a failed verification or a scenario
 mismatch). Standard output carries only the requested data; warnings
-and other diagnostics go to standard error.
+and other diagnostics go to standard error. Each command formats its
+whole output before writing it in one piece, so a command that fails
+writes nothing to standard output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -158,14 +161,25 @@ def _read_file(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _print_grid(header: list[str], rows: list[list[str]]) -> None:
+def _text(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _grid(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(cell) for cell in header]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    print("  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in (header, *rows)
+    ]
+
+
+def _csv(rows: list[list[str]]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _payoff_text(value: Fraction) -> str:
@@ -214,7 +228,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "degenerate_game": degenerate,
             "equilibria": [_generic_equilibrium_dict(eq) for eq in equilibria],
         }
-        print(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         header = (
             ["equilibrium_index", "kind"]
@@ -222,32 +236,33 @@ def cmd_solve(args: argparse.Namespace) -> int:
             + list(game.col_labels)
             + ["payoff1", "payoff2"]
         )
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for idx, eq in enumerate(equilibria, start=1):
-            writer.writerow(
+        text = _csv(
+            [header]
+            + [
                 [str(idx), eq.kind.value]
                 + [format_rational(p) for p in eq.profile.sigma1.probs]
                 + [format_rational(p) for p in eq.profile.sigma2.probs]
                 + [format_rational(eq.payoffs[0]), format_rational(eq.payoffs[1])]
-            )
-    else:
-        if not equilibria:
-            print("no equilibria")
-        else:
-            header = ["#", "kind", "row strategy", "col strategy", "payoff1", "payoff2"]
-            rows = [
-                [
-                    str(idx),
-                    eq.kind.value,
-                    _strategy_text(game.row_labels, eq.profile.sigma1),
-                    _strategy_text(game.col_labels, eq.profile.sigma2),
-                    _payoff_text(eq.payoffs[0]),
-                    _payoff_text(eq.payoffs[1]),
-                ]
                 for idx, eq in enumerate(equilibria, start=1)
             ]
-            _print_grid(header, rows)
+        )
+    elif not equilibria:
+        text = "no equilibria\n"
+    else:
+        header = ["#", "kind", "row strategy", "col strategy", "payoff1", "payoff2"]
+        rows = [
+            [
+                str(idx),
+                eq.kind.value,
+                _strategy_text(game.row_labels, eq.profile.sigma1),
+                _strategy_text(game.col_labels, eq.profile.sigma2),
+                _payoff_text(eq.payoffs[0]),
+                _payoff_text(eq.payoffs[1]),
+            ]
+            for idx, eq in enumerate(equilibria, start=1)
+        ]
+        text = _text(_grid(header, rows))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -274,24 +289,29 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _diag(args, f"warning: {warning}")
     prediction = predict_outcome(params, tie_break=args.tie_break)
     if args.format == "json":
-        print(json.dumps(prediction_to_dict(prediction), indent=2))
+        text = json.dumps(prediction_to_dict(prediction), indent=2) + "\n"
     elif args.format == "csv":
         surplus = prediction.surplus
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["regime", "majority_chain", "fork_risk", *SURPLUS_FIELDS])
-        writer.writerow(
+        text = _csv(
             [
-                prediction.regime.value,
-                prediction.majority_chain.value,
-                prediction.fork_risk.value,
-                *(format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS),
+                ["regime", "majority_chain", "fork_risk", *SURPLUS_FIELDS],
+                [
+                    prediction.regime.value,
+                    prediction.majority_chain.value,
+                    prediction.fork_risk.value,
+                    *(format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS),
+                ],
             ]
         )
     else:
-        print(_headline(prediction))
-        _print_surplus(prediction.surplus, SURPLUS_FIELDS, indent="  ")
-        for note in prediction.notes:
-            print(f"note: {note}")
+        text = _text(
+            [
+                _headline(prediction),
+                *_surplus_lines(prediction.surplus, SURPLUS_FIELDS, indent="  "),
+                *(f"note: {note}" for note in prediction.notes),
+            ]
+        )
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -301,12 +321,11 @@ def _headline(prediction: PredictionResult) -> str:
     return " / ".join(member.value.title().replace("_", "") for member in members)
 
 
-def _print_surplus(surplus: SurplusReport, names: tuple[str, ...], indent: str = "") -> None:
-    for name in names:
-        print(f"{indent}{name:<9} = {_payoff_text(getattr(surplus, name))}")
+def _surplus_lines(surplus: SurplusReport, names: tuple[str, ...], indent: str = "") -> list[str]:
+    return [f"{indent}{name:<9} = {_payoff_text(getattr(surplus, name))}" for name in names]
 
 
-def _print_result_table(results: list[ScenarioResult]) -> None:
+def _result_table(results: list[ScenarioResult]) -> str:
     header = [*RESULT_CSV_COLUMNS[:3], "eq", *RESULT_CSV_COLUMNS[4:], "status"]
     rows = []
     for result in results:
@@ -316,20 +335,22 @@ def _print_result_table(results: list[ScenarioResult]) -> None:
                 rows.append(["", "", "", *row[3:], ""])
             else:
                 rows.append([*row, result.expectation_check.status.value])
-    _print_grid(header, rows)
-    print()
-    print("predictions:")
-    for result in results:
-        print(f"  {result.name}: {_headline(result.prediction)}")
+    return _text(
+        [
+            *_grid(header, rows),
+            "",
+            "predictions:",
+            *(f"  {result.name}: {_headline(result.prediction)}" for result in results),
+        ]
+    )
 
 
-def _emit_results(args: argparse.Namespace, results: list[ScenarioResult]) -> None:
+def _results_text(args: argparse.Namespace, results: list[ScenarioResult]) -> str:
     if args.format == "json":
-        print(results_to_json(results))
-    elif args.format == "csv":
-        sys.stdout.write(results_to_csv(results))
-    else:
-        _print_result_table(results)
+        return results_to_json(results) + "\n"
+    if args.format == "csv":
+        return results_to_csv(results)
+    return _result_table(results)
 
 
 def _report_mismatches(results: list[ScenarioResult]) -> None:
@@ -341,7 +362,7 @@ def _report_mismatches(results: list[ScenarioResult]) -> None:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     results = run_table1_suite()
-    _emit_results(args, results)
+    sys.stdout.write(_results_text(args, results))
     mismatched = any(
         r.expectation_check.status is CheckStatus.MISMATCH for r in results
     )
@@ -355,21 +376,24 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_casestudy(args: argparse.Namespace) -> int:
     result = run_ethereum_case_study(beta=args.beta, gamma=args.gamma)
-    if args.format == "json":
-        print(results_to_json([result]))
-    elif args.format == "csv":
-        sys.stdout.write(results_to_csv([result]))
+    if args.format == "table":
+        suffix = " [assumed; no measured value exists]" if args.gamma is None else ""
+        text = _text(
+            [
+                _headline(result.prediction),
+                f"beta  = {_payoff_text(result.params.beta)}",
+                f"gamma = {_payoff_text(result.params.gamma)}{suffix}",
+                *_surplus_lines(result.prediction.surplus, ("surplus_v", "surplus_c", "total")),
+                f"historical comparison: {result.expectation_check.status.value}",
+                *(f"note: {note}" for note in result.notes),
+            ]
+        )
+    else:
+        text = _results_text(args, [result])
+    sys.stdout.write(text)
+    if args.format == "csv":
         for note in result.notes:
             _diag(args, f"note: {note}")
-    else:
-        print(_headline(result.prediction))
-        print(f"beta  = {_payoff_text(result.params.beta)}")
-        suffix = " [assumed; no measured value exists]" if args.gamma is None else ""
-        print(f"gamma = {_payoff_text(result.params.gamma)}{suffix}")
-        _print_surplus(result.prediction.surplus, ("surplus_v", "surplus_c", "total"))
-        print(f"historical comparison: {result.expectation_check.status.value}")
-        for note in result.notes:
-            print(f"note: {note}")
     if result.expectation_check.status is CheckStatus.MISMATCH:
         _report_mismatches([result])
         return EXIT_MISMATCH
@@ -383,7 +407,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         raise ValidationError(f"{args.scenario_file}: {exc}") from None
     results = [run_scenario(scenario) for scenario in scenarios]
-    _emit_results(args, results)
+    sys.stdout.write(_results_text(args, results))
     for result in results:
         for warning in result.params.warnings:
             _diag(args, f"warning: scenario {result.name!r}: {warning}")

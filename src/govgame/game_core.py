@@ -109,9 +109,12 @@ class MixedStrategy:
         probs = tuple(
             parse_rational(p, f"probs[{i}]") for i, p in enumerate(self.probs)
         )
-        if any(p < 0 for p in probs):
+        if any(p.numerator < 0 for p in probs):
             raise ValidationError("probabilities must be non-negative")
-        if sum(probs) != 1:
+        # Exact sum in integers: over the common denominator L, the
+        # numerators must add up to L.
+        common = lcm(*(p.denominator for p in probs))
+        if sum(p.numerator * (common // p.denominator) for p in probs) != common:
             raise ValidationError("probabilities must sum to exactly 1")
         object.__setattr__(self, "probs", probs)
 
@@ -275,17 +278,46 @@ def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     return results
 
 
-def _positive_integers(matrix: PayoffMatrix) -> list[list[int]]:
+def _positive_integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int, int]:
     """Scale a payoff matrix to integers and shift every entry to >= 1.
 
-    Both steps are positive affine maps of one player's payoffs, so they
-    leave the game's Nash equilibria unchanged. Entries >= 1 make the
-    best-response polytope built from the matrix bounded.
+    Returns the integer matrix with its scale and shift: entry v becomes
+    v * scale + shift. Both steps are positive affine maps of one
+    player's payoffs, so they leave the game's Nash equilibria unchanged.
+    Entries >= 1 make the best-response polytope built from the matrix
+    bounded.
     """
     scale = lcm(*(v.denominator for row in matrix for v in row))
     ints = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
     shift = 1 - min(min(row) for row in ints)
-    return [[v + shift for v in row] for row in ints]
+    return [[v + shift for v in row] for row in ints], scale, shift
+
+
+def _lex_cross(
+    tableau: list[list[int]], k: int, r: int, s: int, basis: list[int], nonbasic: list[int]
+) -> int:
+    """Sign of row k's lexicographic ratio minus row r's in column s.
+
+    Called when the two rows tie on the right-hand side. The tie is
+    broken by the rows' entries in the slack columns, constraint by
+    constraint, each divided by the row's entry in column s. A basic
+    slack's column is det times a unit vector, positive in its own row.
+    The slack columns form the basis inverse, whose rows are never
+    proportional, so the loop always decides before it ends.
+    """
+    row, best = tableau[k], tableau[r]
+    own, other = basis[k], basis[r]
+    for var in range(len(nonbasic), len(nonbasic) + len(tableau)):
+        if var == own:
+            return 1
+        if var == other:
+            return -1
+        if var in nonbasic:
+            c = nonbasic.index(var)
+            cross = row[c] * best[s] - best[c] * row[s]
+            if cross:
+                return cross
+    return 0
 
 
 def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
@@ -297,7 +329,7 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
     their integer coordinates divided by their gcd, which identifies them
     because no two nonzero vertices of such a polytope are proportional.
 
-    The search walks the feasible bases from the slack basis by integer
+    The search walks feasible bases from the slack basis by integer
     pivoting. The tableau is condensed: row k belongs to basic variable
     basis[k], column c < d to nonbasic variable nonbasic[c], and column d
     is the right-hand side; the basic columns, always det times a unit
@@ -307,8 +339,18 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
     is that row's old entry in column s and b the pivot row's entry in
     a's column. Column s, now the leaving variable's, then holds -f in
     that row and det in row r, which is otherwise kept; piv is the new det.
-    Every nonbasic column is tried with every tied minimum-ratio row, so
-    under degeneracy every basis, and with it every vertex, is reached.
+
+    Every nonbasic column enters once, at the row of the lexicographic
+    minimum ratio (the perturbation rule of Avis's lrs): a tie in the
+    right-hand-side ratio is broken by the rows' slack columns, see
+    _lex_cross. The walk then follows the bases of the simple polytope
+    whose right-hand side is perturbed to 1 + (e, e^2, ...), so a
+    degenerate vertex costs one basis per perturbed vertex that collapses
+    onto it instead of one per feasible basis. The walk stays complete:
+    the slack basis is lexicographically positive and lexicographic
+    pivots keep every basis so; the perturbed polytope is bounded, so its
+    edge graph is connected; and every vertex of the polytope has a
+    lexicographically positive basis.
     """
     rows, d = len(coeffs), len(coeffs[0])
     full = (1 << (d + rows)) - 1
@@ -331,37 +373,38 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
         found.setdefault(tuple(v // divisor for v in point) if divisor else tuple(point), labels)
 
         for s, entering in enumerate(nonbasic):
-            tied: list[int] = []
+            # The polytope is bounded, so every column has a positive entry.
+            r = -1
             for k, row in enumerate(tableau):
                 entry = row[s]
                 if entry <= 0:
                     continue
-                cross = row[d] * best[s] - best[d] * entry if tied else -1
-                if cross < 0:
-                    tied, best = [k], row
-                elif cross == 0:
-                    tied.append(k)
-            for r in tied:
-                leaving = basis[r]
-                key = basic ^ (1 << leaving) ^ (1 << entering)
-                if key in seen:
-                    continue
-                seen.add(key)
-                pivot_row = tableau[r]
-                piv = pivot_row[s]
-                pivoted = []
-                for k, row in enumerate(tableau):
-                    f = row[s]
-                    if k == r:
-                        row = row[:]
-                        row[s] = det
-                    else:
-                        row = [(a * piv - f * b) // det for a, b in zip(row, pivot_row)]
-                        row[s] = -f
-                    pivoted.append(row)
-                basis_next = basis[:r] + [entering] + basis[r + 1 :]
-                nonbasic_next = nonbasic[:s] + [leaving] + nonbasic[s + 1 :]
-                stack.append((pivoted, basis_next, nonbasic_next, key, piv))
+                if r >= 0:
+                    cross = row[d] * best[s] - best[d] * entry
+                    if not cross:
+                        cross = _lex_cross(tableau, k, r, s, basis, nonbasic)
+                    if cross > 0:
+                        continue
+                r, best = k, row
+            leaving = basis[r]
+            key = basic ^ (1 << leaving) ^ (1 << entering)
+            if key in seen:
+                continue
+            seen.add(key)
+            piv = best[s]
+            pivoted = []
+            for k, row in enumerate(tableau):
+                f = row[s]
+                if k == r:
+                    row = row[:]
+                    row[s] = det
+                else:
+                    row = [(a * piv - f * b) // det for a, b in zip(row, best)]
+                    row[s] = -f
+                pivoted.append(row)
+            basis_next = basis[:r] + [entering] + basis[r + 1 :]
+            nonbasic_next = nonbasic[:s] + [leaving] + nonbasic[s + 1 :]
+            stack.append((pivoted, basis_next, nonbasic_next, key, piv))
     return found
 
 
@@ -375,9 +418,13 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     is "column j a best response" on P and "column j unplayed" on Q. The
     extreme equilibria are the nonzero vertex pairs that carry all m + n
     labels between them, each normalised to sum 1. This is complete for
-    degenerate games as well as nondegenerate ones. Every row in supp(x)
-    is a best response to y, and every column in supp(y) to x, so player
-    1's payoff is read from one such row and player 2's from one column.
+    degenerate games as well as nondegenerate ones. Each polytope's
+    vertices are walked by the lexicographic ratio test, so the work
+    follows the vertices rather than every basis of a degenerate vertex.
+    Every row in supp(x) is a best response to y, and every column in
+    supp(y) to x, so player 1's payoff is read from one such row and
+    player 2's from one column, each as one Fraction of the scaled
+    integer entries and the vertex's integer coordinates.
 
     Results are ordered by row support size, row support, column support
     size, column support, then the strategies themselves, so pure
@@ -390,8 +437,8 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     """
     m = game.rows
     full = (1 << (m + game.cols)) - 1
-    a = _positive_integers(game.payoff1)
-    b = _positive_integers(game.payoff2)
+    a, scale_a, shift_a = _positive_integers(game.payoff1)
+    b, scale_b, shift_b = _positive_integers(game.payoff2)
     p = _vertices([list(col) for col in zip(*b)])
     q = _vertices(a)
     xs = [(x, labels) for x, labels in p.items() if any(x)]
@@ -411,8 +458,10 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
         tx, ty = sum(x), sum(y)
         fx = tuple(Fraction(v, tx) for v in x)
         fy = tuple(Fraction(v, ty) for v in y)
-        u1 = sum(game.payoff1[sx[0]][j] * fy[j] for j in sy)
-        u2 = sum(game.payoff2[i][sy[0]] * fx[i] for i in sx)
+        # Undo the integer scaling: payoff = (entry - shift) / scale.
+        row, col = a[sx[0]], sy[0]
+        u1 = Fraction(sum(row[j] * y[j] for j in sy) - shift_a * ty, scale_a * ty)
+        u2 = Fraction(sum(b[i][col] * x[i] for i in sx) - shift_b * tx, scale_b * tx)
         found.append((len(sx), sx, len(sy), sy, fx, fy, (u1, u2)))
     found.sort()
     return [

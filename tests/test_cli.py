@@ -381,6 +381,33 @@ class TestMalformedInput:
         assert err.startswith("error: ") and "must be one of" in err
 
 
+class TestNoPartialOutput:
+    """A command that fails while formatting writes nothing to stdout."""
+
+    # Each value passes parsing but has more than 4300 digits to print.
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_predict(self, capsys, fmt):
+        argv = ["predict", "--beta", "3/5", "--gamma", "7/10", "--sv", "1e4300"]
+        self._assert_error_only(capsys, main([*argv, "--format", fmt]))
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_casestudy(self, capsys, fmt):
+        self._assert_error_only(capsys, main(["casestudy", "--beta", "1e-4300", "--format", fmt]))
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_solve(self, tmp_path, capsys, fmt):
+        path = tmp_path / "long.json"
+        path.write_text('{"payoff1": [["1e4300", 0], [0, 1]], "payoff2": [[1, 0], [0, 1]]}')
+        self._assert_error_only(capsys, main(["solve", str(path), "--format", fmt]))
+
+    @staticmethod
+    def _assert_error_only(capsys, code):
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "4300 digits" in captured.err
+
+
 class TestExitContract:
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -108,6 +108,22 @@ class TestMixedStrategy:
         s = MixedStrategy((F(1, 3), F(1, 3), F(1, 3)))
         assert sum(s.probs) == 1
 
+    @pytest.mark.parametrize("offset", [F(-1, 10**40), F(1, 10**40)])
+    def test_sum_off_by_a_tiny_amount_rejected(self, offset):
+        with pytest.raises(ValidationError, match="probabilities must sum to exactly 1"):
+            MixedStrategy((F(1, 2), F(1, 2) + offset))
+
+    def test_large_coprime_denominators_summing_to_one_accepted(self):
+        # Two Mersenne primes; the third entry's denominator is their product.
+        p, q = 2**89 - 1, 2**107 - 1
+        probs = (F(1, p), F(1, q), F(p * q - p - q, p * q))
+        assert MixedStrategy(probs).probs == probs
+
+    def test_negative_entry_with_large_denominator_rejected(self):
+        tiny = F(1, 2**107 - 1)
+        with pytest.raises(ValidationError, match="probabilities must be non-negative"):
+            MixedStrategy((-tiny, F(1) + tiny))
+
 
 class TestExpectedPayoff:
     def test_unanimous_vote_game(self):

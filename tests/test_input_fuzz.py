@@ -1,18 +1,24 @@
-"""Arbitrary JSON in any field of a scenario or game file is a ValidationError.
+"""Arbitrary input to the file loaders and the CLI is a ValidationError.
 
-Each example starts from a valid file, puts an arbitrary JSON value into
-one field, and loads the result; it must either load or raise
-ValidationError, never any other exception.
+Each loader example starts from a valid file, puts an arbitrary JSON
+value into one field, and loads the result; it must either load or raise
+ValidationError, never any other exception. The CLI examples hand
+arbitrary text to `govgame solve` and `govgame run` as their input file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from govgame.errors import ValidationError
 from govgame.game_core import load_game
 from govgame.scenario_runner import load_scenarios
@@ -99,3 +105,33 @@ def test_whole_documents(value):
     _loads_or_rejects(load_scenarios, text)
     _loads_or_rejects(load_game, text)
     _loads_or_rejects(load_scenarios, json.dumps({"scenarios": [value]}))
+
+
+# Arbitrary text, arbitrary JSON documents, and valid files with one field
+# replaced, so that examples reach the solver and the writers as well as
+# the JSON decoder.
+CLI_TEXT = (
+    st.text(max_size=40)
+    | JSON_VALUES.map(json.dumps)
+    | st.builds(_replace, st.just(GAME), st.sampled_from(GAME_FIELDS), JSON_VALUES)
+    | st.builds(
+        lambda path, value: _replace({"scenarios": [SCENARIO]}, ("scenarios", 0, *path), value),
+        st.sampled_from(SCENARIO_FIELDS),
+        JSON_VALUES,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["solve", "run"]), st.sampled_from(["table", "json", "csv"]), CLI_TEXT)
+def test_cli_on_arbitrary_file_text(command, fmt, text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "input.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--format", fmt])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH)
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error:")
+        assert out.getvalue() == ""

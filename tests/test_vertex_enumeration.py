@@ -35,21 +35,25 @@ def _canonical_key(profile) -> tuple:
     return (len(sx), sx, len(sy), sy, x, y)
 
 
+def _assert_matches_vertex_oracle(game) -> None:
+    results = enumerate_mixed_equilibria(game)
+    extreme, flagged, _ = vertex_oracle(game)
+    profiles = _profiles(results)
+    assert set(profiles) == extreme and len(profiles) == len(extreme)
+    assert profiles == sorted(profiles, key=_canonical_key)
+    assert all(r.degenerate_game == flagged for r in results)
+    _check_payoffs_and_kind(game, results)
+
+
 def test_all_2x2_games_with_payoffs_in_minus_one_to_one():
     values = (-1, 0, 1)
     for entries in product(values, repeat=8):
-        game = BimatrixGame(
-            payoff1=[list(entries[0:2]), list(entries[2:4])],
-            payoff2=[list(entries[4:6]), list(entries[6:8])],
+        _assert_matches_vertex_oracle(
+            BimatrixGame(
+                payoff1=[list(entries[0:2]), list(entries[2:4])],
+                payoff2=[list(entries[4:6]), list(entries[6:8])],
+            )
         )
-        results = enumerate_mixed_equilibria(game)
-        extreme, flagged, _ = vertex_oracle(game)
-        profiles = _profiles(results)
-        assert set(profiles) == extreme, entries
-        assert len(profiles) == len(extreme), entries
-        assert profiles == sorted(profiles, key=_canonical_key), entries
-        assert all(r.degenerate_game == flagged for r in results), entries
-        _check_payoffs_and_kind(game, results)
 
 
 def _generic_game(rng: random.Random, rows: int, cols: int) -> BimatrixGame:
@@ -82,17 +86,41 @@ def test_small_integer_games_match_the_vertex_oracle():
     rng = random.Random(42)
     for rows, cols, count in ((3, 3, 150), (3, 4, 40), (4, 4, 40)):
         for _ in range(count):
-            game = BimatrixGame(
-                payoff1=[[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)],
-                payoff2=[[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)],
+            _assert_matches_vertex_oracle(
+                BimatrixGame(
+                    payoff1=[[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)],
+                    payoff2=[[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)],
+                )
             )
-            results = enumerate_mixed_equilibria(game)
-            extreme, flagged, _ = vertex_oracle(game)
-            profiles = _profiles(results)
-            assert set(profiles) == extreme and len(profiles) == len(extreme)
-            assert profiles == sorted(profiles, key=_canonical_key)
-            assert all(r.degenerate_game == flagged for r in results)
-            _check_payoffs_and_kind(game, results)
+
+
+# In the games below many vertices of the best-response polytopes lie on
+# more facets than the polytope has dimensions, so the pivoting's ratio
+# test ties often and many pivots are decided by its lexicographic
+# tie-break.
+
+
+def test_all_equal_payoffs_match_the_vertex_oracle():
+    for n in range(2, 6):
+        ones = [[1] * n for _ in range(n)]
+        _assert_matches_vertex_oracle(BimatrixGame(payoff1=ones, payoff2=ones))
+
+
+def test_identity_against_all_ones_matches_the_vertex_oracle():
+    for n in range(2, 6):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        _assert_matches_vertex_oracle(BimatrixGame(payoff1=identity, payoff2=[[1] * n] * n))
+
+
+def test_zero_one_5x5_games_match_the_vertex_oracle():
+    rng = random.Random(5)
+    for _ in range(20):
+        _assert_matches_vertex_oracle(
+            BimatrixGame(
+                payoff1=[[rng.randint(0, 1) for _ in range(5)] for _ in range(5)],
+                payoff2=[[rng.randint(0, 1) for _ in range(5)] for _ in range(5)],
+            )
+        )
 
 
 def test_identity_against_all_ones_reports_four_vertices():
