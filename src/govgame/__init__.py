@@ -15,11 +15,9 @@ from .game_core import (
     MixedStrategy,
     StrategyProfile,
     best_response_payoff,
-    dump_game,
     enumerate_mixed_equilibria,
     enumerate_pure_equilibria,
     expected_payoff,
-    game_to_dict,
     is_equilibrium,
     is_strong_nash,
     load_game,
@@ -39,7 +37,6 @@ from .governance import (
     community_surplus,
     predict_outcome,
     prediction_to_dict,
-    total_surplus,
     voter_surplus,
 )
 from .rationals import format_rational, parse_rational
@@ -58,7 +55,6 @@ from .scenario_runner import (
     run_ethereum_case_study,
     run_scenario,
     run_table1_suite,
-    serialize_scenarios,
 )
 
 __version__ = "0.1.0"
@@ -88,12 +84,10 @@ __all__ = [
     "builtin_table1_scenarios",
     "classify_regime",
     "community_surplus",
-    "dump_game",
     "enumerate_mixed_equilibria",
     "enumerate_pure_equilibria",
     "expected_payoff",
     "format_rational",
-    "game_to_dict",
     "is_equilibrium",
     "is_strong_nash",
     "load_game",
@@ -109,8 +103,6 @@ __all__ = [
     "run_ethereum_case_study",
     "run_scenario",
     "run_table1_suite",
-    "serialize_scenarios",
-    "total_surplus",
     "voter_surplus",
     "__version__",
 ]

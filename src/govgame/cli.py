@@ -11,8 +11,6 @@ writes nothing to standard output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -39,6 +37,7 @@ from .scenario_runner import (
     RESULT_CSV_COLUMNS,
     CheckStatus,
     ScenarioResult,
+    csv_text,
     load_scenarios,
     result_rows,
     results_to_csv,
@@ -176,12 +175,6 @@ def _grid(header: list[str], rows: list[list[str]]) -> list[str]:
     ]
 
 
-def _csv(rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
-
-
 def _payoff_text(value: Fraction) -> str:
     return f"{format_rational(value)} ({approx(value)})"
 
@@ -236,7 +229,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             + list(game.col_labels)
             + ["payoff1", "payoff2"]
         )
-        text = _csv(
+        text = csv_text(
             [header]
             + [
                 [str(idx), eq.kind.value]
@@ -292,7 +285,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         text = json.dumps(prediction_to_dict(prediction), indent=2) + "\n"
     elif args.format == "csv":
         surplus = prediction.surplus
-        text = _csv(
+        text = csv_text(
             [
                 ["regime", "majority_chain", "fork_risk", *SURPLUS_FIELDS],
                 [

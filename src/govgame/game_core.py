@@ -10,14 +10,13 @@ game, degenerate or not.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ValidationError
-from .rationals import format_rational, parse_json, parse_rational
+from .rationals import parse_json, parse_rational
 
 PayoffMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -124,13 +123,6 @@ class MixedStrategy:
         if not 0 <= index < size:
             raise ValidationError(f"pure strategy index {index} out of range for size {size}")
         return cls(tuple(Fraction(1 if i == index else 0) for i in range(size)))
-
-    @classmethod
-    def uniform(cls, size: int) -> MixedStrategy:
-        """The mix placing equal probability on every strategy."""
-        if size < 1:
-            raise ValidationError("size must be positive")
-        return cls(tuple(Fraction(1, size) for _ in range(size)))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -245,21 +237,6 @@ def _is_pure_equilibrium(game: BimatrixGame, row: int, col: int) -> bool:
     )
 
 
-def _make_result(
-    x: tuple[Fraction, ...],
-    y: tuple[Fraction, ...],
-    payoffs: tuple[Fraction, Fraction],
-    pure: bool,
-    degenerate: bool,
-) -> EquilibriumResult:
-    return EquilibriumResult(
-        profile=StrategyProfile(MixedStrategy(x), MixedStrategy(y)),
-        payoffs=payoffs,
-        kind=EquilibriumKind.PURE if pure else EquilibriumKind.MIXED,
-        degenerate_game=degenerate,
-    )
-
-
 def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     """All pure Nash equilibria, in row-major cell order.
 
@@ -267,15 +244,16 @@ def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     and payoff2[i][j] is maximal in its row. The degenerate_game flag is
     not computed here; use enumerate_mixed_equilibria for it.
     """
-    results = []
-    for i in range(game.rows):
-        for j in range(game.cols):
-            if _is_pure_equilibrium(game, i, j):
-                x = tuple(Fraction(1 if r == i else 0) for r in range(game.rows))
-                y = tuple(Fraction(1 if c == j else 0) for c in range(game.cols))
-                payoffs = (game.payoff1[i][j], game.payoff2[i][j])
-                results.append(_make_result(x, y, payoffs, True, False))
-    return results
+    return [
+        EquilibriumResult(
+            pure_profile(game, i, j),
+            (game.payoff1[i][j], game.payoff2[i][j]),
+            EquilibriumKind.PURE,
+        )
+        for i in range(game.rows)
+        for j in range(game.cols)
+        if _is_pure_equilibrium(game, i, j)
+    ]
 
 
 def _positive_integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int, int]:
@@ -465,7 +443,12 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
         found.append((len(sx), sx, len(sy), sy, fx, fy, (u1, u2)))
     found.sort()
     return [
-        _make_result(fx, fy, payoffs, nx == ny == 1, degenerate)
+        EquilibriumResult(
+            StrategyProfile(MixedStrategy(fx), MixedStrategy(fy)),
+            payoffs,
+            EquilibriumKind.PURE if nx == ny == 1 else EquilibriumKind.MIXED,
+            degenerate,
+        )
         for nx, _, ny, _, fx, fy, payoffs in found
     ]
 
@@ -518,9 +501,9 @@ def load_game(text: str) -> BimatrixGame:
 
     The format is an object with "payoff1" and "payoff2" (arrays of row
     arrays, entries either numbers or "p/q" strings) plus optional
-    "rows", "cols", "row_labels", and "col_labels", which are validated
-    against the matrices when present. Decimal literals are read as the
-    exact rationals they denote.
+    "rows" and "cols" (JSON integers), "row_labels" and "col_labels",
+    which are validated against the matrices when present. Decimal
+    literals are read as the exact rationals they denote.
     """
     data = parse_json(text)
     if not isinstance(data, dict):
@@ -536,25 +519,13 @@ def load_game(text: str) -> BimatrixGame:
     )
     for field, actual in (("rows", game.rows), ("cols", game.cols)):
         declared = data.get(field)
-        if declared is not None and declared != actual:
+        if declared is None:
+            continue
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise ValidationError(f"{field} must be a positive integer")
+        if declared != actual:
             raise ValidationError(
                 f"{field} is declared as {declared} but the payoff matrices have {actual}"
             )
     return game
 
-
-def game_to_dict(game: BimatrixGame) -> dict:
-    """JSON-ready mapping with exact "p/q" payoff strings."""
-    return {
-        "rows": game.rows,
-        "cols": game.cols,
-        "row_labels": list(game.row_labels),
-        "col_labels": list(game.col_labels),
-        "payoff1": [[format_rational(v) for v in row] for row in game.payoff1],
-        "payoff2": [[format_rational(v) for v in row] for row in game.payoff2],
-    }
-
-
-def dump_game(game: BimatrixGame) -> str:
-    """Serialize a game to the interchange format."""
-    return json.dumps(game_to_dict(game), indent=2)

@@ -278,12 +278,6 @@ def community_surplus(params: GovernanceParams) -> Fraction:
     return _community_surplus(params, classify_regime(params))
 
 
-def total_surplus(params: GovernanceParams) -> Fraction:
-    """Sum of voter and community surpluses under the regime's pairing."""
-    regime = classify_regime(params)
-    return _voter_surplus(params, regime) + _community_surplus(params, regime)
-
-
 def _report(params: GovernanceParams, regime: Regime) -> SurplusReport:
     voter_mass = params.k * params.s_v
     community_mass = params.n * params.s_c

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-Rational = Fraction
-
 # Fraction expands "1e<exp>" into an integer of about exp digits, at a
 # cost that grows with exp rather than with the length of the text. 4300
 # is also the interpreter's default limit on the digits of an integer

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -281,13 +281,8 @@ def run_ethereum_case_study(
         details.append("fork_risk: predicted none, history shows the chain split")
     status = CheckStatus.MISMATCH if details else CheckStatus.MATCH
     notes.append(f"recorded outcome: {HISTORICAL_OUTCOME}")
-    return ScenarioResult(
-        base.name,
-        base.params,
-        base.equilibria,
-        base.prediction,
-        ExpectationCheck(status, tuple(details)),
-        tuple(notes),
+    return replace(
+        base, expectation_check=ExpectationCheck(status, tuple(details)), notes=tuple(notes)
     )
 
 
@@ -387,32 +382,6 @@ def load_scenarios(text: str) -> list[Scenario]:
     return [_parse_scenario(i, entry) for i, entry in enumerate(data["scenarios"])]
 
 
-def _scenario_to_dict(scenario: Scenario) -> dict:
-    entry: dict = {"name": scenario.name, **_params_to_dict(scenario.params)}
-    if scenario.expected is not None:
-        expected: dict = {}
-        if scenario.expected.equilibria is not None:
-            expected["equilibria"] = [
-                {
-                    "row": eq.row,
-                    "col": eq.col,
-                    "payoff_v": format_rational(eq.payoff_v),
-                    "payoff_c": format_rational(eq.payoff_c),
-                }
-                for eq in scenario.expected.equilibria
-            ]
-        if scenario.expected.majority_chain is not None:
-            expected["majority_chain"] = scenario.expected.majority_chain.value
-        entry["expected"] = expected
-    return entry
-
-
-def serialize_scenarios(scenarios: list[Scenario]) -> str:
-    """Render scenarios back to the scenario file format."""
-    doc = {"scenarios": [_scenario_to_dict(s) for s in scenarios]}
-    return json.dumps(doc, indent=2)
-
-
 def _params_to_dict(params: GovernanceParams) -> dict:
     entry: dict = {
         "mode": params.mode.value,
@@ -490,6 +459,13 @@ def result_rows(result: ScenarioResult) -> Iterator[list[str]]:
         ]
 
 
+def csv_text(rows: Iterable[Iterable[str]]) -> str:
+    """The rows as CSV text, each line ended by a bare newline."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def results_to_csv(results: list[ScenarioResult]) -> str:
     """CSV with one line per equilibrium, all values exact.
 
@@ -497,9 +473,4 @@ def results_to_csv(results: list[ScenarioResult]) -> str:
     shared payoff (as in the built-in simulation with four equilibria)
     simply appears on each of its lines.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RESULT_CSV_COLUMNS)
-    for result in results:
-        writer.writerows(result_rows(result))
-    return buffer.getvalue()
+    return csv_text([RESULT_CSV_COLUMNS, *(row for r in results for row in result_rows(r))])

@@ -7,19 +7,26 @@ None of these shares a code path with govgame's vertex enumeration:
 - support_enumeration: the support-enumeration solver govgame used to
   ship, built on solve_linear_system. It is complete for nondegenerate
   games only, so it serves as the oracle for those.
-- vertex_oracle: every extreme equilibrium of any bimatrix game, by
-  solving every square tight subsystem of the two best-response
-  polytopes. No pivoting and no integer scaling is involved.
+- vertex_oracle: every extreme equilibrium of any bimatrix game, from
+  bench/oracles.py, which enumerates the completely labelled vertex
+  pairs of the two best-response polytopes by solving every square
+  tight subsystem, with no pivoting and no code from govgame.
+- brute_force_pure: the pure equilibria, by scanning every cell.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from govgame.game_core import BimatrixGame, MixedStrategy, StrategyProfile, is_equilibrium
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from oracles import extreme_equilibria, is_nash  # noqa: E402
 
 Profile = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
@@ -155,69 +162,32 @@ def support_enumeration(game: BimatrixGame) -> tuple[list[Profile], bool]:
     return found, underdetermined
 
 
-def _polytope_vertices(coeffs: list[list[Fraction]]) -> dict[tuple[Fraction, ...], frozenset[int]]:
-    """Vertices of {z >= 0 : coeffs z <= 1} with their label sets.
-
-    Label t < d marks z_t = 0 and label d + k marks constraint k tight.
-    Every vertex solves some square system coeffs[T][S] z_S = 1 with
-    z = 0 off S, so trying every such system finds them all.
-    """
-    r, d = len(coeffs), len(coeffs[0])
-    found: dict[tuple[Fraction, ...], frozenset[int]] = {}
-    for size in range(min(r, d) + 1):
-        for support in combinations(range(d), size):
-            for tight in combinations(range(r), size):
-                z = [Fraction(0)] * d
-                if size:
-                    block = [[coeffs[k][s] for s in support] for k in tight]
-                    result = solve_linear_system(block, [Fraction(1)] * size)
-                    if not result.is_unique or any(v < 0 for v in result.solution):
-                        continue
-                    for s, v in zip(support, result.solution):
-                        z[s] = v
-                slack = [1 - sum(c * v for c, v in zip(row, z)) for row in coeffs]
-                if any(v < 0 for v in slack):
-                    continue
-                labels = {t for t in range(d) if z[t] == 0}
-                labels.update(d + k for k in range(r) if slack[k] == 0)
-                found[tuple(z)] = frozenset(labels)
-    return found
-
-
-def _shifted(matrix) -> list[list[Fraction]]:
-    low = min(min(row) for row in matrix)
-    return [[v - low + 1 for v in row] for row in matrix]
-
-
 def vertex_oracle(game: BimatrixGame) -> tuple[set[Profile], bool, bool]:
     """(extreme equilibria, degenerate_game flag, nondegenerate) of a game.
 
-    The flag is set when two distinct extreme equilibria are
-    cross-compatible. The game is nondegenerate when every vertex of both
-    polytopes has exactly as many labels as dimensions.
+    The equilibria and the nondegeneracy come from the benchmark's
+    independent oracle. The flag is set when two distinct extreme
+    equilibria (x1, y1) and (x2, y2) are cross-compatible: (x1, y2) and
+    (x2, y1) are equilibria too.
     """
-    m, n = game.rows, game.cols
-    a, b = _shifted(game.payoff1), _shifted(game.payoff2)
-    p = _polytope_vertices([[b[i][j] for i in range(m)] for j in range(n)])
-    q = {
-        y: frozenset(m + t if t < n else t - n for t in labels)
-        for y, labels in _polytope_vertices(a).items()
-    }
-    everything = frozenset(range(m + n))
-    pairs = [
-        (x, lx, y, ly)
-        for x, lx in p.items()
-        if any(x)
-        for y, ly in q.items()
-        if any(y) and lx | ly == everything
-    ]
+    a, b = game.payoff1, game.payoff2
+    extreme, nondegenerate = extreme_equilibria(a, b)
+    pairs = list(extreme)
     flagged = any(
-        lx1 | ly2 == everything and lx2 | ly1 == everything
-        for i, (_, lx1, _, ly1) in enumerate(pairs)
-        for _, lx2, _, ly2 in pairs[i + 1 :]
+        is_nash(a, b, x1, y2) and is_nash(a, b, x2, y1)
+        for i, (x1, y1) in enumerate(pairs)
+        for x2, y2 in pairs[i + 1 :]
     )
-    extreme = {
-        (tuple(v / sum(x) for v in x), tuple(v / sum(y) for v in y)) for x, _, y, _ in pairs
-    }
-    nondegenerate = all(len(v) == m for v in p.values()) and all(len(v) == n for v in q.values())
     return extreme, flagged, nondegenerate
+
+
+def brute_force_pure(game: BimatrixGame) -> list[tuple[int, int]]:
+    """All cells stable against every pure deviation, by direct scan."""
+    found = []
+    for i in range(game.rows):
+        for j in range(game.cols):
+            row_best = all(game.payoff1[i][j] >= game.payoff1[a][j] for a in range(game.rows))
+            col_best = all(game.payoff2[i][j] >= game.payoff2[i][b] for b in range(game.cols))
+            if row_best and col_best:
+                found.append((i, j))
+    return found

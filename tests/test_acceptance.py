@@ -34,6 +34,7 @@ from govgame.scenario_runner import (
     run_ethereum_case_study,
     run_table1_suite,
 )
+from reference_solvers import brute_force_pure
 
 F = Fraction
 
@@ -80,17 +81,6 @@ def _random_game(rng: random.Random, max_size: int = 4) -> BimatrixGame:
     )
 
 
-def _brute_force_pure(game: BimatrixGame) -> list[tuple[int, int]]:
-    found = []
-    for i in range(game.rows):
-        for j in range(game.cols):
-            if all(game.payoff1[i][j] >= game.payoff1[a][j] for a in range(game.rows)) and all(
-                game.payoff2[i][j] >= game.payoff2[i][b] for b in range(game.cols)
-            ):
-                found.append((i, j))
-    return found
-
-
 def test_criterion_1_table1_reproduction_exact():
     started = time.perf_counter()
     results = run_table1_suite()
@@ -135,7 +125,7 @@ def test_criterion_3_pure_solver_oracle_equivalence():
             (r.profile.sigma1.support[0], r.profile.sigma2.support[0])
             for r in enumerate_pure_equilibria(game)
         ]
-        assert enumerated == _brute_force_pure(game)
+        assert enumerated == brute_force_pure(game)
         for result in enumerate_pure_equilibria(game):
             assert is_equilibrium(game, result.profile)
     _stamp("pure solver vs brute force on 1000 games", started, 10.0)

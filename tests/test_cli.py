@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from govgame.scenario_runner import builtin_table1_scenarios, serialize_scenarios
+from govgame.scenario_runner import builtin_table1_scenarios
 
 SIM6_GAME = json.dumps(
     {
@@ -63,6 +63,16 @@ class TestSolve:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][2:4] == ["a,b", "c"]
         assert [len(row) for row in rows] == [8, 8]
+
+    @pytest.mark.parametrize("declared", [{"cols": "2"}, {"rows": True}, {"rows": 1.0}])
+    def test_declared_shape_that_is_not_an_integer(self, tmp_path, capsys, declared):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({**declared, "payoff1": [[1, 2]], "payoff2": [[1, 2]]}))
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        field = next(iter(declared))
+        assert captured.err == f"error: {path}: {field} must be a positive integer\n"
+        assert captured.out == ""
 
     def test_deeply_nested_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -294,7 +304,22 @@ class TestCasestudy:
 class TestRun:
     def test_builtin_reproduction_file(self, tmp_path, capsys):
         path = tmp_path / "table1.json"
-        path.write_text(serialize_scenarios(builtin_table1_scenarios()))
+        scenarios = [
+            {
+                "name": scenario.name,
+                "mode": scenario.params.mode.value,
+                "beta": str(scenario.params.beta),
+                "gamma": str(scenario.params.gamma),
+                "expected": {
+                    "equilibria": [
+                        {"row": e.row, "col": e.col, "payoff_v": str(e.payoff_v), "payoff_c": str(e.payoff_c)}
+                        for e in scenario.expected.equilibria
+                    ]
+                },
+            }
+            for scenario in builtin_table1_scenarios()
+        ]
+        path.write_text(json.dumps({"scenarios": scenarios}))
         assert main(["run", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("match") >= 9

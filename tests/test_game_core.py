@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -14,11 +13,9 @@ from govgame.game_core import (
     MixedStrategy,
     StrategyProfile,
     best_response_payoff,
-    dump_game,
     enumerate_mixed_equilibria,
     enumerate_pure_equilibria,
     expected_payoff,
-    game_to_dict,
     is_equilibrium,
     is_strong_nash,
     load_game,
@@ -27,6 +24,8 @@ from govgame.game_core import (
 )
 
 F = Fraction
+HALVES = MixedStrategy((F(1, 2), F(1, 2)))
+THIRDS = MixedStrategy((F(1, 3), F(1, 3), F(1, 3)))
 
 
 def vote_game(beta, gamma, scale_v=F(1), scale_c=F(1)) -> BimatrixGame:
@@ -91,7 +90,7 @@ class TestMixedStrategy:
         assert s.support == (1,)
 
     def test_uniform_helper(self):
-        s = MixedStrategy.uniform(4)
+        s = MixedStrategy((F(1, 4),) * 4)
         assert s.probs == (F(1, 4),) * 4
         assert not s.is_pure
         assert s.support == (0, 1, 2, 3)
@@ -140,18 +139,18 @@ class TestExpectedPayoff:
 
     def test_uniform_mix_averages(self):
         game = vote_game("3/5", "7/10")
-        profile = StrategyProfile(MixedStrategy.uniform(2), MixedStrategy.uniform(2))
+        profile = StrategyProfile(HALVES, HALVES)
         assert expected_payoff(game, profile) == (F(1, 2), F(1, 2))
 
     def test_dimension_mismatch_player1(self):
         game = vote_game(1, 1)
-        bad = StrategyProfile(MixedStrategy.uniform(3), MixedStrategy.uniform(2))
+        bad = StrategyProfile(THIRDS, HALVES)
         with pytest.raises(ValidationError, match="player 1 strategy has 3 entries, game has 2 rows"):
             expected_payoff(game, bad)
 
     def test_dimension_mismatch_player2(self):
         game = vote_game(1, 1)
-        bad = StrategyProfile(MixedStrategy.uniform(2), MixedStrategy.uniform(3))
+        bad = StrategyProfile(HALVES, THIRDS)
         with pytest.raises(ValidationError, match="player 2 strategy has 3 entries, game has 2 columns"):
             expected_payoff(game, bad)
 
@@ -159,11 +158,11 @@ class TestExpectedPayoff:
 class TestBestResponsePayoff:
     def test_row_payoff_column_independent(self):
         game = vote_game("7/10", "1/5")
-        for opponent in (MixedStrategy.pure(0, 2), MixedStrategy.pure(1, 2), MixedStrategy.uniform(2)):
+        for opponent in (MixedStrategy.pure(0, 2), MixedStrategy.pure(1, 2), HALVES):
             assert best_response_payoff(game, 1, opponent) == F(7, 10)
 
     def test_all_zero_game(self):
-        assert best_response_payoff(ALL_ZERO, 1, MixedStrategy.uniform(2)) == F(0)
+        assert best_response_payoff(ALL_ZERO, 1, HALVES) == F(0)
 
     def test_minority_voter_best_response(self):
         game = vote_game("1/5", "2/5")
@@ -175,11 +174,11 @@ class TestBestResponsePayoff:
 
     def test_invalid_player(self):
         with pytest.raises(ValidationError, match="player must be 1 or 2"):
-            best_response_payoff(ALL_ZERO, 3, MixedStrategy.uniform(2))
+            best_response_payoff(ALL_ZERO, 3, HALVES)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            best_response_payoff(ALL_ZERO, 1, MixedStrategy.uniform(3))
+            best_response_payoff(ALL_ZERO, 1, THIRDS)
 
 
 class TestIsEquilibrium:
@@ -347,6 +346,15 @@ class TestGameInterchange:
         with pytest.raises(ValidationError, match="rows is declared as 3 but the payoff matrices have 1"):
             load_game(text)
 
+    @pytest.mark.parametrize(
+        "declared", ['"cols": "2"', '"cols": true', '"rows": true', '"rows": 1.0', '"rows": 1e0']
+    )
+    def test_load_rejects_declared_shape_that_is_not_an_integer(self, declared):
+        text = '{%s, "payoff1": [[1, 2]], "payoff2": [[1, 2]]}' % declared
+        field = declared.split('"')[1]
+        with pytest.raises(ValidationError, match=f"^{field} must be a positive integer$"):
+            load_game(text)
+
     def test_load_rejects_deep_nesting(self):
         with pytest.raises(ValidationError, match="nesting is too deep"):
             load_game("[" * 200000)
@@ -359,22 +367,3 @@ class TestGameInterchange:
     def test_load_requires_both_matrices(self):
         with pytest.raises(ValidationError):
             load_game('{"payoff1": [[1]]}')
-
-    def test_round_trip(self):
-        game = vote_game("7/20", "18/25")
-        again = load_game(dump_game(game))
-        assert again.payoff1 == game.payoff1
-        assert again.payoff2 == game.payoff2
-        assert again.row_labels == game.row_labels
-        assert again.col_labels == game.col_labels
-
-    def test_dump_uses_fraction_strings(self):
-        data = json.loads(dump_game(vote_game("7/20", "18/25")))
-        assert data["payoff1"][0][0] == "7/20"
-        assert data["rows"] == 2
-        assert data["cols"] == 2
-        assert data["row_labels"] == ["Yes", "No"]
-
-    def test_game_to_dict_keys(self):
-        data = game_to_dict(ALL_ZERO)
-        assert set(data) == {"rows", "cols", "row_labels", "col_labels", "payoff1", "payoff2"}

@@ -20,6 +20,7 @@ from govgame.game_core import (
     pareto_optimal_pure_profiles,
     pure_profile,
 )
+from reference_solvers import brute_force_pure
 
 F = Fraction
 
@@ -56,18 +57,6 @@ def mixes(draw, size: int):
     )
     total = sum(weights)
     return MixedStrategy(tuple(w / total for w in weights))
-
-
-def brute_force_pure(game: BimatrixGame) -> list[tuple[int, int]]:
-    """All cells stable against every pure deviation, by direct scan."""
-    found = []
-    for i in range(game.rows):
-        for j in range(game.cols):
-            row_best = all(game.payoff1[i][j] >= game.payoff1[a][j] for a in range(game.rows))
-            col_best = all(game.payoff2[i][j] >= game.payoff2[i][b] for b in range(game.cols))
-            if row_best and col_best:
-                found.append((i, j))
-    return found
 
 
 @given(mixes(3))

@@ -19,7 +19,6 @@ from govgame.governance import (
     community_surplus,
     predict_outcome,
     prediction_to_dict,
-    total_surplus,
     voter_surplus,
 )
 
@@ -244,14 +243,14 @@ class TestCommunitySurplus:
 
 class TestTotalSurplus:
     def test_majority_accept(self):
-        assert total_surplus(params("3/5", "7/10")) == F(3, 5)
+        assert predict_outcome(params("3/5", "7/10")).surplus.total == F(3, 5)
 
     def test_off_chain_reject(self):
-        assert total_surplus(params("1/5", "2/5")) == F(4, 5)
+        assert predict_outcome(params("1/5", "2/5")).surplus.total == F(4, 5)
 
     def test_on_chain_reject(self):
         p = params("2/5", "2/5", gamma_prime="4/5", mode=Mode.ON_CHAIN)
-        assert total_surplus(p) == F(2, 5)
+        assert predict_outcome(p).surplus.total == F(2, 5)
 
 
 class TestPredictOutcome:

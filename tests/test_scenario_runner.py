@@ -27,7 +27,6 @@ from govgame.scenario_runner import (
     run_ethereum_case_study,
     run_scenario,
     run_table1_suite,
-    serialize_scenarios,
 )
 
 F = Fraction
@@ -306,45 +305,6 @@ class TestLoadScenarios:
         )
         with pytest.raises(ValidationError, match="expected row must be 'yes' or 'no'"):
             load_scenarios(text)
-
-    def test_round_trip(self):
-        text = json.dumps(
-            {
-                "scenarios": [
-                    {
-                        "name": "nine",
-                        "mode": "on_chain",
-                        "beta": "7/20",
-                        "gamma": "18/25",
-                        "gamma_prime": "4/5",
-                        "k": 3,
-                        "n": 7,
-                        "s_v": "2",
-                        "s_c": "1/3",
-                        "expected": {
-                            "equilibria": [
-                                {
-                                    "row": "no",
-                                    "col": "upgraded",
-                                    "payoff_v": "39/10",
-                                    "payoff_c": "42/25",
-                                }
-                            ],
-                            "majority_chain": "upgraded",
-                        },
-                    }
-                ]
-            }
-        )
-        first = load_scenarios(text)
-        second = load_scenarios(serialize_scenarios(first))
-        assert second == first
-
-    def test_serialized_form_is_stable(self):
-        text = '{"scenarios": [{"name": "a", "beta": "1/2", "gamma": "1/2"}]}'
-        once = serialize_scenarios(load_scenarios(text))
-        twice = serialize_scenarios(load_scenarios(once))
-        assert once == twice
 
 
 class TestSerialization:
