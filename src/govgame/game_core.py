@@ -429,27 +429,39 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
         for i, (_, lx1, _, ly1) in enumerate(pairs)
         for (_, lx2, _, ly2) in pairs[i + 1 :]
     )
+    # Support, sum and normalised strategy of each vertex, built on its
+    # first pairing only: many equilibria share a vertex, and most
+    # vertices of a generic game are never paired.
+    strategies: dict[tuple[int, ...], tuple[tuple[int, ...], int, MixedStrategy]] = {}
+
+    def strategy(v: tuple[int, ...]) -> tuple[tuple[int, ...], int, MixedStrategy]:
+        if v not in strategies:
+            total = sum(v)
+            strategies[v] = (
+                tuple(i for i, c in enumerate(v) if c),
+                total,
+                MixedStrategy(tuple(Fraction(c, total) for c in v)),
+            )
+        return strategies[v]
+
     found = []
     for x, _, y, _ in pairs:
-        sx = tuple(i for i, v in enumerate(x) if v)
-        sy = tuple(j for j, v in enumerate(y) if v)
-        tx, ty = sum(x), sum(y)
-        fx = tuple(Fraction(v, tx) for v in x)
-        fy = tuple(Fraction(v, ty) for v in y)
+        sx, tx, mx = strategy(x)
+        sy, ty, my = strategy(y)
         # Undo the integer scaling: payoff = (entry - shift) / scale.
         row, col = a[sx[0]], sy[0]
         u1 = Fraction(sum(row[j] * y[j] for j in sy) - shift_a * ty, scale_a * ty)
         u2 = Fraction(sum(b[i][col] * x[i] for i in sx) - shift_b * tx, scale_b * tx)
-        found.append((len(sx), sx, len(sy), sy, fx, fy, (u1, u2)))
-    found.sort()
+        found.append(((len(sx), sx, len(sy), sy, mx.probs, my.probs), mx, my, (u1, u2)))
+    found.sort(key=lambda item: item[0])
     return [
         EquilibriumResult(
-            StrategyProfile(MixedStrategy(fx), MixedStrategy(fy)),
+            StrategyProfile(mx, my),
             payoffs,
-            EquilibriumKind.PURE if nx == ny == 1 else EquilibriumKind.MIXED,
+            EquilibriumKind.PURE if len(sx) == len(sy) == 1 else EquilibriumKind.MIXED,
             degenerate,
         )
-        for nx, _, ny, _, fx, fy, payoffs in found
+        for (_, sx, _, sy, _, _), mx, my, payoffs in found
     ]
 
 

@@ -11,7 +11,7 @@ under each governance mode.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -68,6 +68,28 @@ class ForkRisk(Enum):
         return self.rank < other.rank
 
 
+# Chain-split risk of every vote that is not unanimous; unanimity has risk NONE.
+_FORK_RISK = {
+    Mode.NO_GOVERNANCE: ForkRisk.HIGH,
+    Mode.OFF_CHAIN: ForkRisk.PRESENT,
+    Mode.ON_CHAIN: ForkRisk.REDUCED,
+}
+
+
+def _share(value: object, name: str) -> Fraction:
+    share = parse_rational(value, name)
+    if not 0 <= share <= 1:
+        raise ValidationError(f"{name} out of [0,1]")
+    return share
+
+
+def _positive(value: object, name: str) -> Fraction:
+    unit = parse_rational(value, name)
+    if unit <= 0:
+        raise ValidationError(f"{name} must be positive")
+    return unit
+
+
 @dataclass(frozen=True)
 class GovernanceParams:
     """Full parameter set for one governance scenario.
@@ -94,34 +116,24 @@ class GovernanceParams:
     s_v: Fraction = Fraction(1)
     s_c: Fraction = Fraction(1)
     mode: Mode = Mode.OFF_CHAIN
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self) -> None:
-        beta = parse_rational(self.beta, "beta")
-        gamma = parse_rational(self.gamma, "gamma")
-        if not 0 <= beta <= 1:
-            raise ValidationError("beta out of [0,1]")
-        if not 0 <= gamma <= 1:
-            raise ValidationError("gamma out of [0,1]")
+        beta = _share(self.beta, "beta")
+        gamma = _share(self.gamma, "gamma")
         gamma_prime = self.gamma_prime
         if gamma_prime is not None:
-            gamma_prime = parse_rational(gamma_prime, "gamma_prime")
-            if not 0 <= gamma_prime <= 1:
-                raise ValidationError("gamma_prime out of [0,1]")
-        for field, value in (("k", self.k), ("n", self.n)):
+            gamma_prime = _share(gamma_prime, "gamma_prime")
+        for name, value in (("k", self.k), ("n", self.n)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValidationError(f"{field} must be a positive integer")
+                raise ValidationError(f"{name} must be a positive integer")
         if self.k > self.n:
             raise ValidationError("k must not exceed n")
-        s_v = parse_rational(self.s_v, "s_v")
-        s_c = parse_rational(self.s_c, "s_c")
-        if s_v <= 0:
-            raise ValidationError("s_v must be positive")
-        if s_c <= 0:
-            raise ValidationError("s_c must be positive")
+        s_v = _positive(self.s_v, "s_v")
+        s_c = _positive(self.s_c, "s_c")
         if not isinstance(self.mode, Mode):
             raise ValidationError("mode must be a Mode value")
-        warnings = list(self.warnings)
+        warnings = []
         if gamma_prime is not None:
             if self.mode is not Mode.ON_CHAIN:
                 warnings.append("gamma_prime is only used in on_chain mode")
@@ -142,11 +154,12 @@ class GovernanceParams:
 class SurplusReport:
     """Payoff masses and oriented surpluses for one scenario.
 
-    s_yes and s_no split the voter mass k*s_v by the vote; s_u and s_o
-    split the community mass n*s_c across the two chains (after the
-    consultation round where that applies). surplus_v and surplus_c are
-    the oriented differences used for prediction and total is their
-    sum.
+    s_yes and s_no split the voter mass k*s_v by beta; s_u and s_o split
+    the community mass n*s_c by gamma, or by gamma_prime after an
+    on-chain rejection's consultation round. One sign sigma orients
+    both surpluses, surplus_v = sigma*(s_yes - s_no) and surplus_c =
+    sigma*(s_u - s_o): -1 for a rejection outside on_chain mode, toward
+    the winning No side, and +1 otherwise. total is their sum.
     """
 
     s_yes: Fraction
@@ -159,7 +172,7 @@ class SurplusReport:
 
 
 # Field names in declaration order; every surplus writer iterates these.
-SURPLUS_FIELDS = tuple(field.name for field in fields(SurplusReport))
+SURPLUS_FIELDS = tuple(spec.name for spec in fields(SurplusReport))
 
 
 @dataclass(frozen=True)
@@ -184,18 +197,10 @@ def build_governance_game(
     community side earns gamma*payoff_c on Upgraded and
     (1-gamma)*payoff_c on Original regardless of the row.
     """
-    beta = parse_rational(beta, "beta")
-    gamma = parse_rational(gamma, "gamma")
-    payoff_v = parse_rational(payoff_v, "payoff_v")
-    payoff_c = parse_rational(payoff_c, "payoff_c")
-    if not 0 <= beta <= 1:
-        raise ValidationError("beta out of [0,1]")
-    if not 0 <= gamma <= 1:
-        raise ValidationError("gamma out of [0,1]")
-    if payoff_v <= 0:
-        raise ValidationError("payoff_v must be positive")
-    if payoff_c <= 0:
-        raise ValidationError("payoff_c must be positive")
+    beta = _share(beta, "beta")
+    gamma = _share(gamma, "gamma")
+    payoff_v = _positive(payoff_v, "payoff_v")
+    payoff_c = _positive(payoff_c, "payoff_c")
     yes = beta * payoff_v
     no = (1 - beta) * payoff_v
     up = gamma * payoff_c
@@ -226,34 +231,18 @@ def classify_regime(params: GovernanceParams) -> Regime:
     return Regime.MAJORITY_ACCEPT
 
 
-def _voter_surplus(params: GovernanceParams, regime: Regime) -> Fraction:
-    mass = params.k * params.s_v
-    if regime is Regime.UNANIMOUS_ACCEPT:
-        return mass
-    if regime is Regime.TIE:
-        return Fraction(0)
+def _orientation(params: GovernanceParams, regime: Regime) -> int:
+    """The sign sigma of SurplusReport: -1 for a rejection outside on_chain."""
     if regime is Regime.MAJORITY_REJECT and params.mode is not Mode.ON_CHAIN:
-        # Rejections outside on-chain mode are reported oriented toward
-        # the winning No side, so the value stays positive.
-        return (1 - 2 * params.beta) * mass
-    return (2 * params.beta - 1) * mass
+        return -1
+    return 1
 
 
-def _community_surplus(params: GovernanceParams, regime: Regime) -> Fraction:
-    mass = params.n * params.s_c
-    if regime is Regime.UNANIMOUS_ACCEPT:
-        return mass
-    if regime is Regime.MAJORITY_REJECT:
-        if params.mode is Mode.ON_CHAIN:
-            if params.gamma_prime is None:
-                raise ValidationError(
-                    "gamma_prime is required in on_chain mode when the vote rejects"
-                )
-            return (2 * params.gamma_prime - 1) * mass
-        return (1 - 2 * params.gamma) * mass
-    # Accept orientation; also used for ties, where the community can
-    # still lean one way even though the vote is level.
-    return (2 * params.gamma - 1) * mass
+def _split(share: Fraction, mass: Fraction, sign: int) -> tuple[Fraction, Fraction, Fraction]:
+    """share*mass, (1 - share)*mass, and their difference oriented by sign."""
+    high = share * mass
+    low = (1 - share) * mass
+    return high, low, sign * (high - low)
 
 
 def voter_surplus(params: GovernanceParams) -> Fraction:
@@ -264,7 +253,8 @@ def voter_surplus(params: GovernanceParams) -> Fraction:
     (negative) accept-oriented value is kept so it can offset the
     post-consultation community surplus.
     """
-    return _voter_surplus(params, classify_regime(params))
+    sign = _orientation(params, classify_regime(params))
+    return _split(params.beta, params.k * params.s_v, sign)[2]
 
 
 def community_surplus(params: GovernanceParams) -> Fraction:
@@ -275,30 +265,30 @@ def community_surplus(params: GovernanceParams) -> Fraction:
     on_chain mode, where the consultation round's gamma_prime replaces
     gamma: (2*gamma_prime - 1)*n*s_c.
     """
-    return _community_surplus(params, classify_regime(params))
+    return _report(params, classify_regime(params)).surplus_c
 
 
 def _report(params: GovernanceParams, regime: Regime) -> SurplusReport:
-    voter_mass = params.k * params.s_v
-    community_mass = params.n * params.s_c
     share = params.gamma
-    if (
-        regime is Regime.MAJORITY_REJECT
-        and params.mode is Mode.ON_CHAIN
-        and params.gamma_prime is not None
-    ):
+    if regime is Regime.MAJORITY_REJECT and params.mode is Mode.ON_CHAIN:
+        if params.gamma_prime is None:
+            raise ValidationError(
+                "gamma_prime is required in on_chain mode when the vote rejects"
+            )
         share = params.gamma_prime
-    surplus_v = _voter_surplus(params, regime)
-    surplus_c = _community_surplus(params, regime)
-    return SurplusReport(
-        s_yes=params.beta * voter_mass,
-        s_no=(1 - params.beta) * voter_mass,
-        s_u=share * community_mass,
-        s_o=(1 - share) * community_mass,
-        surplus_v=surplus_v,
-        surplus_c=surplus_c,
-        total=surplus_v + surplus_c,
-    )
+    sign = _orientation(params, regime)
+    s_yes, s_no, surplus_v = _split(params.beta, params.k * params.s_v, sign)
+    s_u, s_o, surplus_c = _split(share, params.n * params.s_c, sign)
+    return SurplusReport(s_yes, s_no, s_u, s_o, surplus_v, surplus_c, surplus_v + surplus_c)
+
+
+def _chain_by_sign(value: Fraction) -> Chain:
+    """UPGRADED for a positive value, ORIGINAL for a negative one, else a split."""
+    if value > 0:
+        return Chain.UPGRADED
+    if value < 0:
+        return Chain.ORIGINAL
+    return Chain.SPLIT_50_50
 
 
 def predict_outcome(
@@ -315,58 +305,44 @@ def predict_outcome(
     Returns:
         PredictionResult carrying the surplus report and notes.
 
-    The rules per regime and mode:
-      - unanimity (beta = gamma = 1): Upgraded, risk NONE, in any mode.
-      - no governance: the vote does not bind, so the destination
-        follows the larger community share and risk is HIGH.
-      - majority accept: Upgraded; risk PRESENT off-chain and REDUCED
-        on-chain (the consultation round lowers it).
-      - majority reject, off-chain: Original, risk PRESENT.
-      - majority reject, on-chain: the sign of the total surplus
-        decides the destination because the consultation round can
-        flip the community against the vote; risk REDUCED.
-      - tie: 50/50 split with risk per mode, unless tie_break forces
-        the accept or reject rules.
+    Three rules decide it:
+      - risk by mode: unanimity (beta = gamma = 1) has risk NONE; any
+        other vote has risk HIGH without governance, PRESENT off-chain
+        and REDUCED on-chain, where the consultation round lowers it.
+      - destination: unanimity and a majority accept go Upgraded, an
+        off-chain rejection Original, and a tie splits 50/50 unless
+        tie_break forces the accept or reject rules. Without governance
+        the vote does not bind and the sign of gamma - 1/2 decides; in
+        an on-chain rejection the consultation round can flip the
+        community, so the sign of the total surplus decides. A positive
+        sign means Upgraded, a negative one Original, zero a 50/50 split.
+      - orientation: one sign orients both surpluses, -1 for a
+        rejection outside on_chain mode and +1 otherwise (SurplusReport).
     """
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
     regime = classify_regime(params)
     half = Fraction(1, 2)
     notes: list[str] = []
-    if params.beta != half and params.gamma != half:
-        if (params.beta > half) != (params.gamma > half):
-            notes.append(
-                "community majority decided independently of the voter majority"
-            )
+    if (params.beta - half) * (params.gamma - half) < 0:
+        notes.append("community majority decided independently of the voter majority")
 
     if regime is Regime.UNANIMOUS_ACCEPT:
         return PredictionResult(
             regime, Chain.UPGRADED, ForkRisk.NONE, _report(params, regime), tuple(notes)
         )
 
+    risk = _FORK_RISK[params.mode]
     if params.mode is Mode.NO_GOVERNANCE:
         if tie_break is not None:
             notes.append("tie_break has no effect without governance")
-        if params.gamma > half:
-            chain = Chain.UPGRADED
-        elif params.gamma < half:
-            chain = Chain.ORIGINAL
-        else:
-            chain = Chain.SPLIT_50_50
-        return PredictionResult(
-            regime, chain, ForkRisk.HIGH, _report(params, regime), tuple(notes)
-        )
+        chain = _chain_by_sign(params.gamma - half)
+        return PredictionResult(regime, chain, risk, _report(params, regime), tuple(notes))
 
     effective = regime
-    if regime is Regime.TIE:
-        if tie_break is None:
-            notes.append(
-                "tie vote: no majority side; pass tie_break to force accept or reject"
-            )
-            risk = ForkRisk.PRESENT if params.mode is Mode.OFF_CHAIN else ForkRisk.REDUCED
-            return PredictionResult(
-                regime, Chain.SPLIT_50_50, risk, _report(params, regime), tuple(notes)
-            )
+    if regime is Regime.TIE and tie_break is None:
+        notes.append("tie vote: no majority side; pass tie_break to force accept or reject")
+    elif regime is Regime.TIE:
         effective = (
             Regime.MAJORITY_ACCEPT if tie_break == "accept" else Regime.MAJORITY_REJECT
         )
@@ -380,23 +356,16 @@ def predict_outcome(
         )
 
     surplus = _report(params, effective)
-    if effective is Regime.MAJORITY_ACCEPT:
+    if effective is Regime.TIE:
+        chain = Chain.SPLIT_50_50
+    elif effective is Regime.MAJORITY_ACCEPT:
         chain = Chain.UPGRADED
-        risk = ForkRisk.PRESENT if params.mode is Mode.OFF_CHAIN else ForkRisk.REDUCED
     elif params.mode is Mode.OFF_CHAIN:
         chain = Chain.ORIGINAL
-        risk = ForkRisk.PRESENT
     else:
-        # On-chain rejection: the consultation round can flip the
-        # community, so the sign of the total surplus decides.
-        if surplus.total > 0:
-            chain = Chain.UPGRADED
-        elif surplus.total < 0:
-            chain = Chain.ORIGINAL
-        else:
-            chain = Chain.SPLIT_50_50
+        chain = _chain_by_sign(surplus.total)
+        if chain is Chain.SPLIT_50_50:
             notes.append("total surplus is exactly zero: the community splits evenly")
-        risk = ForkRisk.REDUCED
     return PredictionResult(regime, chain, risk, surplus, tuple(notes))
 
 

@@ -96,13 +96,13 @@ def format_rational(value: Fraction) -> str:
         raise ValidationError(f"cannot print a value of more than {limit} digits") from None
 
 
-def approx(value: Fraction, digits: int = 6) -> str:
-    """Fixed-point decimal approximation for human-facing table output.
+def approx(value: Fraction) -> str:
+    """Six-decimal fixed-point approximation for human-facing table output.
 
     Values beyond float range read "inf" or "-inf", as Python formats an
     infinite float.
     """
     try:
-        return f"{float(value):.{digits}f}"
+        return f"{float(value):.6f}"
     except OverflowError:
         return "inf" if value > 0 else "-inf"

@@ -214,6 +214,12 @@ class TestVoterSurplus:
         p = params("2/5", "2/5", gamma_prime="4/5", mode=Mode.ON_CHAIN)
         assert voter_surplus(p) == F(-1, 5)
 
+    def test_on_chain_reject_without_gamma_prime(self):
+        # Only the community side needs gamma_prime; the voter side keeps
+        # the signed (2*beta - 1)*k*s_v.
+        p = params("1/5", "2/5", mode=Mode.ON_CHAIN, k=3, n=10, s_v=F(2))
+        assert voter_surplus(p) == (2 * F(1, 5) - 1) * 3 * 2 == F(-18, 5)
+
     def test_scales_with_k_and_unit(self):
         assert voter_surplus(params("27/50", "7/10", k=10, n=10, s_v=F(5))) == F(4)
 

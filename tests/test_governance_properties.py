@@ -30,11 +30,18 @@ HALF = F(1, 2)
 unit = st.fractions(min_value=F(0), max_value=F(1), max_denominator=30)
 positive = st.fractions(min_value=F(1, 10), max_value=F(10), max_denominator=12)
 modes = st.sampled_from(list(Mode))
+tie_breaks = st.sampled_from([None, "accept", "reject"])
+# Risk of every vote that is not unanimous; unanimity has risk NONE.
+RISK_BY_MODE = {
+    Mode.NO_GOVERNANCE: ForkRisk.HIGH,
+    Mode.OFF_CHAIN: ForkRisk.PRESENT,
+    Mode.ON_CHAIN: ForkRisk.REDUCED,
+}
 
 
 @st.composite
-def governance_params(draw):
-    beta = draw(unit)
+def governance_params(draw, betas=unit):
+    beta = draw(betas)
     gamma = draw(unit)
     mode = draw(modes)
     gamma_prime = draw(unit) if mode is Mode.ON_CHAIN else None
@@ -60,6 +67,11 @@ def test_mass_conservation(params):
     assert report.s_yes + report.s_no == params.k * params.s_v
     assert report.s_u + report.s_o == params.n * params.s_c
     assert report.total == report.surplus_v + report.surplus_c
+    # One sign orients both surpluses: -1 for a rejection outside on_chain.
+    rejects = prediction.regime is Regime.MAJORITY_REJECT
+    sign = -1 if rejects and params.mode is not Mode.ON_CHAIN else 1
+    assert report.surplus_v == sign * (report.s_yes - report.s_no)
+    assert report.surplus_c == sign * (report.s_u - report.s_o)
 
 
 @given(
@@ -233,13 +245,11 @@ def test_fork_risk_none_iff_unanimity(params):
     )
 
 
-@settings(max_examples=100)
-@given(governance_params())
-def test_no_governance_always_high_risk(params):
-    if params.mode is not Mode.NO_GOVERNANCE:
-        return
-    prediction = predict_outcome(params)
+@settings(max_examples=200)
+@given(governance_params(betas=st.one_of(st.just(HALF), unit)), tie_breaks)
+def test_fork_risk_by_mode(params, tie_break):
+    prediction = predict_outcome(params, tie_break)
     if prediction.regime is Regime.UNANIMOUS_ACCEPT:
         assert prediction.fork_risk is ForkRisk.NONE
     else:
-        assert prediction.fork_risk is ForkRisk.HIGH
+        assert prediction.fork_risk is RISK_BY_MODE[params.mode]

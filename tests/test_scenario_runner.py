@@ -82,15 +82,32 @@ class TestBuiltinSuite:
         assert only.profile.sigma2.probs == (F(1), F(0))
 
     def test_predictions_follow_equilibrium_column(self):
-        # In no-governance mode the predicted destination matches the
-        # community's equilibrium column for every row.
-        for result in run_table1_suite():
-            if result.params.gamma == F(1, 2):
-                assert result.prediction.majority_chain is Chain.SPLIT_50_50
-                continue
-            column = result.equilibria[0].profile.sigma2.support[0]
-            want = Chain.UPGRADED if column == 0 else Chain.ORIGINAL
-            assert result.prediction.majority_chain is want
+        # In no-governance mode the set of the community's equilibrium
+        # columns decides the destination, on Table 1's nine points and
+        # on every point beta = b/60, gamma = g/60 (g a multiple of 3).
+        grid = [
+            run_scenario(
+                Scenario(
+                    name=f"{b}/{g}",
+                    params=GovernanceParams(
+                        beta=F(b, 60), gamma=F(g, 60), mode=Mode.NO_GOVERNANCE
+                    ),
+                )
+            )
+            for b in range(61)
+            for g in range(0, 61, 3)
+        ]
+        assert len(grid) == 1281
+        destination = {
+            frozenset({0}): Chain.UPGRADED,
+            frozenset({1}): Chain.ORIGINAL,
+            frozenset({0, 1}): Chain.SPLIT_50_50,
+        }
+        for result in run_table1_suite() + grid:
+            columns = frozenset(
+                j for eq in result.equilibria for j in eq.profile.sigma2.support
+            )
+            assert result.prediction.majority_chain is destination[columns]
 
     def test_builtin_scenarios_use_no_governance_mode(self):
         assert all(
