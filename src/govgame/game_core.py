@@ -2,10 +2,14 @@
 
 Payoffs are rationals and every computation is exact, so the set of
 equilibria reported for a game is reproduced bit for bit across runs.
-Mixed equilibria are found by enumerating the vertices of the two
-best-response polytopes with integer pivoting (Avis, Rosenberg, Savani
-and von Stengel 2010), which yields every extreme equilibrium of any
-game, degenerate or not.
+Mixed equilibria are found by first eliminating strictly dominated pure
+strategies, round after round, and then enumerating the vertices of the
+surviving subgame's two best-response polytopes with integer pivoting
+(Avis, Rosenberg, Savani and von Stengel 2010), which yields every
+extreme equilibrium of any game, degenerate or not. The elimination is
+strict only: a weakly dominated strategy is kept, since it may be played
+in an equilibrium, and a game left with a single profile returns it as
+its unique, pure equilibrium without a vertex walk.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lt
 
 from .errors import ValidationError
 from .rationals import parse_json, parse_rational
@@ -271,6 +276,47 @@ def _positive_integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int, int]
     return [[v + shift for v in row] for row in ints], scale, shift
 
 
+def _survivors(lines: list[list[int]]) -> list[int]:
+    """Positions of the lines that no other line beats in every entry."""
+    return [
+        k
+        for k, line in enumerate(lines)
+        if not any(all(map(lt, line, other)) for other in lines)
+    ]
+
+
+def _undominated(
+    a: list[list[int]], bt: list[list[int]]
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """Iterated elimination of strictly dominated pure strategies.
+
+    a holds player 1's payoffs by row and bt player 2's by column. A row
+    is dropped when another surviving row pays player 1 strictly more
+    against every surviving column, and a column likewise for player 2;
+    the two sides alternate until a pass over each drops nothing. Returns
+    the surviving row and column indices with a and bt restricted to
+    them; when nothing is dropped these are a and bt themselves. Strict
+    dominance keeps every Nash equilibrium, and a weakly dominated
+    strategy is kept because it may be played in one.
+    """
+    kept = [list(range(len(a))), list(range(len(bt)))]
+    sides = [a, bt]
+    side = idle = 0
+    # A pass leaves its own side undominated until the other side shrinks.
+    while idle < 2:
+        lines = sides[side]
+        keep = _survivors(lines)
+        if len(keep) == len(lines):
+            idle += 1
+        else:
+            idle = 1
+            kept[side] = [kept[side][k] for k in keep]
+            sides[side] = [lines[k] for k in keep]
+            sides[1 - side] = [[line[k] for k in keep] for line in sides[1 - side]]
+        side = 1 - side
+    return kept[0], kept[1], sides[0], sides[1]
+
+
 def _lex_cross(
     tableau: list[list[int]], k: int, r: int, s: int, basis: list[int], nonbasic: list[int]
 ) -> int:
@@ -389,16 +435,26 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
 def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     """All extreme Nash equilibria, by exact vertex enumeration.
 
-    Each payoff matrix is scaled to positive integers, and every vertex
-    of the two best-response polytopes P = {x >= 0 : B^T x <= 1} and
-    Q = {y >= 0 : A y <= 1} is found by integer pivoting. Label i < m is
+    Each payoff matrix is scaled to positive integers, and strictly
+    dominated pure strategies are eliminated from the integer matrices
+    until none is left (see _undominated). This keeps the Nash set: an
+    eliminated strategy does strictly worse than a survivor against
+    every opponent mix on the survivors, so it is in no equilibrium's
+    support, and each extreme equilibrium of the game is one of the
+    subgame's widened by zeros. Weakly dominated strategies are kept. A
+    single surviving profile is returned as the unique pure equilibrium.
+    Otherwise every vertex of the subgame's two best-response polytopes
+    P = {x >= 0 : B^T x <= 1} and Q = {y >= 0 : A y <= 1} is found by
+    integer pivoting; m and n count the surviving rows and columns, and
+    a game that loses no strategy is walked as it is. Label i < m is
     "row i unplayed" on P and "row i a best response" on Q; label m + j
     is "column j a best response" on P and "column j unplayed" on Q. The
     extreme equilibria are the nonzero vertex pairs that carry all m + n
-    labels between them, each normalised to sum 1. This is complete for
-    degenerate games as well as nondegenerate ones. Each polytope's
-    vertices are walked by the lexicographic ratio test, so the work
-    follows the vertices rather than every basis of a degenerate vertex.
+    labels between them, each widened to the full game and normalised to
+    sum 1. This is complete for degenerate games as well as
+    nondegenerate ones. Each polytope's vertices are walked by the
+    lexicographic ratio test, so the work follows the vertices rather
+    than every basis of a degenerate vertex.
     Every row in supp(x) is a best response to y, and every column in
     supp(y) to x, so player 1's payoff is read from one such row and
     player 2's from one column, each as one Fraction of the scaled
@@ -413,41 +469,63 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     (x2, y1) are equilibria too. They then span a convex set of
     equilibria, a continuum that is reported only by its vertices.
     """
-    m = game.rows
-    full = (1 << (m + game.cols)) - 1
     a, scale_a, shift_a = _positive_integers(game.payoff1)
     b, scale_b, shift_b = _positive_integers(game.payoff2)
-    p = _vertices([list(col) for col in zip(*b)])
-    q = _vertices(a)
+    rows, cols, sub_a, sub_bt = _undominated(a, [list(col) for col in zip(*b)])
+    if len(rows) == len(cols) == 1:
+        i, j = rows[0], cols[0]
+        return [
+            EquilibriumResult(
+                pure_profile(game, i, j),
+                (game.payoff1[i][j], game.payoff2[i][j]),
+                EquilibriumKind.PURE,
+            )
+        ]
+    m, n = len(rows), len(cols)
+    full = (1 << (m + n)) - 1
+    p = _vertices(sub_bt)
+    q = _vertices(sub_a)
     xs = [(x, labels) for x, labels in p.items() if any(x)]
     # Q's own labels put its n coordinates first; move them after P's m rows.
-    low = (1 << game.cols) - 1
-    ys = [(y, (labels & low) << m | labels >> game.cols) for y, labels in q.items() if any(y)]
+    low = (1 << n) - 1
+    ys = [(y, (labels & low) << m | labels >> n) for y, labels in q.items() if any(y)]
     pairs = [(x, lx, y, ly) for x, lx in xs for y, ly in ys if lx | ly == full]
     degenerate = any(
         lx1 | ly2 == full and lx2 | ly1 == full
         for i, (_, lx1, _, ly1) in enumerate(pairs)
         for (_, lx2, _, ly2) in pairs[i + 1 :]
     )
-    # Support, sum and normalised strategy of each vertex, built on its
-    # first pairing only: many equilibria share a vertex, and most
-    # vertices of a generic game are never paired.
-    strategies: dict[tuple[int, ...], tuple[tuple[int, ...], int, MixedStrategy]] = {}
+    # Each paired vertex widened to the full game, with its support, sum
+    # and normalised strategy, built on its first pairing only: many
+    # equilibria share a vertex, and most vertices of a generic game are
+    # never paired.
+    built: tuple[dict, dict] = ({}, {})
 
-    def strategy(v: tuple[int, ...]) -> tuple[tuple[int, ...], int, MixedStrategy]:
-        if v not in strategies:
-            total = sum(v)
-            strategies[v] = (
-                tuple(i for i, c in enumerate(v) if c),
+    def strategy(
+        player: int, v: tuple[int, ...]
+    ) -> tuple[tuple[int, ...], int, MixedStrategy, tuple[int, ...]]:
+        memo = built[player]
+        if v not in memo:
+            keep, size = (rows, game.rows) if player == 0 else (cols, game.cols)
+            wide = v
+            if len(keep) < size:
+                padded = [0] * size
+                for k, c in zip(keep, v):
+                    padded[k] = c
+                wide = tuple(padded)
+            total = sum(wide)
+            memo[v] = (
+                tuple(i for i, c in enumerate(wide) if c),
                 total,
-                MixedStrategy(tuple(Fraction(c, total) for c in v)),
+                MixedStrategy(tuple(Fraction(c, total) for c in wide)),
+                wide,
             )
-        return strategies[v]
+        return memo[v]
 
     found = []
-    for x, _, y, _ in pairs:
-        sx, tx, mx = strategy(x)
-        sy, ty, my = strategy(y)
+    for x_sub, _, y_sub, _ in pairs:
+        sx, tx, mx, x = strategy(0, x_sub)
+        sy, ty, my, y = strategy(1, y_sub)
         # Undo the integer scaling: payoff = (entry - shift) / scale.
         row, col = a[sx[0]], sy[0]
         u1 = Fraction(sum(row[j] * y[j] for j in sy) - shift_a * ty, scale_a * ty)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from govgame.game_core import (
     BimatrixGame,
+    EquilibriumKind,
+    enumerate_mixed_equilibria,
     enumerate_pure_equilibria,
     pareto_optimal_pure_profiles,
 )
@@ -18,6 +20,7 @@ from govgame.governance import (
     GovernanceParams,
     Mode,
     Regime,
+    build_governance_game,
     classify_regime,
     community_surplus,
     predict_outcome,
@@ -234,6 +237,20 @@ def test_equilibrium_column_matches_prediction_when_aligned(beta, gamma):
     column = results[0].profile.sigma2.support[0]
     predicted = predict_outcome(params).majority_chain
     assert predicted is (Chain.UPGRADED if column == 0 else Chain.ORIGINAL)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.just(HALF), unit), st.one_of(st.just(HALF), unit), positive, positive)
+def test_vote_game_is_dominance_solvable_unless_a_share_is_half(beta, gamma, payoff_v, payoff_c):
+    # Neither side's payoff depends on the other's move, so a share off
+    # 1/2 makes that side's better move strictly dominant.
+    results = enumerate_mixed_equilibria(build_governance_game(beta, gamma, payoff_v, payoff_c))
+    assert all(r.kind is EquilibriumKind.PURE for r in results)
+    cells = [(r.profile.sigma1.support[0], r.profile.sigma2.support[0]) for r in results]
+    rows = [0, 1] if beta == HALF else [0 if beta > HALF else 1]
+    cols = [0, 1] if gamma == HALF else [0 if gamma > HALF else 1]
+    assert cells == [(i, j) for i in rows for j in cols]
+    assert all(r.degenerate_game == (len(cells) > 1) for r in results)
 
 
 @settings(max_examples=100)

@@ -148,3 +148,42 @@ def test_nondegenerate_3x3_with_five_equilibria_is_not_flagged():
     # Support enumeration found the same five but flagged the game.
     old, underdetermined = support_enumeration(game)
     assert set(old) == extreme and underdetermined
+
+
+# The solver first drops strictly dominated pure strategies, round after
+# round, and walks the polytopes of the surviving subgame only. The games
+# below check that the cut loses no equilibrium and that the subgame's
+# vertices are widened back to the full game's strategies.
+
+
+def test_two_rounds_of_elimination_leave_a_mixed_subgame():
+    # Column 2 is dominated by column 0 at once; only then is row 2
+    # dominated by row 0. Rows and columns 0-1 are matching pennies.
+    game = BimatrixGame(
+        payoff1=[[2, 0, 0], [0, 2, 0], [1, -1, 5]],
+        payoff2=[[0, 2, -1], [2, 0, 1], [0, 0, -1]],
+    )
+    _assert_matches_vertex_oracle(game)
+    half = (F(1, 2), F(1, 2), F(0))
+    assert _profiles(enumerate_mixed_equilibria(game)) == [(half, half)]
+
+
+def test_weakly_dominated_row_played_in_an_equilibrium_is_reported():
+    # Row 1 is weakly but not strictly dominated by row 0, and (row 1,
+    # column 0) is an equilibrium.
+    game = BimatrixGame(payoff1=[[1, 1], [1, 0]], payoff2=[[1, 1], [1, 1]])
+    _assert_matches_vertex_oracle(game)
+    e0, e1 = (F(1), F(0)), (F(0), F(1))
+    assert (e1, e0) in _profiles(enumerate_mixed_equilibria(game))
+
+
+def test_rectangular_small_integer_games_match_the_vertex_oracle():
+    rng = random.Random(2024)
+    for rows, cols in ((2, 6), (6, 2), (3, 5), (5, 3)):
+        for _ in range(25):
+            _assert_matches_vertex_oracle(
+                BimatrixGame(
+                    payoff1=[[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)],
+                    payoff2=[[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)],
+                )
+            )
