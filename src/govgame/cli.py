@@ -11,7 +11,6 @@ writes nothing to standard output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from .governance import (
     predict_outcome,
     prediction_to_dict,
 )
-from .rationals import approx, format_rational, parse_rational
+from .rationals import approx, format_rational, json_text, parse_rational
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
     CheckStatus,
@@ -221,7 +220,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "degenerate_game": degenerate,
             "equilibria": [_generic_equilibrium_dict(eq) for eq in equilibria],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text(payload) + "\n"
     elif args.format == "csv":
         header = (
             ["equilibrium_index", "kind"]
@@ -282,7 +281,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _diag(args, f"warning: {warning}")
     prediction = predict_outcome(params, tie_break=args.tie_break)
     if args.format == "json":
-        text = json.dumps(prediction_to_dict(prediction), indent=2) + "\n"
+        text = json_text(prediction_to_dict(prediction)) + "\n"
     elif args.format == "csv":
         surplus = prediction.surplus
         text = csv_text(

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import lt
 
 from .errors import ValidationError
-from .rationals import parse_json, parse_rational
+from .rationals import parse_json, parse_rational, reject_lone_surrogates
 
 PayoffMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -55,6 +55,8 @@ def _coerce_labels(labels: object, count: int, field: str) -> tuple[str, ...]:
     out = tuple(labels)
     if any(not isinstance(v, str) for v in out):
         raise ValidationError(f"{field} entries must be strings")
+    for label in out:
+        reject_lone_surrogates(label, field)
     if len(out) != count:
         raise ValidationError(f"{field} has {len(out)} entries, expected {count}")
     return out
@@ -97,6 +99,10 @@ class BimatrixGame:
         return len(self.payoff1[0])
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """A probability vector over one player's pure strategies.
@@ -111,7 +117,8 @@ class MixedStrategy:
         if not isinstance(self.probs, (list, tuple)) or not self.probs:
             raise ValidationError("probs must be a non-empty sequence")
         probs = tuple(
-            parse_rational(p, f"probs[{i}]") for i, p in enumerate(self.probs)
+            p if isinstance(p, Fraction) else parse_rational(p, f"probs[{i}]")
+            for i, p in enumerate(self.probs)
         )
         if any(p.numerator < 0 for p in probs):
             raise ValidationError("probabilities must be non-negative")
@@ -127,7 +134,7 @@ class MixedStrategy:
         """The degenerate mix placing probability 1 on one strategy."""
         if not 0 <= index < size:
             raise ValidationError(f"pure strategy index {index} out of range for size {size}")
-        return cls(tuple(Fraction(1 if i == index else 0) for i in range(size)))
+        return cls((_ZERO,) * index + (_ONE,) + (_ZERO,) * (size - index - 1))
 
     @property
     def support(self) -> tuple[int, ...]:

@@ -1,11 +1,13 @@
-"""Exact rational parsing and formatting.
+"""Exact rational parsing and formatting, and JSON decoding and writing.
 
 All numeric state in the package is held as `fractions.Fraction`, which
 stores values in lowest terms with a positive denominator and supports
 exact arithmetic. These helpers convert the external representations
 ("p/q" strings, decimal strings, JSON numbers) to and from that type
 without ever rounding: a decimal literal is read as the rational it
-denotes, not as the nearest binary float.
+denotes, not as the nearest binary float. The JSON the package reads
+goes through `parse_json` and the JSON it writes through `json_text`;
+`reject_lone_surrogates` refuses text that UTF-8 cannot encode.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError
 
@@ -80,6 +83,83 @@ def parse_json(text: str) -> object:
         raise ValidationError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("not valid JSON: nesting is too deep") from None
+
+
+def reject_lone_surrogates(text: str, field: str) -> None:
+    """Raise ValidationError if the text holds a lone surrogate code point.
+
+    JSON can spell a lone surrogate ("\\ud800"), but UTF-8 cannot encode
+    one, so a label or name holding one could not be printed as text.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"{field} holds the lone surrogate U+{ord(text[exc.start]):04X}, "
+            "which UTF-8 cannot encode"
+        ) from None
+
+
+def json_text(value: object) -> str:
+    """The text json.dumps(value, indent=2) writes, built in one join.
+
+    The stdlib runs its pure-Python encoder whenever indent is set; this
+    writer appends each token to one list and quotes strings with the C
+    quoting function. It takes values whose type is exactly dict (with
+    str keys), list, str, int, bool or None; any other value or key
+    raises TypeError.
+    """
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value: object, newline: str, out: list[str]) -> None:
+    # newline is the line break plus the indent of value's own line;
+    # string items, the most common leaf, are quoted inline.
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{separator}{_quote(key)}: ")
+            if type(item) is str:
+                out.append(_quote(item))
+            else:
+                _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            if type(item) is str:
+                out.append(_quote(item))
+            else:
+                _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def format_rational(value: Fraction) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -30,7 +29,13 @@ from .governance import (
     predict_outcome,
     prediction_to_dict,
 )
-from .rationals import format_rational, parse_json, parse_rational
+from .rationals import (
+    format_rational,
+    json_text,
+    parse_json,
+    parse_rational,
+    reject_lone_surrogates,
+)
 
 
 @dataclass(frozen=True)
@@ -339,6 +344,7 @@ def _parse_scenario(index: int, entry: object) -> Scenario:
     name = entry.get("name", f"scenario-{index + 1}")
     if not isinstance(name, str) or not name:
         raise ValidationError(f"scenario {index + 1}: name must be a non-empty string")
+    reject_lone_surrogates(name, f"scenario {index + 1}: name")
     try:
         unknown = sorted(set(entry) - _SCENARIO_KEYS)
         if unknown:
@@ -425,7 +431,7 @@ def result_to_dict(result: ScenarioResult) -> dict:
 
 def results_to_json(results: list[ScenarioResult]) -> str:
     """Full-fidelity JSON array of scenario results."""
-    return json.dumps([result_to_dict(r) for r in results], indent=2)
+    return json_text([result_to_dict(r) for r in results])
 
 
 RESULT_CSV_COLUMNS = (

@@ -405,6 +405,34 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be one of" in err
 
+    # JSON can spell a lone surrogate, which UTF-8 cannot encode, so the
+    # table and CSV writers could not print it.
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize(
+        ("command", "document", "field"),
+        [
+            (
+                "solve",
+                {
+                    "payoff1": [[1, 0], [0, 1]],
+                    "payoff2": [[1, 0], [0, 1]],
+                    "row_labels": ["\ud800", "b"],
+                },
+                "row_labels",
+            ),
+            ("run", {"scenarios": [{"name": "\ud800x", "beta": "1/2", "gamma": "1/2"}]}, "name"),
+        ],
+        ids=["solve", "run"],
+    )
+    def test_lone_surrogate_in_text(self, tmp_path, capsys, fmt, command, document, field):
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path), "--format", fmt]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"{field} holds the lone surrogate U+D800" in captured.err
+
 
 class TestNoPartialOutput:
     """A command that fails while formatting writes nothing to stdout."""

@@ -23,10 +23,13 @@ from govgame.errors import ValidationError
 from govgame.game_core import load_game
 from govgame.scenario_runner import load_scenarios
 
+# Lone surrogates (category Cs) are valid in JSON text but cannot be
+# encoded as UTF-8; the default alphabet never draws them.
+CHARACTERS = st.characters() | st.characters(categories=["Cs"])
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(CHARACTERS, max_size=8),
     lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    | st.dictionaries(st.text(CHARACTERS, max_size=6), children, max_size=3),
     max_leaves=8,
 )
 
@@ -132,6 +135,7 @@ def test_cli_on_arbitrary_file_text(command, fmt, text):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(path), "--format", fmt])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH)
+    out.getvalue().encode("utf-8")  # raises where a UTF-8 stdout would
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("error:")
         assert out.getvalue() == ""
