@@ -14,11 +14,8 @@ from .game_core import (
     EquilibriumResult,
     MixedStrategy,
     StrategyProfile,
-    best_response_payoff,
     enumerate_mixed_equilibria,
     enumerate_pure_equilibria,
-    expected_payoff,
-    is_equilibrium,
     is_strong_nash,
     load_game,
     pareto_optimal_pure_profiles,
@@ -79,16 +76,13 @@ __all__ = [
     "StrategyProfile",
     "SurplusReport",
     "ValidationError",
-    "best_response_payoff",
     "build_governance_game",
     "builtin_table1_scenarios",
     "classify_regime",
     "community_surplus",
     "enumerate_mixed_equilibria",
     "enumerate_pure_equilibria",
-    "expected_payoff",
     "format_rational",
-    "is_equilibrium",
     "is_strong_nash",
     "load_game",
     "load_scenarios",

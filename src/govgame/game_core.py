@@ -182,63 +182,12 @@ def pure_profile(game: BimatrixGame, row: int, col: int) -> StrategyProfile:
     )
 
 
-def _check_mix(game: BimatrixGame, player: int, mix: MixedStrategy) -> None:
-    size, unit = (game.rows, "rows") if player == 1 else (game.cols, "columns")
-    if len(mix.probs) != size:
-        raise ValidationError(
-            f"player {player} strategy has {len(mix.probs)} entries, "
-            f"game has {size} {unit}"
-        )
-
-
-def expected_payoff(
-    game: BimatrixGame, profile: StrategyProfile
-) -> tuple[Fraction, Fraction]:
-    """Exact expected payoffs for both players under a mixed profile.
-
-    Args:
-        game: the game to evaluate against.
-        profile: mixed strategies whose lengths match the game.
-
-    Returns:
-        (player 1 payoff, player 2 payoff) as exact rationals.
-    """
-    _check_mix(game, 1, profile.sigma1)
-    _check_mix(game, 2, profile.sigma2)
-    x = profile.sigma1.probs
-    y = profile.sigma2.probs
-    # Cells off the support contribute zero, so only the support is summed.
-    cells = [(i, j, x[i] * y[j]) for i in profile.sigma1.support for j in profile.sigma2.support]
-    u1 = sum((w * game.payoff1[i][j] for i, j, w in cells), Fraction(0))
-    u2 = sum((w * game.payoff2[i][j] for i, j, w in cells), Fraction(0))
-    return (u1, u2)
-
-
-def best_response_payoff(
-    game: BimatrixGame, player: int, opponent: MixedStrategy
-) -> Fraction:
-    """Best payoff the player can earn against a fixed opponent mix.
-
-    By linearity a best response is always achieved at a pure strategy,
-    so this is a maximum over the player's rows (or columns).
-    """
-    if player not in (1, 2):
-        raise ValidationError("player must be 1 or 2")
-    _check_mix(game, 3 - player, opponent)
-    # Player 1's pure strategies are the rows of payoff1, player 2's the
-    # columns of payoff2.
-    lines = game.payoff1 if player == 1 else zip(*game.payoff2)
-    return max(
-        sum((v * p for v, p in zip(line, opponent.probs)), Fraction(0)) for line in lines
+def _pure_result(game: BimatrixGame, row: int, col: int) -> EquilibriumResult:
+    return EquilibriumResult(
+        pure_profile(game, row, col),
+        (game.payoff1[row][col], game.payoff2[row][col]),
+        EquilibriumKind.PURE,
     )
-
-
-def is_equilibrium(game: BimatrixGame, profile: StrategyProfile) -> bool:
-    """Whether no player can gain by deviating unilaterally; the check is exact."""
-    u1, u2 = expected_payoff(game, profile)
-    if u1 < best_response_payoff(game, 1, profile.sigma2):
-        return False
-    return u2 >= best_response_payoff(game, 2, profile.sigma1)
 
 
 def _is_pure_equilibrium(game: BimatrixGame, row: int, col: int) -> bool:
@@ -257,11 +206,7 @@ def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     not computed here; use enumerate_mixed_equilibria for it.
     """
     return [
-        EquilibriumResult(
-            pure_profile(game, i, j),
-            (game.payoff1[i][j], game.payoff2[i][j]),
-            EquilibriumKind.PURE,
-        )
+        _pure_result(game, i, j)
         for i in range(game.rows)
         for j in range(game.cols)
         if _is_pure_equilibrium(game, i, j)
@@ -480,14 +425,7 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     b, scale_b, shift_b = _positive_integers(game.payoff2)
     rows, cols, sub_a, sub_bt = _undominated(a, [list(col) for col in zip(*b)])
     if len(rows) == len(cols) == 1:
-        i, j = rows[0], cols[0]
-        return [
-            EquilibriumResult(
-                pure_profile(game, i, j),
-                (game.payoff1[i][j], game.payoff2[i][j]),
-                EquilibriumKind.PURE,
-            )
-        ]
+        return [_pure_result(game, rows[0], cols[0])]
     m, n = len(rows), len(cols)
     full = (1 << (m + n)) - 1
     p = _vertices(sub_bt)
@@ -593,18 +531,25 @@ def is_strong_nash(game: BimatrixGame, row: int, col: int) -> bool:
     return (row, col) in pareto_optimal_pure_profiles(game)
 
 
+_GAME_KEYS = {"rows", "cols", "row_labels", "col_labels", "payoff1", "payoff2"}
+
+
 def load_game(text: str) -> BimatrixGame:
     """Parse the game interchange JSON format into a BimatrixGame.
 
     The format is an object with "payoff1" and "payoff2" (arrays of row
     arrays, entries either numbers or "p/q" strings) plus optional
     "rows" and "cols" (JSON integers), "row_labels" and "col_labels",
-    which are validated against the matrices when present. Decimal
-    literals are read as the exact rationals they denote.
+    which are validated against the matrices when present. Any other
+    field is rejected. Decimal literals are read as the exact rationals
+    they denote.
     """
     data = parse_json(text)
     if not isinstance(data, dict):
         raise ValidationError("game file must contain a JSON object")
+    unknown = sorted(set(data) - _GAME_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown field {unknown[0]!r}")
     for field in ("payoff1", "payoff2"):
         if field not in data:
             raise ValidationError(f"game file is missing {field!r}")

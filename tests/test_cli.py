@@ -74,6 +74,15 @@ class TestSolve:
         assert captured.err == f"error: {path}: {field} must be a positive integer\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("field", ["row_lables", "row"])
+    def test_unknown_field_is_an_error(self, tmp_path, capsys, field):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({**json.loads(ALL_ZERO_GAME), field: 3}))
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: unknown field {field!r}\n"
+        assert captured.out == ""
+
     def test_deeply_nested_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200000)

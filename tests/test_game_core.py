@@ -1,4 +1,4 @@
-"""Tests for bimatrix game construction, payoff evaluation, and solvers."""
+"""Tests for bimatrix game construction, the solvers, and the game file format."""
 
 from __future__ import annotations
 
@@ -6,26 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+import govgame
 from govgame.errors import ValidationError
 from govgame.game_core import (
     BimatrixGame,
     EquilibriumKind,
     MixedStrategy,
-    StrategyProfile,
-    best_response_payoff,
     enumerate_mixed_equilibria,
     enumerate_pure_equilibria,
-    expected_payoff,
-    is_equilibrium,
     is_strong_nash,
     load_game,
     pareto_optimal_pure_profiles,
-    pure_profile,
 )
+from reference_solvers import is_nash, payoffs
 
 F = Fraction
-HALVES = MixedStrategy((F(1, 2), F(1, 2)))
-THIRDS = MixedStrategy((F(1, 3), F(1, 3), F(1, 3)))
 
 
 def vote_game(beta, gamma, scale_v=F(1), scale_c=F(1)) -> BimatrixGame:
@@ -124,79 +119,6 @@ class TestMixedStrategy:
             MixedStrategy((-tiny, F(1) + tiny))
 
 
-class TestExpectedPayoff:
-    def test_unanimous_vote_game(self):
-        game = vote_game(1, 1)
-        profile = pure_profile(game, 0, 0)
-        assert expected_payoff(game, profile) == (F(1), F(1))
-
-    def test_pure_profile_reads_cell(self):
-        game = MATCHING_PENNIES
-        for i in range(2):
-            for j in range(2):
-                payoffs = expected_payoff(game, pure_profile(game, i, j))
-                assert payoffs == (game.payoff1[i][j], game.payoff2[i][j])
-
-    def test_uniform_mix_averages(self):
-        game = vote_game("3/5", "7/10")
-        profile = StrategyProfile(HALVES, HALVES)
-        assert expected_payoff(game, profile) == (F(1, 2), F(1, 2))
-
-    def test_dimension_mismatch_player1(self):
-        game = vote_game(1, 1)
-        bad = StrategyProfile(THIRDS, HALVES)
-        with pytest.raises(ValidationError, match="player 1 strategy has 3 entries, game has 2 rows"):
-            expected_payoff(game, bad)
-
-    def test_dimension_mismatch_player2(self):
-        game = vote_game(1, 1)
-        bad = StrategyProfile(HALVES, THIRDS)
-        with pytest.raises(ValidationError, match="player 2 strategy has 3 entries, game has 2 columns"):
-            expected_payoff(game, bad)
-
-
-class TestBestResponsePayoff:
-    def test_row_payoff_column_independent(self):
-        game = vote_game("7/10", "1/5")
-        for opponent in (MixedStrategy.pure(0, 2), MixedStrategy.pure(1, 2), HALVES):
-            assert best_response_payoff(game, 1, opponent) == F(7, 10)
-
-    def test_all_zero_game(self):
-        assert best_response_payoff(ALL_ZERO, 1, HALVES) == F(0)
-
-    def test_minority_voter_best_response(self):
-        game = vote_game("1/5", "2/5")
-        assert best_response_payoff(game, 1, MixedStrategy.pure(0, 2)) == F(4, 5)
-
-    def test_player_2(self):
-        game = vote_game("1/5", "2/5")
-        assert best_response_payoff(game, 2, MixedStrategy.pure(1, 2)) == F(3, 5)
-
-    def test_invalid_player(self):
-        with pytest.raises(ValidationError, match="player must be 1 or 2"):
-            best_response_payoff(ALL_ZERO, 3, HALVES)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            best_response_payoff(ALL_ZERO, 1, THIRDS)
-
-
-class TestIsEquilibrium:
-    def test_unanimous_yes_upgraded(self):
-        game = vote_game(1, 1)
-        assert is_equilibrium(game, pure_profile(game, 0, 0))
-
-    def test_unanimous_no_original_is_not(self):
-        # Row player deviating to Yes gains 1 - 0.
-        game = vote_game(1, 1)
-        assert not is_equilibrium(game, pure_profile(game, 1, 1))
-
-    def test_constant_game_everything_qualifies(self):
-        for i in range(2):
-            for j in range(2):
-                assert is_equilibrium(ALL_ZERO, pure_profile(ALL_ZERO, i, j))
-
-
 class TestEnumeratePure:
     def test_constant_vote_game_has_four(self):
         game = vote_game("1/2", "1/2")
@@ -224,10 +146,11 @@ class TestEnumeratePure:
     def test_matching_pennies_has_none(self):
         assert enumerate_pure_equilibria(MATCHING_PENNIES) == []
 
-    def test_payoffs_match_expected_payoff(self):
+    def test_payoffs_match_oracle_payoffs(self):
         game = PRISONERS_DILEMMA
         for result in enumerate_pure_equilibria(game):
-            assert result.payoffs == expected_payoff(game, result.profile)
+            x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
+            assert result.payoffs == payoffs(game.payoff1, game.payoff2, x, y)
 
 
 class TestEnumerateMixed:
@@ -262,7 +185,9 @@ class TestEnumerateMixed:
     def test_mixed_results_pass_exact_check(self):
         for game in (MATCHING_PENNIES, PRISONERS_DILEMMA, vote_game("3/5", "7/10")):
             for result in enumerate_mixed_equilibria(game):
-                assert is_equilibrium(game, result.profile)
+                x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
+                assert is_nash(game.payoff1, game.payoff2, x, y)
+                assert result.payoffs == payoffs(game.payoff1, game.payoff2, x, y)
 
     def test_nondegenerate_coordination_game(self):
         # Two pure equilibria plus the interior mix.
@@ -364,6 +289,23 @@ class TestGameInterchange:
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_game('{"payoff1": [[%s]], "payoff2": [[1]]}' % literal)
 
+    @pytest.mark.parametrize(
+        "extra", ['"row_lables": ["a", "b"]', '"row": 3', '"Cols": 3', '"": 1']
+    )
+    def test_load_rejects_unknown_field(self, extra):
+        text = '{"payoff1": [[1, 1], [1, 1]], "payoff2": [[1, 1], [1, 1]], %s}' % extra
+        field = extra.split('"')[1]
+        with pytest.raises(ValidationError, match=f"^unknown field '{field}'$"):
+            load_game(text)
+
     def test_load_requires_both_matrices(self):
         with pytest.raises(ValidationError):
             load_game('{"payoff1": [[1]]}')
+
+
+def test_public_names_resolve():
+    missing = [name for name in govgame.__all__ if not hasattr(govgame, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from govgame import *", namespace)
+    assert set(govgame.__all__) <= set(namespace)

@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 from govgame.game_core import (
     BimatrixGame,
     MixedStrategy,
-    StrategyProfile,
-    best_response_payoff,
     enumerate_mixed_equilibria,
     enumerate_pure_equilibria,
-    expected_payoff,
-    is_equilibrium,
     is_strong_nash,
     pareto_optimal_pure_profiles,
-    pure_profile,
 )
-from reference_solvers import brute_force_pure
+from reference_solvers import brute_force_pure, is_nash, payoffs
 
 F = Fraction
 
@@ -65,23 +60,6 @@ def test_probability_closure(mix):
     assert sum(mix.probs) == 1
 
 
-@settings(max_examples=60)
-@given(games(max_rows=3, max_cols=3), st.data())
-def test_payoff_linearity(game, data):
-    sigma1 = data.draw(mixes(game.rows))
-    sigma2 = data.draw(mixes(game.cols))
-    mixed = expected_payoff(game, StrategyProfile(sigma1, sigma2))
-    combined_1 = sum(
-        weight * expected_payoff(game, StrategyProfile(MixedStrategy.pure(i, game.rows), sigma2))[0]
-        for i, weight in enumerate(sigma1.probs)
-    )
-    combined_2 = sum(
-        weight * expected_payoff(game, StrategyProfile(MixedStrategy.pure(i, game.rows), sigma2))[1]
-        for i, weight in enumerate(sigma1.probs)
-    )
-    assert mixed == (combined_1, combined_2)
-
-
 @settings(max_examples=100)
 @given(games())
 def test_pure_enumeration_matches_brute_force(game):
@@ -96,20 +74,17 @@ def test_pure_enumeration_matches_brute_force(game):
 @given(games())
 def test_pure_results_pass_equilibrium_check(game):
     for result in enumerate_pure_equilibria(game):
-        assert is_equilibrium(game, result.profile)
+        x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
+        assert is_nash(game.payoff1, game.payoff2, x, y)
 
 
 @settings(max_examples=60, deadline=None)
 @given(games(max_rows=3, max_cols=3))
 def test_mixed_enumeration_soundness(game):
     for result in enumerate_mixed_equilibria(game):
-        assert is_equilibrium(game, result.profile)
-        # No pure deviation may improve either player; by linearity this
-        # is equivalent to full best-response optimality.
-        payoffs = result.payoffs
-        assert payoffs == expected_payoff(game, result.profile)
-        assert payoffs[0] == best_response_payoff(game, 1, result.profile.sigma2)
-        assert payoffs[1] == best_response_payoff(game, 2, result.profile.sigma1)
+        x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
+        assert is_nash(game.payoff1, game.payoff2, x, y)
+        assert result.payoffs == payoffs(game.payoff1, game.payoff2, x, y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,18 +139,6 @@ def test_determinism(game):
         (r.profile, r.payoffs, r.kind, r.degenerate_game) for r in second
     ]
     assert pareto_optimal_pure_profiles(game) == pareto_optimal_pure_profiles(game)
-
-
-@settings(max_examples=60)
-@given(games(), st.data())
-def test_best_response_is_max_over_rows(game, data):
-    opponent = data.draw(mixes(game.cols))
-    best = best_response_payoff(game, 1, opponent)
-    per_row = [
-        expected_payoff(game, StrategyProfile(MixedStrategy.pure(i, game.rows), opponent))[0]
-        for i in range(game.rows)
-    ]
-    assert best == max(per_row)
 
 
 @settings(max_examples=60)

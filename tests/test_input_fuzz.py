@@ -112,15 +112,26 @@ def test_whole_documents(value):
 
 # Arbitrary text, arbitrary JSON documents, and valid files with one field
 # replaced, so that examples reach the solver and the writers as well as
-# the JSON decoder.
+# the JSON decoder. Labels of the game's size and arbitrary scenario names
+# pass the loaders' shape checks, so their text reaches the writers.
 CLI_TEXT = (
     st.text(max_size=40)
     | JSON_VALUES.map(json.dumps)
     | st.builds(_replace, st.just(GAME), st.sampled_from(GAME_FIELDS), JSON_VALUES)
     | st.builds(
+        _replace,
+        st.just(GAME),
+        st.sampled_from([("row_labels",), ("col_labels",)]),
+        st.lists(st.text(CHARACTERS, max_size=8), min_size=2, max_size=2),
+    )
+    | st.builds(
         lambda path, value: _replace({"scenarios": [SCENARIO]}, ("scenarios", 0, *path), value),
         st.sampled_from(SCENARIO_FIELDS),
         JSON_VALUES,
+    )
+    | st.builds(
+        lambda name: _replace({"scenarios": [SCENARIO]}, ("scenarios", 0, "name"), name),
+        st.text(CHARACTERS, max_size=8),
     )
 )
 
