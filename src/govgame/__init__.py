@@ -31,10 +31,8 @@ from .governance import (
     SurplusReport,
     build_governance_game,
     classify_regime,
-    community_surplus,
     predict_outcome,
     prediction_to_dict,
-    voter_surplus,
 )
 from .rationals import format_rational, parse_rational
 from .scenario_runner import (
@@ -79,7 +77,6 @@ __all__ = [
     "build_governance_game",
     "builtin_table1_scenarios",
     "classify_regime",
-    "community_surplus",
     "enumerate_mixed_equilibria",
     "enumerate_pure_equilibria",
     "format_rational",
@@ -97,6 +94,5 @@ __all__ = [
     "run_ethereum_case_study",
     "run_scenario",
     "run_table1_suite",
-    "voter_surplus",
     "__version__",
 ]

@@ -90,6 +90,28 @@ class BimatrixGame:
             self, "col_labels", _coerce_labels(self.col_labels, len(p1[0]), "col_labels")
         )
 
+    @classmethod
+    def _checked(
+        cls,
+        payoff1: PayoffMatrix,
+        payoff2: PayoffMatrix,
+        row_labels: tuple[str, ...],
+        col_labels: tuple[str, ...],
+    ) -> BimatrixGame:
+        """A game from parts that are already valid, without re-checking them.
+
+        Precondition: payoff1 and payoff2 are non-empty tuples of equal-width
+        tuples of Fractions, of one shape, and the label tuples hold one str
+        per row and one per column. The caller guarantees this; nothing here
+        checks it.
+        """
+        game = object.__new__(cls)
+        object.__setattr__(game, "payoff1", payoff1)
+        object.__setattr__(game, "payoff2", payoff2)
+        object.__setattr__(game, "row_labels", row_labels)
+        object.__setattr__(game, "col_labels", col_labels)
+        return game
+
     @property
     def rows(self) -> int:
         return len(self.payoff1)

@@ -68,6 +68,8 @@ class ForkRisk(Enum):
         return self.rank < other.rank
 
 
+_HALF = Fraction(1, 2)
+
 # Chain-split risk of every vote that is not unanimous; unanimity has risk NONE.
 _FORK_RISK = {
     Mode.NO_GOVERNANCE: ForkRisk.HIGH,
@@ -186,30 +188,33 @@ class PredictionResult:
     notes: tuple[str, ...] = ()
 
 
-def build_governance_game(
-    beta: Fraction, gamma: Fraction, payoff_v: Fraction, payoff_c: Fraction
-) -> BimatrixGame:
+_VOTE_ROWS = ("Yes", "No")
+_VOTE_COLS = ("Upgraded", "Original")
+
+
+def _masses(
+    params: GovernanceParams, share: Fraction
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """s_yes, s_no, s_u, s_o: beta splits k*s_v, share splits n*s_c."""
+    voters = params.k * params.s_v
+    community = params.n * params.s_c
+    s_yes = params.beta * voters
+    s_u = share * community
+    return s_yes, voters - s_yes, s_u, community - s_u
+
+
+def build_governance_game(params: GovernanceParams) -> BimatrixGame:
     """Build the 2x2 voting game between voters and community.
 
     Rows are the voter strategies (Yes, No), columns the community
-    strategies (Upgraded, Original). The voter side earns beta*payoff_v
-    on Yes and (1-beta)*payoff_v on No regardless of the column; the
-    community side earns gamma*payoff_c on Upgraded and
-    (1-gamma)*payoff_c on Original regardless of the row.
+    strategies (Upgraded, Original). The voter side earns s_yes on Yes
+    and s_no on No regardless of the column; the community side earns
+    s_u on Upgraded and s_o on Original regardless of the row. These are
+    SurplusReport's masses with the community split by gamma.
     """
-    beta = _share(beta, "beta")
-    gamma = _share(gamma, "gamma")
-    payoff_v = _positive(payoff_v, "payoff_v")
-    payoff_c = _positive(payoff_c, "payoff_c")
-    yes = beta * payoff_v
-    no = (1 - beta) * payoff_v
-    up = gamma * payoff_c
-    orig = (1 - gamma) * payoff_c
-    return BimatrixGame(
-        payoff1=((yes, yes), (no, no)),
-        payoff2=((up, orig), (up, orig)),
-        row_labels=("Yes", "No"),
-        col_labels=("Upgraded", "Original"),
+    s_yes, s_no, s_u, s_o = _masses(params, params.gamma)
+    return BimatrixGame._checked(
+        ((s_yes, s_yes), (s_no, s_no)), ((s_u, s_o), (s_u, s_o)), _VOTE_ROWS, _VOTE_COLS
     )
 
 
@@ -221,64 +226,30 @@ def classify_regime(params: GovernanceParams) -> Regime:
     vote with gamma < 1 classifies as MAJORITY_ACCEPT and is flagged in
     prediction notes.
     """
-    half = Fraction(1, 2)
     if params.beta == 1 and params.gamma == 1:
         return Regime.UNANIMOUS_ACCEPT
-    if params.beta == half:
+    if params.beta == _HALF:
         return Regime.TIE
-    if params.beta < half:
+    if params.beta < _HALF:
         return Regime.MAJORITY_REJECT
     return Regime.MAJORITY_ACCEPT
 
 
-def _orientation(params: GovernanceParams, regime: Regime) -> int:
-    """The sign sigma of SurplusReport: -1 for a rejection outside on_chain."""
-    if regime is Regime.MAJORITY_REJECT and params.mode is not Mode.ON_CHAIN:
-        return -1
-    return 1
-
-
-def _split(share: Fraction, mass: Fraction, sign: int) -> tuple[Fraction, Fraction, Fraction]:
-    """share*mass, (1 - share)*mass, and their difference oriented by sign."""
-    high = share * mass
-    low = (1 - share) * mass
-    return high, low, sign * (high - low)
-
-
-def voter_surplus(params: GovernanceParams) -> Fraction:
-    """Oriented voter surplus for the scenario's regime.
-
-    Accept regimes give (2*beta - 1)*k*s_v; a tie gives 0; rejections
-    give (1 - 2*beta)*k*s_v except in on_chain mode, where the signed
-    (negative) accept-oriented value is kept so it can offset the
-    post-consultation community surplus.
-    """
-    sign = _orientation(params, classify_regime(params))
-    return _split(params.beta, params.k * params.s_v, sign)[2]
-
-
-def community_surplus(params: GovernanceParams) -> Fraction:
-    """Oriented community surplus for the scenario's regime.
-
-    Unanimity gives the full mass n*s_c; accept regimes and ties give
-    (2*gamma - 1)*n*s_c; rejections give (1 - 2*gamma)*n*s_c except in
-    on_chain mode, where the consultation round's gamma_prime replaces
-    gamma: (2*gamma_prime - 1)*n*s_c.
-    """
-    return _report(params, classify_regime(params)).surplus_c
-
-
 def _report(params: GovernanceParams, regime: Regime) -> SurplusReport:
+    rejects = regime is Regime.MAJORITY_REJECT
+    on_chain = params.mode is Mode.ON_CHAIN
     share = params.gamma
-    if regime is Regime.MAJORITY_REJECT and params.mode is Mode.ON_CHAIN:
+    if rejects and on_chain:
         if params.gamma_prime is None:
             raise ValidationError(
                 "gamma_prime is required in on_chain mode when the vote rejects"
             )
         share = params.gamma_prime
-    sign = _orientation(params, regime)
-    s_yes, s_no, surplus_v = _split(params.beta, params.k * params.s_v, sign)
-    s_u, s_o, surplus_c = _split(share, params.n * params.s_c, sign)
+    s_yes, s_no, s_u, s_o = _masses(params, share)
+    if rejects and not on_chain:
+        surplus_v, surplus_c = s_no - s_yes, s_o - s_u
+    else:
+        surplus_v, surplus_c = s_yes - s_no, s_u - s_o
     return SurplusReport(s_yes, s_no, s_u, s_o, surplus_v, surplus_c, surplus_v + surplus_c)
 
 
@@ -322,9 +293,8 @@ def predict_outcome(
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
     regime = classify_regime(params)
-    half = Fraction(1, 2)
     notes: list[str] = []
-    if (params.beta - half) * (params.gamma - half) < 0:
+    if params.beta < _HALF < params.gamma or params.gamma < _HALF < params.beta:
         notes.append("community majority decided independently of the voter majority")
 
     if regime is Regime.UNANIMOUS_ACCEPT:
@@ -336,7 +306,7 @@ def predict_outcome(
     if params.mode is Mode.NO_GOVERNANCE:
         if tie_break is not None:
             notes.append("tie_break has no effect without governance")
-        chain = _chain_by_sign(params.gamma - half)
+        chain = _chain_by_sign(params.gamma - _HALF)
         return PredictionResult(regime, chain, risk, _report(params, regime), tuple(notes))
 
     effective = regime

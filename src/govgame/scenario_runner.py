@@ -178,12 +178,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """
     params = scenario.params
     try:
-        game = build_governance_game(
-            params.beta,
-            params.gamma,
-            params.k * params.s_v,
-            params.n * params.s_c,
-        )
+        game = build_governance_game(params)
         equilibria = tuple(enumerate_mixed_equilibria(game))
         prediction = predict_outcome(params)
         check = _check_expectation(scenario.expected, equilibria, prediction)

@@ -26,7 +26,6 @@ from govgame.governance import (
     Regime,
     classify_regime,
     predict_outcome,
-    voter_surplus,
 )
 from govgame.scenario_runner import (
     CheckStatus,
@@ -111,7 +110,7 @@ def test_criterion_2_ethereum_case_study():
         n = k + rng.randint(0, 1000)
         s_v = F(rng.randint(1, 50), rng.randint(1, 20))
         params = GovernanceParams(beta=F(27, 50), gamma=F(7, 10), k=k, n=n, s_v=s_v)
-        assert voter_surplus(params) == F(2, 25) * k * s_v
+        assert predict_outcome(params).surplus.surplus_v == F(2, 25) * k * s_v
     _stamp("case study prediction and voter surplus", started, 1.0)
 
 

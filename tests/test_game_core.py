@@ -47,6 +47,14 @@ PRISONERS_DILEMMA = BimatrixGame(
     payoff2=[[F(3), F(5)], [F(0), F(1)]],
 )
 
+# Its mixed equilibrium has x = (2/3, 1/3) and y = (1/3, 2/3), so a
+# solver that swaps the row and column vertex of a pair reports a non-Nash
+# profile.
+BATTLE_OF_THE_SEXES = BimatrixGame(
+    payoff1=[[F(2), F(0)], [F(0), F(1)]],
+    payoff2=[[F(1), F(0)], [F(0), F(2)]],
+)
+
 
 class TestBimatrixGame:
     def test_shape_properties(self):
@@ -183,7 +191,12 @@ class TestEnumerateMixed:
         assert all(r.degenerate_game for r in results)
 
     def test_mixed_results_pass_exact_check(self):
-        for game in (MATCHING_PENNIES, PRISONERS_DILEMMA, vote_game("3/5", "7/10")):
+        for game in (
+            MATCHING_PENNIES,
+            PRISONERS_DILEMMA,
+            BATTLE_OF_THE_SEXES,
+            vote_game("3/5", "7/10"),
+        ):
             for result in enumerate_mixed_equilibria(game):
                 x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
                 assert is_nash(game.payoff1, game.payoff2, x, y)

@@ -16,10 +16,8 @@ from govgame.governance import (
     Regime,
     build_governance_game,
     classify_regime,
-    community_surplus,
     predict_outcome,
     prediction_to_dict,
-    voter_surplus,
 )
 
 F = Fraction
@@ -95,19 +93,19 @@ class TestForkRiskOrdering:
 
 class TestBuildGovernanceGame:
     def test_unanimous_cells(self):
-        game = build_governance_game(F(1), F(1), F(1), F(1))
+        game = build_governance_game(params(1, 1))
         assert game.payoff1 == ((F(1), F(1)), (F(0), F(0)))
         assert game.payoff2 == ((F(1), F(0)), (F(1), F(0)))
         assert game.row_labels == ("Yes", "No")
         assert game.col_labels == ("Upgraded", "Original")
 
     def test_half_half_is_constant(self):
-        game = build_governance_game(F(1, 2), F(1, 2), F(1), F(1))
+        game = build_governance_game(params("1/2", "1/2"))
         assert all(v == F(1, 2) for row in game.payoff1 for v in row)
         assert all(v == F(1, 2) for row in game.payoff2 for v in row)
 
     def test_majority_game_unique_equilibrium(self):
-        game = build_governance_game(F(3, 5), F(7, 10), F(1), F(1))
+        game = build_governance_game(params("3/5", "7/10"))
         results = enumerate_pure_equilibria(game)
         assert len(results) == 1
         assert results[0].payoffs == (F(3, 5), F(7, 10))
@@ -115,15 +113,16 @@ class TestBuildGovernanceGame:
         assert results[0].profile.sigma2.support == (0,)
 
     def test_scales_multiply_through(self):
-        game = build_governance_game(F(3, 5), F(7, 10), F(10), F(100))
+        game = build_governance_game(params("3/5", "7/10", s_v=F(10), s_c=F(100)))
         assert game.payoff1[0][0] == F(6)
         assert game.payoff2[0][0] == F(70)
 
     def test_out_of_range_rejected(self):
+        # GovernanceParams is the one validator on the way to the game.
         with pytest.raises(ValidationError, match=r"beta out of \[0,1\]"):
-            build_governance_game(F(2), F(1), F(1), F(1))
-        with pytest.raises(ValidationError):
-            build_governance_game(F(1, 2), F(1, 2), F(0), F(1))
+            params(F(2), F(1))
+        with pytest.raises(ValidationError, match="s_v must be positive"):
+            params(F(1, 2), F(1, 2), s_v=F(0))
 
 
 def masses(prediction) -> tuple[F, F]:
@@ -197,54 +196,68 @@ class TestClassifyRegime:
         assert classify_regime(params(1, "7/10")) is Regime.MAJORITY_ACCEPT
 
 
+def surplus_v(p: GovernanceParams) -> F:
+    return predict_outcome(p).surplus.surplus_v
+
+
+def surplus_c(p: GovernanceParams) -> F:
+    return predict_outcome(p).surplus.surplus_c
+
+
 class TestVoterSurplus:
     def test_unanimity_full_mass(self):
-        assert voter_surplus(params(1, 1)) == F(1)
+        assert surplus_v(params(1, 1)) == F(1)
 
     def test_case_study_beta(self):
-        assert voter_surplus(params("27/50", "7/10")) == F(2, 25)
+        assert surplus_v(params("27/50", "7/10")) == F(2, 25)
 
     def test_tie_is_zero(self):
-        assert voter_surplus(params("1/2", "7/10")) == F(0)
+        assert surplus_v(params("1/2", "7/10")) == F(0)
 
     def test_off_chain_reject_positive_orientation(self):
-        assert voter_surplus(params("1/5", "2/5")) == F(3, 5)
+        assert surplus_v(params("1/5", "2/5")) == F(3, 5)
 
     def test_on_chain_reject_signed(self):
         p = params("2/5", "2/5", gamma_prime="4/5", mode=Mode.ON_CHAIN)
-        assert voter_surplus(p) == F(-1, 5)
+        assert surplus_v(p) == F(-1, 5)
 
     def test_on_chain_reject_without_gamma_prime(self):
-        # Only the community side needs gamma_prime; the voter side keeps
-        # the signed (2*beta - 1)*k*s_v.
+        # Without gamma_prime the prediction is refused; with any
+        # gamma_prime the voter side keeps the signed (2*beta - 1)*k*s_v.
         p = params("1/5", "2/5", mode=Mode.ON_CHAIN, k=3, n=10, s_v=F(2))
-        assert voter_surplus(p) == (2 * F(1, 5) - 1) * 3 * 2 == F(-18, 5)
+        with pytest.raises(ValidationError, match="gamma_prime is required"):
+            predict_outcome(p)
+        for gamma_prime in ("0", "3/10", "1"):
+            p = params(
+                "1/5", "2/5", gamma_prime=gamma_prime, mode=Mode.ON_CHAIN, k=3, n=10, s_v=F(2)
+            )
+            assert surplus_v(p) == (2 * F(1, 5) - 1) * 3 * 2 == F(-18, 5)
 
     def test_scales_with_k_and_unit(self):
-        assert voter_surplus(params("27/50", "7/10", k=10, n=10, s_v=F(5))) == F(4)
+        assert surplus_v(params("27/50", "7/10", k=10, n=10, s_v=F(5))) == F(4)
 
 
 class TestCommunitySurplus:
     def test_unanimity_full_mass(self):
-        assert community_surplus(params(1, 1)) == F(1)
+        assert surplus_c(params(1, 1)) == F(1)
 
     def test_majority_accept(self):
-        assert community_surplus(params("27/50", "7/10")) == F(2, 5)
+        assert surplus_c(params("27/50", "7/10")) == F(2, 5)
 
     def test_on_chain_reject_uses_gamma_prime(self):
         p = params("2/5", "2/5", gamma_prime="4/5", mode=Mode.ON_CHAIN)
-        assert community_surplus(p) == F(3, 5)
+        assert surplus_c(p) == F(3, 5)
 
     def test_off_chain_reject_orientation(self):
-        assert community_surplus(params("1/5", "2/5")) == F(1, 5)
+        assert surplus_c(params("1/5", "2/5")) == F(1, 5)
 
     def test_on_chain_reject_requires_gamma_prime(self):
         p = params("2/5", "2/5", mode=Mode.ON_CHAIN)
         with pytest.raises(ValidationError, match="gamma_prime is required in on_chain mode"):
-            community_surplus(p)
+            surplus_c(p)
 
     def test_tie_uses_accept_orientation(self):
-        assert community_surplus(params("1/2", "7/10")) == F(2, 5)
+        assert surplus_c(params("1/2", "7/10")) == F(2, 5)
 
 
 class TestTotalSurplus:

@@ -22,9 +22,7 @@ from govgame.governance import (
     Regime,
     build_governance_game,
     classify_regime,
-    community_surplus,
     predict_outcome,
-    voter_surplus,
 )
 
 F = Fraction
@@ -85,7 +83,7 @@ def test_mass_conservation(params):
 )
 def test_accept_voter_surplus_positive(beta, gamma, k, s_v):
     params = GovernanceParams(beta=beta, gamma=gamma, k=k, n=k, s_v=s_v)
-    assert voter_surplus(params) > 0
+    assert predict_outcome(params).surplus.surplus_v > 0
 
 
 @given(
@@ -94,7 +92,7 @@ def test_accept_voter_surplus_positive(beta, gamma, k, s_v):
 )
 def test_off_chain_reject_voter_surplus_positive(beta, gamma):
     params = GovernanceParams(beta=beta, gamma=gamma, mode=Mode.OFF_CHAIN)
-    assert voter_surplus(params) > 0
+    assert predict_outcome(params).surplus.surplus_v > 0
 
 
 @given(
@@ -103,7 +101,7 @@ def test_off_chain_reject_voter_surplus_positive(beta, gamma):
 )
 def test_accept_community_surplus_positive(beta, gamma):
     params = GovernanceParams(beta=beta, gamma=gamma)
-    assert community_surplus(params) > 0
+    assert predict_outcome(params).surplus.surplus_c > 0
 
 
 @settings(max_examples=200)
@@ -166,8 +164,10 @@ def test_scale_equivariance_voter_side(params, factor):
         s_c=params.s_c,
         mode=params.mode,
     )
-    assert voter_surplus(scaled) == factor * voter_surplus(params)
-    assert community_surplus(scaled) == community_surplus(params)
+    base = predict_outcome(params).surplus
+    same = predict_outcome(scaled).surplus
+    assert same.surplus_v == factor * base.surplus_v
+    assert same.surplus_c == base.surplus_c
     assert classify_regime(scaled) is classify_regime(params)
 
 
@@ -244,13 +244,33 @@ def test_equilibrium_column_matches_prediction_when_aligned(beta, gamma):
 def test_vote_game_is_dominance_solvable_unless_a_share_is_half(beta, gamma, payoff_v, payoff_c):
     # Neither side's payoff depends on the other's move, so a share off
     # 1/2 makes that side's better move strictly dominant.
-    results = enumerate_mixed_equilibria(build_governance_game(beta, gamma, payoff_v, payoff_c))
+    params = GovernanceParams(beta=beta, gamma=gamma, s_v=payoff_v, s_c=payoff_c)
+    results = enumerate_mixed_equilibria(build_governance_game(params))
     assert all(r.kind is EquilibriumKind.PURE for r in results)
     cells = [(r.profile.sigma1.support[0], r.profile.sigma2.support[0]) for r in results]
     rows = [0, 1] if beta == HALF else [0 if beta > HALF else 1]
     cols = [0, 1] if gamma == HALF else [0 if gamma > HALF else 1]
     assert cells == [(i, j) for i in rows for j in cols]
     assert all(r.degenerate_game == (len(cells) > 1) for r in results)
+
+
+@settings(max_examples=200)
+@given(governance_params(betas=st.one_of(st.just(HALF), unit)))
+def test_vote_game_entries_are_the_surplus_masses(params):
+    game = build_governance_game(params)
+    # The trusted constructor builds what the validating one would.
+    assert game == BimatrixGame(game.payoff1, game.payoff2, game.row_labels, game.col_labels)
+    assert all(type(v) is F for matrix in (game.payoff1, game.payoff2) for row in matrix for v in row)
+    report = predict_outcome(params).surplus
+    s_u, s_o = report.s_u, report.s_o
+    if params.mode is Mode.ON_CHAIN and classify_regime(params) is Regime.MAJORITY_REJECT:
+        # The report splits the community by gamma_prime, the game by gamma.
+        community = params.n * params.s_c
+        assert s_u == params.gamma_prime * community
+        s_u = params.gamma * community
+        s_o = community - s_u
+    assert game.payoff1 == ((report.s_yes,) * 2, (report.s_no,) * 2)
+    assert game.payoff2 == ((s_u, s_o),) * 2
 
 
 @settings(max_examples=100)
