@@ -37,7 +37,6 @@ from .governance import (
 from .rationals import format_rational, parse_rational
 from .scenario_runner import (
     CheckStatus,
-    ExpectationCheck,
     ExpectedEquilibrium,
     ExpectedOutcome,
     Scenario,
@@ -60,7 +59,6 @@ __all__ = [
     "CheckStatus",
     "EquilibriumKind",
     "EquilibriumResult",
-    "ExpectationCheck",
     "ExpectedEquilibrium",
     "ExpectedOutcome",
     "ForkRisk",

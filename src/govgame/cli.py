@@ -34,7 +34,6 @@ from .governance import (
 from .rationals import approx, format_rational, json_text, parse_rational
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
-    CheckStatus,
     ScenarioResult,
     csv_text,
     load_scenarios,
@@ -326,7 +325,7 @@ def _result_table(results: list[ScenarioResult]) -> str:
                 # Follow-on equilibria leave the scenario columns blank.
                 rows.append(["", "", "", *row[3:], ""])
             else:
-                rows.append([*row, result.expectation_check.status.value])
+                rows.append([*row, result.status.value])
     return _text(
         [
             *_grid(header, rows),
@@ -345,25 +344,22 @@ def _results_text(args: argparse.Namespace, results: list[ScenarioResult]) -> st
     return _result_table(results)
 
 
-def _report_mismatches(results: list[ScenarioResult]) -> None:
-    for result in results:
-        if result.expectation_check.status is CheckStatus.MISMATCH:
-            for detail in result.expectation_check.details:
-                print(f"mismatch in {result.name!r}: {detail}", file=sys.stderr)
+def _mismatch_exit(results: list[ScenarioResult]) -> int:
+    """Write each mismatch line to standard error; EXIT_MISMATCH if there was one."""
+    lines = [f"mismatch in {r.name!r}: {detail}" for r in results for detail in r.mismatches or ()]
+    sys.stderr.write(_text(lines))
+    return EXIT_MISMATCH if lines else EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     results = run_table1_suite()
     sys.stdout.write(_results_text(args, results))
-    mismatched = any(
-        r.expectation_check.status is CheckStatus.MISMATCH for r in results
-    )
-    if args.verify:
-        if mismatched:
-            _report_mismatches(results)
-            return EXIT_MISMATCH
+    if not args.verify:
+        return EXIT_OK
+    code = _mismatch_exit(results)
+    if code == EXIT_OK:
         _diag(args, "all 9 simulations match their published values")
-    return EXIT_OK
+    return code
 
 
 def cmd_casestudy(args: argparse.Namespace) -> int:
@@ -376,7 +372,7 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
                 f"beta  = {_payoff_text(result.params.beta)}",
                 f"gamma = {_payoff_text(result.params.gamma)}{suffix}",
                 *_surplus_lines(result.prediction.surplus, ("surplus_v", "surplus_c", "total")),
-                f"historical comparison: {result.expectation_check.status.value}",
+                f"historical comparison: {result.status.value}",
                 *(f"note: {note}" for note in result.notes),
             ]
         )
@@ -386,10 +382,7 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
     if args.format == "csv":
         for note in result.notes:
             _diag(args, f"note: {note}")
-    if result.expectation_check.status is CheckStatus.MISMATCH:
-        _report_mismatches([result])
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return _mismatch_exit([result])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -403,10 +396,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for result in results:
         for warning in result.params.warnings:
             _diag(args, f"warning: scenario {result.name!r}: {warning}")
-    if any(r.expectation_check.status is CheckStatus.MISMATCH for r in results):
-        _report_mismatches(results)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return _mismatch_exit(results)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import lt
 
 from .errors import ValidationError
-from .rationals import parse_json, parse_rational, reject_lone_surrogates
+from .rationals import json_object, parse_json, parse_rational, reject_lone_surrogates
 
 PayoffMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -566,15 +566,7 @@ def load_game(text: str) -> BimatrixGame:
     field is rejected. Decimal literals are read as the exact rationals
     they denote.
     """
-    data = parse_json(text)
-    if not isinstance(data, dict):
-        raise ValidationError("game file must contain a JSON object")
-    unknown = sorted(set(data) - _GAME_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown field {unknown[0]!r}")
-    for field in ("payoff1", "payoff2"):
-        if field not in data:
-            raise ValidationError(f"game file is missing {field!r}")
+    data = json_object(parse_json(text), "game file", _GAME_KEYS, ("payoff1", "payoff2"))
     game = BimatrixGame(
         payoff1=data["payoff1"],
         payoff2=data["payoff2"],

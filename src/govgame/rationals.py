@@ -6,14 +6,16 @@ exact arithmetic. These helpers convert the external representations
 ("p/q" strings, decimal strings, JSON numbers) to and from that type
 without ever rounding: a decimal literal is read as the rational it
 denotes, not as the nearest binary float. The JSON the package reads
-goes through `parse_json` and the JSON it writes through `json_text`;
-`reject_lone_surrogates` refuses text that UTF-8 cannot encode.
+goes through `parse_json`, and each object in it through `json_object`;
+the JSON it writes goes through `json_text`. `reject_lone_surrogates`
+refuses text that UTF-8 cannot encode.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Collection
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -83,6 +85,25 @@ def parse_json(text: str) -> object:
         raise ValidationError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("not valid JSON: nesting is too deep") from None
+
+
+def json_object(
+    value: object, what: str, allowed: Collection[str], required: Collection[str] = ()
+) -> dict:
+    """The value, if it is a JSON object with only allowed and all required fields.
+
+    Otherwise raise ValidationError naming `what` and, among several
+    unknown or missing fields, the first in sorted order.
+    """
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object")
+    unknown = sorted(set(value).difference(allowed))
+    if unknown:
+        raise ValidationError(f"unknown field {unknown[0]!r} in {what}")
+    missing = sorted(set(required).difference(value))
+    if missing:
+        raise ValidationError(f"{what} is missing {missing[0]!r}")
+    return value
 
 
 def reject_lone_surrogates(text: str, field: str) -> None:

@@ -31,6 +31,7 @@ from .governance import (
 )
 from .rationals import (
     format_rational,
+    json_object,
     json_text,
     parse_json,
     parse_rational,
@@ -80,23 +81,26 @@ class CheckStatus(Enum):
 
 
 @dataclass(frozen=True)
-class ExpectationCheck:
-    """Outcome of comparing computed results against an expectation."""
-
-    status: CheckStatus
-    details: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
-    """Everything computed for one scenario."""
+    """Everything computed for one scenario.
+
+    mismatches is None when the scenario carries no expectation, and
+    otherwise holds one line per difference from it; status is derived
+    from it, so a match never carries a mismatch line.
+    """
 
     name: str
     params: GovernanceParams
     equilibria: tuple[EquilibriumResult, ...]
     prediction: PredictionResult
-    expectation_check: ExpectationCheck
+    mismatches: tuple[str, ...] | None
     notes: tuple[str, ...] = ()
+
+    @property
+    def status(self) -> CheckStatus:
+        if self.mismatches is None:
+            return CheckStatus.NOT_CHECKED
+        return CheckStatus.MISMATCH if self.mismatches else CheckStatus.MATCH
 
 
 _ROW_INDEX = {"yes": 0, "no": 1}
@@ -140,9 +144,9 @@ def _check_expectation(
     expected: ExpectedOutcome | None,
     equilibria: tuple[EquilibriumResult, ...],
     prediction: PredictionResult,
-) -> ExpectationCheck:
+) -> tuple[str, ...] | None:
     if expected is None:
-        return ExpectationCheck(CheckStatus.NOT_CHECKED)
+        return None
     details: list[str] = []
     if expected.equilibria is not None:
         if len(equilibria) != len(expected.equilibria):
@@ -163,9 +167,7 @@ def _check_expectation(
             f"expected majority_chain {expected.majority_chain.value}, "
             f"predicted {prediction.majority_chain.value}"
         )
-    if details:
-        return ExpectationCheck(CheckStatus.MISMATCH, tuple(details))
-    return ExpectationCheck(CheckStatus.MATCH)
+    return tuple(details)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -181,10 +183,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         game = build_governance_game(params)
         equilibria = tuple(enumerate_mixed_equilibria(game))
         prediction = predict_outcome(params)
-        check = _check_expectation(scenario.expected, equilibria, prediction)
+        mismatches = _check_expectation(scenario.expected, equilibria, prediction)
     except ValidationError as exc:
         raise ValidationError(f"scenario {scenario.name!r}: {exc}") from None
-    return ScenarioResult(scenario.name, params, equilibria, prediction, check)
+    return ScenarioResult(scenario.name, params, equilibria, prediction, mismatches)
 
 
 # The nine built-in simulations: name, beta, gamma, and the published
@@ -279,11 +281,8 @@ def run_ethereum_case_study(
         )
     if base.prediction.fork_risk is ForkRisk.NONE:
         details.append("fork_risk: predicted none, history shows the chain split")
-    status = CheckStatus.MISMATCH if details else CheckStatus.MATCH
     notes.append(f"recorded outcome: {HISTORICAL_OUTCOME}")
-    return replace(
-        base, expectation_check=ExpectationCheck(status, tuple(details)), notes=tuple(notes)
-    )
+    return replace(base, mismatches=tuple(details), notes=tuple(notes))
 
 
 _PARAM_KEYS = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
@@ -297,31 +296,19 @@ _CHAINS = {chain.value: chain for chain in Chain}
 def _parse_expected(raw: object) -> ExpectedOutcome | None:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise ValidationError("expected must be an object")
-    unknown = sorted(set(raw) - _EXPECTED_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown field {unknown[0]!r} in expected")
+    raw = json_object(raw, "expected", _EXPECTED_KEYS)
     equilibria = None
     if "equilibria" in raw:
         if not isinstance(raw["equilibria"], list):
             raise ValidationError("expected.equilibria must be an array")
-        parsed = []
-        for pos, entry in enumerate(raw["equilibria"], start=1):
-            if not isinstance(entry, dict):
-                raise ValidationError(f"expected equilibrium {pos} must be an object")
-            unknown = sorted(set(entry) - _EQUILIBRIUM_KEYS)
-            if unknown:
-                raise ValidationError(
-                    f"unknown field {unknown[0]!r} in expected equilibrium {pos}"
+        equilibria = tuple(
+            ExpectedEquilibrium(
+                **json_object(
+                    entry, f"expected equilibrium {pos}", _EQUILIBRIUM_KEYS, _EQUILIBRIUM_KEYS
                 )
-            missing = sorted(_EQUILIBRIUM_KEYS - set(entry))
-            if missing:
-                raise ValidationError(
-                    f"expected equilibrium {pos} is missing {missing[0]!r}"
-                )
-            parsed.append(ExpectedEquilibrium(**entry))
-        equilibria = tuple(parsed)
+            )
+            for pos, entry in enumerate(raw["equilibria"], start=1)
+        )
     chain = None
     if "majority_chain" in raw:
         token = raw["majority_chain"]
@@ -334,19 +321,12 @@ def _parse_expected(raw: object) -> ExpectedOutcome | None:
 
 
 def _parse_scenario(index: int, entry: object) -> Scenario:
-    if not isinstance(entry, dict):
-        raise ValidationError(f"scenario {index + 1} must be an object")
+    entry = json_object(entry, f"scenario {index + 1}", _SCENARIO_KEYS, ("beta", "gamma"))
     name = entry.get("name", f"scenario-{index + 1}")
     if not isinstance(name, str) or not name:
         raise ValidationError(f"scenario {index + 1}: name must be a non-empty string")
     reject_lone_surrogates(name, f"scenario {index + 1}: name")
     try:
-        unknown = sorted(set(entry) - _SCENARIO_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown field {unknown[0]!r}")
-        for required in ("beta", "gamma"):
-            if required not in entry:
-                raise ValidationError(f"missing field {required!r}")
         mode_token = entry.get("mode", Mode.OFF_CHAIN.value)
         if not isinstance(mode_token, str) or mode_token not in _MODES:
             raise ValidationError(
@@ -368,10 +348,11 @@ def load_scenarios(text: str) -> list[Scenario]:
     """Parse a scenario file into scenarios, in file order.
 
     The file is a JSON object {"scenarios": [...]}. Every scenario
-    needs "beta" and "gamma"; "mode" defaults to "off_chain", "k" and
-    "n" to 1, and "s_v" and "s_c" to "1". Rationals may be written as
-    numbers or "p/q" strings and are parsed exactly. Unknown fields are
-    rejected so typos cannot silently change a scenario's meaning.
+    needs "beta" and "gamma"; "name" defaults to "scenario-<N>" for the
+    N-th scenario, "mode" to "off_chain", "k" and "n" to 1, and "s_v"
+    and "s_c" to "1". Rationals may be written as numbers or "p/q"
+    strings and are parsed exactly. Unknown fields are rejected so
+    typos cannot silently change a scenario's meaning.
     """
     data = parse_json(text)
     if not isinstance(data, dict) or set(data) != {"scenarios"}:
@@ -417,8 +398,8 @@ def result_to_dict(result: ScenarioResult) -> dict:
         "equilibria": [_equilibrium_to_dict(eq) for eq in result.equilibria],
         "prediction": prediction_to_dict(result.prediction),
         "expectation_check": {
-            "status": result.expectation_check.status.value,
-            "details": list(result.expectation_check.details),
+            "status": result.status.value,
+            "details": list(result.mismatches or ()),
         },
         "notes": list(result.notes),
     }

@@ -83,7 +83,7 @@ def test_criterion_1_table1_reproduction_exact():
     started = time.perf_counter()
     results = run_table1_suite()
     assert [len(r.equilibria) for r in results] == [1, 1, 1, 1, 4, 1, 1, 1, 1]
-    assert all(r.expectation_check.status is CheckStatus.MATCH for r in results)
+    assert all(r.status is CheckStatus.MATCH for r in results)
     for result, want in zip(results, TABLE1_PAYOFFS):
         for eq in result.equilibria:
             assert eq.payoffs == want
@@ -104,7 +104,7 @@ def test_criterion_2_ethereum_case_study():
         assert result.prediction.regime is Regime.MAJORITY_ACCEPT
         assert result.prediction.majority_chain is Chain.UPGRADED
         assert result.prediction.fork_risk is ForkRisk.PRESENT
-        assert result.expectation_check.status is CheckStatus.MATCH
+        assert result.status is CheckStatus.MATCH
     for _ in range(100):
         k = rng.randint(1, 1000)
         n = k + rng.randint(0, 1000)

@@ -7,11 +7,13 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from govgame import cli
 from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from govgame.scenario_runner import builtin_table1_scenarios
+from govgame.scenario_runner import builtin_table1_scenarios, run_table1_suite
 
 SIM6_GAME = json.dumps(
     {
@@ -25,6 +27,8 @@ SIM6_GAME = json.dumps(
 )
 
 ALL_ZERO_GAME = json.dumps({"payoff1": [[0, 0], [0, 0]], "payoff2": [[0, 0], [0, 0]]})
+
+MATCHING_PENNIES = json.dumps({"payoff1": [[1, -1], [-1, 1]], "payoff2": [[-1, 1], [1, -1]]})
 
 
 @pytest.fixture
@@ -80,7 +84,7 @@ class TestSolve:
         path.write_text(json.dumps({**json.loads(ALL_ZERO_GAME), field: 3}))
         assert main(["solve", str(path)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: unknown field {field!r}\n"
+        assert captured.err == f"error: {path}: unknown field {field!r} in game file\n"
         assert captured.out == ""
 
     def test_deeply_nested_file_is_an_error(self, tmp_path, capsys):
@@ -99,6 +103,20 @@ class TestSolve:
         data_lines = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(data_lines) == 4
         assert all("pure" in line for line in data_lines)
+
+    @pytest.mark.parametrize(
+        "fmt, expected", [("table", "no equilibria\n"), ("json", '"equilibria": []')]
+    )
+    def test_pure_only_without_pure_equilibrium(self, tmp_path, capsys, fmt, expected):
+        path = tmp_path / "pennies.json"
+        path.write_text(MATCHING_PENNIES)
+        assert main(["solve", str(path), "--pure-only", "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "table":
+            assert out == expected
+        else:
+            assert expected in out
+            assert json.loads(out)["equilibria"] == []
 
     def test_degenerate_warning_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
@@ -252,6 +270,18 @@ class TestTable1:
         captured = capsys.readouterr()
         assert "all 9 simulations match their published values" in captured.err
 
+    def test_verify_exits_2_on_a_mismatch(self, monkeypatch, capsys):
+        def one_wrong_simulation():
+            results = run_table1_suite()
+            wrong = replace(results[0], mismatches=("expected payoff_v 2, computed 1",))
+            return [wrong, *results[1:]]
+
+        monkeypatch.setattr(cli, "run_table1_suite", one_wrong_simulation)
+        assert main(["table1", "--verify"]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.err == "mismatch in '1': expected payoff_v 2, computed 1\n"
+        assert captured.out.splitlines()[1].endswith(" mismatch")
+
     def test_csv_has_13_lines(self, capsys):
         assert main(["table1", "--format", "csv"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
@@ -376,6 +406,23 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_MISMATCH
         assert "mismatch in 'one'" in capsys.readouterr().err
 
+    def test_every_mismatch_line_on_stderr(self, tmp_path, capsys):
+        wrong = {"row": "no", "col": "upgraded", "payoff_v": "1/2", "payoff_c": "1"}
+        scenarios = [
+            {"name": name, "beta": "1", "gamma": "1", "expected": {"equilibria": [wrong]}}
+            for name in ("a", "b")
+        ]
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps({"scenarios": scenarios}))
+        assert main(["run", str(path)]) == EXIT_MISMATCH
+        lines = [
+            "equilibrium 1: expected pure row 'no', computed row strategy (1, 0)",
+            "equilibrium 1: expected payoff_v 1/2, computed 1",
+        ]
+        assert capsys.readouterr().err == "".join(
+            f"mismatch in {name!r}: {line}\n" for name in ("a", "b") for line in lines
+        )
+
     def test_schema_violation_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"scenarios": [{"name": "x", "beta": "1/2", "gamma": "1/2", "extra": 1}]}')
@@ -383,6 +430,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(path) in err
         assert "unknown field 'extra'" in err
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_gamma_prime_warning_off_chain(self, tmp_path, capsys, quiet):
+        path = tmp_path / "prime.json"
+        path.write_text(
+            '{"scenarios": [{"name": "w", "beta": "3/5", "gamma": "7/10", "gamma_prime": "4/5"}]}'
+        )
+        assert main(["run", str(path), *(["--quiet"] if quiet else [])]) == EXIT_OK
+        warning = "warning: scenario 'w': gamma_prime is only used in on_chain mode\n"
+        assert capsys.readouterr().err == ("" if quiet else warning)
 
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "one.json"

@@ -308,8 +308,25 @@ class TestGameInterchange:
     def test_load_rejects_unknown_field(self, extra):
         text = '{"payoff1": [[1, 1], [1, 1]], "payoff2": [[1, 1], [1, 1]], %s}' % extra
         field = extra.split('"')[1]
-        with pytest.raises(ValidationError, match=f"^unknown field '{field}'$"):
+        with pytest.raises(ValidationError, match=f"^unknown field '{field}' in game file$"):
             load_game(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "game file must be an object"),
+            ('{"payoff2": [[1]]}', "game file is missing 'payoff1'"),
+            ('{"payoff1": [[1]]}', "game file is missing 'payoff2'"),
+            (
+                '{"payoff1": [[1, 2], [3]], "payoff2": [[1, 2], [3, 4]]}',
+                "payoff1 row 1 has 1 entries, expected 2",
+            ),
+        ],
+    )
+    def test_load_errors_exact(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            load_game(text)
+        assert str(info.value) == message
 
     def test_load_requires_both_matrices(self):
         with pytest.raises(ValidationError):

@@ -2,7 +2,9 @@
 
 Each case runs `govgame.cli.main` in process and compares its standard
 output and exit code with `tests/golden/<case>.out` and the exit code
-recorded in `tests/golden/exit_codes.json`. The golden files are a
+recorded in `tests/golden/exit_codes.json`. The cases in STDERR_CASES,
+the ones that report expectation checks, also compare their standard
+error with `tests/golden/stderr/<case>.err`. The golden files are a
 reference, not a description of the code under test: regenerate them
 only from a commit whose output is known to be right, with
 
@@ -23,6 +25,7 @@ from govgame.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+STDERR = GOLDEN / "stderr"
 FORMATS = ("table", "json", "csv")
 
 # case stem -> argv; "inputs/<file>" names a file under tests/golden.
@@ -75,14 +78,20 @@ CASES = {
     for fmt in FORMATS
 }
 
+STDERR_CASES = sorted(
+    f"{stem}.{fmt}"
+    for stem in ("run_scenarios", "casestudy_beta_1_5", "casestudy_beta_1", "table1_verify")
+    for fmt in FORMATS
+)
 
-def run_case(argv: list[str]) -> tuple[int, str]:
-    """Run the CLI in process; return its exit code and standard output."""
+
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI in process; return its exit code, standard output and error."""
     argv = [str(GOLDEN / a) if a.startswith("inputs/") else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _read(path: Path) -> str:
@@ -92,23 +101,33 @@ def _read(path: Path) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case):
-    code, out = run_case(CASES[case])
+    code, out, _ = run_case(CASES[case])
     expected_codes = json.loads(_read(GOLDEN / "exit_codes.json"))
     assert code == expected_codes[case]
     assert out == _read(GOLDEN / f"{case}.out")
 
 
+@pytest.mark.parametrize("case", STDERR_CASES)
+def test_golden_stderr(case):
+    _, _, err = run_case(CASES[case])
+    assert err == _read(STDERR / f"{case}.err")
+
+
 def test_every_golden_file_has_a_case():
     stems = {path.name[: -len(".out")] for path in GOLDEN.glob("*.out")}
     assert stems == set(CASES)
+    assert {path.name[: -len(".err")] for path in STDERR.glob("*.err")} == set(STDERR_CASES)
 
 
 def _write() -> None:
     codes = {}
     for case, argv in sorted(CASES.items()):
-        codes[case], out = run_case(argv)
+        codes[case], out, err = run_case(argv)
         with open(GOLDEN / f"{case}.out", "w", encoding="utf-8", newline="") as handle:
             handle.write(out)
+        if case in STDERR_CASES:
+            with open(STDERR / f"{case}.err", "w", encoding="utf-8", newline="") as handle:
+                handle.write(err)
     with open(GOLDEN / "exit_codes.json", "w", encoding="utf-8") as handle:
         handle.write(json.dumps(codes, indent=2, sort_keys=True) + "\n")
 

@@ -48,7 +48,7 @@ class TestBuiltinSuite:
     def test_all_nine_match(self):
         results = run_table1_suite()
         assert [r.name for r in results] == [str(i) for i in range(1, 10)]
-        assert all(r.expectation_check.status is CheckStatus.MATCH for r in results)
+        assert all(r.status is CheckStatus.MATCH for r in results)
 
     def test_equilibrium_counts(self):
         counts = [len(r.equilibria) for r in run_table1_suite()]
@@ -125,7 +125,7 @@ class TestRunScenario:
             ),
         )
         result = run_scenario(scenario)
-        assert result.expectation_check.status is CheckStatus.MATCH
+        assert result.status is CheckStatus.MATCH
         assert len(result.equilibria) == 1
 
     def test_vote_ignored_scenario(self):
@@ -137,7 +137,7 @@ class TestRunScenario:
             ),
         )
         result = run_scenario(scenario)
-        assert result.expectation_check.status is CheckStatus.MATCH
+        assert result.status is CheckStatus.MATCH
 
     def test_degenerate_scenario_count_match(self):
         rows = (
@@ -152,14 +152,14 @@ class TestRunScenario:
             expected=ExpectedOutcome(equilibria=rows),
         )
         result = run_scenario(scenario)
-        assert result.expectation_check.status is CheckStatus.MATCH
+        assert result.status is CheckStatus.MATCH
         assert all(eq.degenerate_game for eq in result.equilibria)
 
     def test_no_expectation_reports_not_checked(self):
         scenario = Scenario(name="open", params=GovernanceParams(beta=F(1), gamma=F(1)))
         result = run_scenario(scenario)
-        assert result.expectation_check.status is CheckStatus.NOT_CHECKED
-        assert result.expectation_check.details == ()
+        assert result.status is CheckStatus.NOT_CHECKED
+        assert result.mismatches is None
 
     def test_count_mismatch_detail(self):
         scenario = Scenario(
@@ -170,8 +170,8 @@ class TestRunScenario:
             ),
         )
         result = run_scenario(scenario)
-        assert result.expectation_check.status is CheckStatus.MISMATCH
-        assert "expected 1 equilibria, computed 4" in result.expectation_check.details
+        assert result.status is CheckStatus.MISMATCH
+        assert "expected 1 equilibria, computed 4" in result.mismatches
 
     def test_payoff_mismatch_detail(self):
         scenario = Scenario(
@@ -182,8 +182,22 @@ class TestRunScenario:
             ),
         )
         result = run_scenario(scenario)
-        assert result.expectation_check.status is CheckStatus.MISMATCH
-        assert any("expected payoff_v 1/2, computed 1" in d for d in result.expectation_check.details)
+        assert result.status is CheckStatus.MISMATCH
+        assert any("expected payoff_v 1/2, computed 1" in d for d in result.mismatches)
+
+    def test_strategy_and_payoff_c_mismatch_details(self):
+        scenario = Scenario(
+            name="wrong-profile",
+            params=GovernanceParams(beta=F(1), gamma=F(1)),
+            expected=ExpectedOutcome(
+                equilibria=(ExpectedEquilibrium("no", "original", F(1), F(1, 2)),)
+            ),
+        )
+        assert run_scenario(scenario).mismatches == (
+            "equilibrium 1: expected pure row 'no', computed row strategy (1, 0)",
+            "equilibrium 1: expected pure col 'original', computed col strategy (1, 0)",
+            "equilibrium 1: expected payoff_c 1/2, computed 1",
+        )
 
     def test_majority_chain_mismatch_detail(self):
         scenario = Scenario(
@@ -192,8 +206,8 @@ class TestRunScenario:
             expected=ExpectedOutcome(majority_chain=Chain.UPGRADED),
         )
         result = run_scenario(scenario)
-        assert result.expectation_check.status is CheckStatus.MISMATCH
-        assert "expected majority_chain upgraded, predicted original" in result.expectation_check.details
+        assert result.status is CheckStatus.MISMATCH
+        assert "expected majority_chain upgraded, predicted original" in result.mismatches
 
     def test_error_carries_scenario_name(self):
         scenario = Scenario(
@@ -213,7 +227,7 @@ class TestCaseStudy:
         assert result.prediction.majority_chain is Chain.UPGRADED
         assert result.prediction.fork_risk is ForkRisk.PRESENT
         assert result.prediction.surplus.surplus_v == F(2, 25)
-        assert result.expectation_check.status is CheckStatus.MATCH
+        assert result.status is CheckStatus.MATCH
 
     def test_gamma_is_labeled_as_assumed(self):
         result = run_ethereum_case_study()
@@ -228,20 +242,20 @@ class TestCaseStudy:
         result = run_ethereum_case_study(beta=F(1))
         assert result.prediction.majority_chain is Chain.UPGRADED
         assert result.prediction.fork_risk is ForkRisk.NONE
-        assert result.expectation_check.status is CheckStatus.MISMATCH
-        assert any("fork_risk" in d for d in result.expectation_check.details)
+        assert result.status is CheckStatus.MISMATCH
+        assert any("fork_risk" in d for d in result.mismatches)
 
     def test_other_majority_gamma_same_prediction(self):
         result = run_ethereum_case_study(gamma="3/5")
         assert result.prediction.majority_chain is Chain.UPGRADED
         assert result.prediction.fork_risk is ForkRisk.PRESENT
-        assert result.expectation_check.status is CheckStatus.MATCH
+        assert result.status is CheckStatus.MATCH
 
     def test_minority_beta_mismatches_on_chain(self):
         result = run_ethereum_case_study(beta="1/5")
         assert result.prediction.majority_chain is Chain.ORIGINAL
-        assert result.expectation_check.status is CheckStatus.MISMATCH
-        assert any("majority_chain" in d for d in result.expectation_check.details)
+        assert result.status is CheckStatus.MISMATCH
+        assert any("majority_chain" in d for d in result.mismatches)
 
 
 class TestLoadScenarios:
@@ -293,6 +307,54 @@ class TestLoadScenarios:
         )
         with pytest.raises(ValidationError, match="unknown field"):
             load_scenarios(text)
+
+    def test_default_name_is_position(self):
+        text = (
+            '{"scenarios": [{"beta": "1", "gamma": "1"}, {"name": "b", "beta": "1", "gamma": "1"},'
+            ' {"beta": "1", "gamma": "1"}]}'
+        )
+        assert [s.name for s in load_scenarios(text)] == ["scenario-1", "b", "scenario-3"]
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ('[]', "scenario 1 must be an object"),
+            ('{"beta": "1", "gamma": "1", "betta": 1}', "unknown field 'betta' in scenario 1"),
+            ('{"name": "x", "gamma": "1"}', "scenario 1 is missing 'beta'"),
+            (
+                '{"beta": "1", "gamma": "1", "expected": []}',
+                "scenario 'scenario-1': expected must be an object",
+            ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "expected": {"equilibriums": []}}',
+                "scenario 'x': unknown field 'equilibriums' in expected",
+            ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "expected": {"equilibria": [1]}}',
+                "scenario 'x': expected equilibrium 1 must be an object",
+            ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "expected": {"equilibria":'
+                ' [{"row": "yes", "col": "upgraded", "payoff_v": "1", "payoff_c": "1",'
+                ' "payoff": "1"}]}}',
+                "scenario 'x': unknown field 'payoff' in expected equilibrium 1",
+            ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "expected": {"equilibria":'
+                ' [{"row": "yes", "col": "upgraded"}]}}',
+                "scenario 'x': expected equilibrium 1 is missing 'payoff_c'",
+            ),
+        ],
+    )
+    def test_field_errors_exact(self, scenario, message):
+        with pytest.raises(ValidationError) as info:
+            load_scenarios('{"scenarios": [%s]}' % scenario)
+        assert str(info.value) == message
+
+    def test_scenarios_must_be_an_array(self):
+        with pytest.raises(ValidationError) as info:
+            load_scenarios('{"scenarios": {"name": "x"}}')
+        assert str(info.value) == '"scenarios" must be an array'
 
     def test_top_level_shape(self):
         with pytest.raises(ValidationError):
