@@ -37,8 +37,6 @@ from .governance import (
 from .rationals import format_rational, parse_rational
 from .scenario_runner import (
     CheckStatus,
-    ExpectedEquilibrium,
-    ExpectedOutcome,
     Scenario,
     ScenarioResult,
     builtin_table1_scenarios,
@@ -59,8 +57,6 @@ __all__ = [
     "CheckStatus",
     "EquilibriumKind",
     "EquilibriumResult",
-    "ExpectedEquilibrium",
-    "ExpectedOutcome",
     "ForkRisk",
     "GovernanceParams",
     "MixedStrategy",

@@ -39,39 +39,52 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True)
-class ExpectedEquilibrium:
-    """One expected pure equilibrium: strategies plus exact payoffs."""
-
-    row: str
-    col: str
-    payoff_v: Fraction
-    payoff_c: Fraction
-
-    def __post_init__(self) -> None:
-        if self.row not in ("yes", "no"):
-            raise ValidationError("expected row must be 'yes' or 'no'")
-        if self.col not in ("upgraded", "original"):
-            raise ValidationError("expected col must be 'upgraded' or 'original'")
-        object.__setattr__(self, "payoff_v", parse_rational(self.payoff_v, "payoff_v"))
-        object.__setattr__(self, "payoff_c", parse_rational(self.payoff_c, "payoff_c"))
-
-
-@dataclass(frozen=True)
-class ExpectedOutcome:
-    """What a scenario is expected to produce; absent pieces are skipped."""
-
-    equilibria: tuple[ExpectedEquilibrium, ...] | None = None
-    majority_chain: Chain | None = None
+_ROWS = ("yes", "no")
+_COLS = ("upgraded", "original")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Named governance parameters with an optional expectation."""
+    """Named governance parameters with an optional expectation.
+
+    expected_equilibria holds (row, col, payoff_v, payoff_c) tuples in
+    the solver's row-major order, with row "yes" or "no" and col
+    "upgraded" or "original"; expected_chain is the predicted majority
+    chain. An expectation left None is not checked, and a scenario with
+    neither reports not_checked.
+    """
 
     name: str
     params: GovernanceParams
-    expected: ExpectedOutcome | None = None
+    expected_equilibria: tuple[tuple[str, str, Fraction, Fraction], ...] | None = None
+    expected_chain: Chain | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.params, GovernanceParams):
+            raise ValidationError("params must be a GovernanceParams")
+        if self.expected_chain is not None and not isinstance(self.expected_chain, Chain):
+            raise ValidationError("expected_chain must be a Chain value or None")
+        entries = self.expected_equilibria
+        if entries is None:
+            return
+        if not isinstance(entries, (tuple, list)):
+            raise ValidationError("expected_equilibria must be a tuple or list")
+        checked = []
+        for pos, entry in enumerate(entries, start=1):
+            what = f"expected equilibrium {pos}"
+            if not isinstance(entry, (tuple, list)) or len(entry) != 4:
+                raise ValidationError(f"{what} must be a (row, col, payoff_v, payoff_c) tuple")
+            row, col, payoff_v, payoff_c = entry
+            if row not in _ROWS:
+                raise ValidationError(f"{what}: row must be 'yes' or 'no'")
+            if col not in _COLS:
+                raise ValidationError(f"{what}: col must be 'upgraded' or 'original'")
+            try:
+                payoffs = parse_rational(payoff_v, "payoff_v"), parse_rational(payoff_c, "payoff_c")
+            except ValidationError as exc:
+                raise ValidationError(f"{what}: {exc}") from None
+            checked.append((row, col, *payoffs))
+        object.__setattr__(self, "expected_equilibria", tuple(checked))
 
 
 class CheckStatus(Enum):
@@ -103,68 +116,56 @@ class ScenarioResult:
         return CheckStatus.MISMATCH if self.mismatches else CheckStatus.MATCH
 
 
-_ROW_INDEX = {"yes": 0, "no": 1}
-_COL_INDEX = {"upgraded": 0, "original": 1}
-
-
 def _strategy_text(mix: MixedStrategy) -> str:
     return "(" + ", ".join(format_rational(p) for p in mix.probs) + ")"
 
 
-def _diff_equilibrium(
-    idx: int, want: ExpectedEquilibrium, got: EquilibriumResult
-) -> list[str]:
+def _diff_equilibrium(idx: int, want: tuple, got: EquilibriumResult) -> list[str]:
+    row, col, payoff_v, payoff_c = want
     out = []
     sigma1 = got.profile.sigma1
     sigma2 = got.profile.sigma2
-    if sigma1.probs[_ROW_INDEX[want.row]] != 1:
+    if sigma1.probs[_ROWS.index(row)] != 1:
         out.append(
-            f"equilibrium {idx}: expected pure row {want.row!r}, "
+            f"equilibrium {idx}: expected pure row {row!r}, "
             f"computed row strategy {_strategy_text(sigma1)}"
         )
-    if sigma2.probs[_COL_INDEX[want.col]] != 1:
+    if sigma2.probs[_COLS.index(col)] != 1:
         out.append(
-            f"equilibrium {idx}: expected pure col {want.col!r}, "
+            f"equilibrium {idx}: expected pure col {col!r}, "
             f"computed col strategy {_strategy_text(sigma2)}"
         )
-    if got.payoffs[0] != want.payoff_v:
+    if got.payoffs[0] != payoff_v:
         out.append(
-            f"equilibrium {idx}: expected payoff_v {format_rational(want.payoff_v)}, "
+            f"equilibrium {idx}: expected payoff_v {format_rational(payoff_v)}, "
             f"computed {format_rational(got.payoffs[0])}"
         )
-    if got.payoffs[1] != want.payoff_c:
+    if got.payoffs[1] != payoff_c:
         out.append(
-            f"equilibrium {idx}: expected payoff_c {format_rational(want.payoff_c)}, "
+            f"equilibrium {idx}: expected payoff_c {format_rational(payoff_c)}, "
             f"computed {format_rational(got.payoffs[1])}"
         )
     return out
 
 
 def _check_expectation(
-    expected: ExpectedOutcome | None,
+    scenario: Scenario,
     equilibria: tuple[EquilibriumResult, ...],
     prediction: PredictionResult,
 ) -> tuple[str, ...] | None:
-    if expected is None:
+    wanted, chain = scenario.expected_equilibria, scenario.expected_chain
+    if wanted is None and chain is None:
         return None
     details: list[str] = []
-    if expected.equilibria is not None:
-        if len(equilibria) != len(expected.equilibria):
-            details.append(
-                f"expected {len(expected.equilibria)} equilibria, "
-                f"computed {len(equilibria)}"
-            )
+    if wanted is not None:
+        if len(equilibria) != len(wanted):
+            details.append(f"expected {len(wanted)} equilibria, computed {len(equilibria)}")
         else:
-            for idx, (want, got) in enumerate(
-                zip(expected.equilibria, equilibria), start=1
-            ):
+            for idx, (want, got) in enumerate(zip(wanted, equilibria), start=1):
                 details.extend(_diff_equilibrium(idx, want, got))
-    if (
-        expected.majority_chain is not None
-        and prediction.majority_chain is not expected.majority_chain
-    ):
+    if chain is not None and prediction.majority_chain is not chain:
         details.append(
-            f"expected majority_chain {expected.majority_chain.value}, "
+            f"expected majority_chain {chain.value}, "
             f"predicted {prediction.majority_chain.value}"
         )
     return tuple(details)
@@ -183,7 +184,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         game = build_governance_game(params)
         equilibria = tuple(enumerate_mixed_equilibria(game))
         prediction = predict_outcome(params)
-        mismatches = _check_expectation(scenario.expected, equilibria, prediction)
+        mismatches = _check_expectation(scenario, equilibria, prediction)
     except ValidationError as exc:
         raise ValidationError(f"scenario {scenario.name!r}: {exc}") from None
     return ScenarioResult(scenario.name, params, equilibria, prediction, mismatches)
@@ -222,19 +223,10 @@ def builtin_table1_scenarios() -> list[Scenario]:
     no-governance mode; the predicted destination then coincides with
     the community's equilibrium column in every row.
     """
-    scenarios = []
-    for name, beta, gamma, rows in _TABLE1:
-        expected = ExpectedOutcome(
-            equilibria=tuple(
-                ExpectedEquilibrium(row, col, Fraction(pv), Fraction(pc))
-                for row, col, pv, pc in rows
-            )
-        )
-        params = GovernanceParams(
-            beta=Fraction(beta), gamma=Fraction(gamma), mode=Mode.NO_GOVERNANCE
-        )
-        scenarios.append(Scenario(name=name, params=params, expected=expected))
-    return scenarios
+    return [
+        Scenario(name, GovernanceParams(beta, gamma, mode=Mode.NO_GOVERNANCE), rows)
+        for name, beta, gamma, rows in _TABLE1
+    ]
 
 
 def run_table1_suite() -> list[ScenarioResult]:
@@ -288,27 +280,28 @@ def run_ethereum_case_study(
 _PARAM_KEYS = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
 _SCENARIO_KEYS = {"name", "mode", *_PARAM_KEYS, "expected"}
 _EXPECTED_KEYS = {"equilibria", "majority_chain"}
-_EQUILIBRIUM_KEYS = {"row", "col", "payoff_v", "payoff_c"}
+_EQUILIBRIUM_KEYS = ("row", "col", "payoff_v", "payoff_c")
 _MODES = {mode.value: mode for mode in Mode}
 _CHAINS = {chain.value: chain for chain in Chain}
 
 
-def _parse_expected(raw: object) -> ExpectedOutcome | None:
+def _parse_expected(raw: object) -> tuple[list | None, Chain | None]:
+    """The expectation's equilibria as (row, col, payoff_v, payoff_c) lists, and its chain."""
     if raw is None:
-        return None
+        return None, None
     raw = json_object(raw, "expected", _EXPECTED_KEYS)
+    if not raw:
+        raise ValidationError("expected must give equilibria or majority_chain")
     equilibria = None
     if "equilibria" in raw:
         if not isinstance(raw["equilibria"], list):
             raise ValidationError("expected.equilibria must be an array")
-        equilibria = tuple(
-            ExpectedEquilibrium(
-                **json_object(
-                    entry, f"expected equilibrium {pos}", _EQUILIBRIUM_KEYS, _EQUILIBRIUM_KEYS
-                )
+        equilibria = []
+        for pos, entry in enumerate(raw["equilibria"], start=1):
+            entry = json_object(
+                entry, f"expected equilibrium {pos}", _EQUILIBRIUM_KEYS, _EQUILIBRIUM_KEYS
             )
-            for pos, entry in enumerate(raw["equilibria"], start=1)
-        )
+            equilibria.append([entry[key] for key in _EQUILIBRIUM_KEYS])
     chain = None
     if "majority_chain" in raw:
         token = raw["majority_chain"]
@@ -317,7 +310,7 @@ def _parse_expected(raw: object) -> ExpectedOutcome | None:
                 f"majority_chain must be one of {sorted(_CHAINS)}, got {token!r}"
             )
         chain = _CHAINS[token]
-    return ExpectedOutcome(equilibria=equilibria, majority_chain=chain)
+    return equilibria, chain
 
 
 def _parse_scenario(index: int, entry: object) -> Scenario:
@@ -333,15 +326,15 @@ def _parse_scenario(index: int, entry: object) -> Scenario:
                 f"mode must be one of {sorted(_MODES)}, got {mode_token!r}"
             )
         # GovernanceParams parses and range-checks every field it is given;
-        # absent optional fields take its defaults.
+        # absent optional fields take its defaults. Scenario checks the
+        # expectation's values.
         params = GovernanceParams(
             **{field: entry[field] for field in _PARAM_KEYS if field in entry},
             mode=_MODES[mode_token],
         )
-        expected = _parse_expected(entry.get("expected"))
+        return Scenario(name, params, *_parse_expected(entry.get("expected")))
     except ValidationError as exc:
         raise ValidationError(f"scenario {name!r}: {exc}") from None
-    return Scenario(name=name, params=params, expected=expected)
 
 
 def load_scenarios(text: str) -> list[Scenario]:

@@ -351,8 +351,8 @@ class TestRun:
                 "gamma": str(scenario.params.gamma),
                 "expected": {
                     "equilibria": [
-                        {"row": e.row, "col": e.col, "payoff_v": str(e.payoff_v), "payoff_c": str(e.payoff_c)}
-                        for e in scenario.expected.equilibria
+                        {"row": row, "col": col, "payoff_v": str(pv), "payoff_c": str(pc)}
+                        for row, col, pv, pc in scenario.expected_equilibria
                     ]
                 },
             }
@@ -368,6 +368,23 @@ class TestRun:
         path.write_text('{"scenarios": [{"name": "open", "beta": "3/5", "gamma": "7/10"}]}')
         assert main(["run", str(path)]) == EXIT_OK
         assert "not_checked" in capsys.readouterr().out
+
+    def test_empty_expectation_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"scenarios": [{"name": "x", "beta": "1", "gamma": "1", "expected": {}}]}')
+        assert main(["run", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: scenario 'x': expected must give equilibria or majority_chain\n"
+
+    def test_null_expectation_is_not_checked(self, tmp_path, capsys):
+        path = tmp_path / "null.json"
+        path.write_text('{"scenarios": [{"name": "x", "beta": "1", "gamma": "1", "expected": null}]}')
+        assert main(["run", str(path), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[0]["expectation_check"] == {
+            "status": "not_checked",
+            "details": [],
+        }
 
     def test_huge_exponent_is_rejected_before_expansion(self, tmp_path, capsys):
         path = tmp_path / "exponent.json"

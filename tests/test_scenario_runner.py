@@ -16,8 +16,6 @@ from govgame.scenario_runner import (
     ETHEREUM_BETA,
     RESULT_CSV_COLUMNS,
     CheckStatus,
-    ExpectedEquilibrium,
-    ExpectedOutcome,
     Scenario,
     builtin_table1_scenarios,
     load_scenarios,
@@ -120,9 +118,7 @@ class TestRunScenario:
         scenario = Scenario(
             name="unanimous",
             params=GovernanceParams(beta=F(1), gamma=F(1)),
-            expected=ExpectedOutcome(
-                equilibria=(ExpectedEquilibrium("yes", "upgraded", F(1), F(1)),)
-            ),
+            expected_equilibria=(("yes", "upgraded", F(1), F(1)),),
         )
         result = run_scenario(scenario)
         assert result.status is CheckStatus.MATCH
@@ -132,24 +128,22 @@ class TestRunScenario:
         scenario = Scenario(
             name="ignored-vote",
             params=GovernanceParams(beta=F(0), gamma=F(1)),
-            expected=ExpectedOutcome(
-                equilibria=(ExpectedEquilibrium("no", "upgraded", F(1), F(1)),)
-            ),
+            expected_equilibria=(("no", "upgraded", F(1), F(1)),),
         )
         result = run_scenario(scenario)
         assert result.status is CheckStatus.MATCH
 
     def test_degenerate_scenario_count_match(self):
         rows = (
-            ExpectedEquilibrium("yes", "upgraded", F(1, 2), F(1, 2)),
-            ExpectedEquilibrium("yes", "original", F(1, 2), F(1, 2)),
-            ExpectedEquilibrium("no", "upgraded", F(1, 2), F(1, 2)),
-            ExpectedEquilibrium("no", "original", F(1, 2), F(1, 2)),
+            ("yes", "upgraded", F(1, 2), F(1, 2)),
+            ("yes", "original", F(1, 2), F(1, 2)),
+            ("no", "upgraded", F(1, 2), F(1, 2)),
+            ("no", "original", F(1, 2), F(1, 2)),
         )
         scenario = Scenario(
             name="level",
             params=GovernanceParams(beta=F(1, 2), gamma=F(1, 2)),
-            expected=ExpectedOutcome(equilibria=rows),
+            expected_equilibria=rows,
         )
         result = run_scenario(scenario)
         assert result.status is CheckStatus.MATCH
@@ -165,9 +159,7 @@ class TestRunScenario:
         scenario = Scenario(
             name="short",
             params=GovernanceParams(beta=F(1, 2), gamma=F(1, 2)),
-            expected=ExpectedOutcome(
-                equilibria=(ExpectedEquilibrium("yes", "upgraded", F(1, 2), F(1, 2)),)
-            ),
+            expected_equilibria=(("yes", "upgraded", F(1, 2), F(1, 2)),),
         )
         result = run_scenario(scenario)
         assert result.status is CheckStatus.MISMATCH
@@ -177,9 +169,7 @@ class TestRunScenario:
         scenario = Scenario(
             name="wrong-payoff",
             params=GovernanceParams(beta=F(1), gamma=F(1)),
-            expected=ExpectedOutcome(
-                equilibria=(ExpectedEquilibrium("yes", "upgraded", F(1, 2), F(1)),)
-            ),
+            expected_equilibria=(("yes", "upgraded", F(1, 2), F(1)),),
         )
         result = run_scenario(scenario)
         assert result.status is CheckStatus.MISMATCH
@@ -189,9 +179,7 @@ class TestRunScenario:
         scenario = Scenario(
             name="wrong-profile",
             params=GovernanceParams(beta=F(1), gamma=F(1)),
-            expected=ExpectedOutcome(
-                equilibria=(ExpectedEquilibrium("no", "original", F(1), F(1, 2)),)
-            ),
+            expected_equilibria=(("no", "original", F(1), F(1, 2)),),
         )
         assert run_scenario(scenario).mismatches == (
             "equilibrium 1: expected pure row 'no', computed row strategy (1, 0)",
@@ -203,7 +191,7 @@ class TestRunScenario:
         scenario = Scenario(
             name="wrong-chain",
             params=GovernanceParams(beta=F(7, 20), gamma=F(18, 25)),
-            expected=ExpectedOutcome(majority_chain=Chain.UPGRADED),
+            expected_chain=Chain.UPGRADED,
         )
         result = run_scenario(scenario)
         assert result.status is CheckStatus.MISMATCH
@@ -344,6 +332,22 @@ class TestLoadScenarios:
                 ' [{"row": "yes", "col": "upgraded"}]}}',
                 "scenario 'x': expected equilibrium 1 is missing 'payoff_c'",
             ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "expected": {}}',
+                "scenario 'x': expected must give equilibria or majority_chain",
+            ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "expected": {"equilibria":'
+                ' [{"row": "yes", "col": "upgraded", "payoff_v": "1", "payoff_c": "1"},'
+                ' {"row": "yes", "col": "upgraded", "payoff_v": "abc", "payoff_c": "1"}]}}',
+                "scenario 'x': expected equilibrium 2: payoff_v: cannot parse 'abc' as a rational",
+            ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "expected": {"equilibria":'
+                ' [{"row": "yes", "col": "upgraded", "payoff_v": "1", "payoff_c": "1"},'
+                ' {"row": "yes", "col": "sideways", "payoff_v": "1", "payoff_c": "1"}]}}',
+                "scenario 'x': expected equilibrium 2: col must be 'upgraded' or 'original'",
+            ),
         ],
     )
     def test_field_errors_exact(self, scenario, message):
@@ -382,8 +386,60 @@ class TestLoadScenarios:
             ' "expected": {"equilibria": [{"row": "maybe", "col": "upgraded",'
             ' "payoff_v": "1", "payoff_c": "1"}]}}]}'
         )
-        with pytest.raises(ValidationError, match="expected row must be 'yes' or 'no'"):
+        with pytest.raises(ValidationError) as info:
             load_scenarios(text)
+        assert str(info.value) == "scenario 'x': expected equilibrium 1: row must be 'yes' or 'no'"
+
+
+class TestScenarioExpectation:
+    """Scenario validates its own expectation, whether built in code or read from a file."""
+
+    def test_file_expectation_is_parsed_exactly(self):
+        text = (
+            '{"scenarios": [{"name": "x", "beta": "1", "gamma": "1", "expected":'
+            ' {"equilibria": [{"row": "yes", "col": "upgraded", "payoff_v": 1.0,'
+            ' "payoff_c": "2/2"}], "majority_chain": "upgraded"}}]}'
+        )
+        (scenario,) = load_scenarios(text)
+        assert scenario.expected_equilibria == (("yes", "upgraded", F(1), F(1)),)
+        assert scenario.expected_chain is Chain.UPGRADED
+
+    def test_library_values_are_normalised(self):
+        scenario = Scenario(
+            "x", GovernanceParams(beta=F(1), gamma=F(1)), [["yes", "upgraded", "1", 1]]
+        )
+        assert scenario.expected_equilibria == (("yes", "upgraded", F(1), F(1)),)
+        assert run_scenario(scenario).status is CheckStatus.MATCH
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"expected_chain": "upgraded"},
+                "expected_chain must be a Chain value or None",
+            ),
+            ({"expected_equilibria": 5}, "expected_equilibria must be a tuple or list"),
+            (
+                {"expected_equilibria": (("yes", "upgraded", 1),)},
+                "expected equilibrium 1 must be a (row, col, payoff_v, payoff_c) tuple",
+            ),
+            (
+                {"expected_equilibria": (("maybe", "upgraded", 1, 1),)},
+                "expected equilibrium 1: row must be 'yes' or 'no'",
+            ),
+            (
+                {"expected_equilibria": (("yes", "upgraded", 1, 1), ("yes", "upgraded", 1, 0.5))},
+                "expected equilibrium 2: payoff_c must be given as text or an integer;"
+                " binary floats are inexact",
+            ),
+            ({"params": None}, "params must be a GovernanceParams"),
+        ],
+        ids=["str-chain", "non-sequence", "three-tuple", "bad-token", "float-payoff", "no-params"],
+    )
+    def test_library_expectation_errors(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            Scenario(**{"name": "x", "params": GovernanceParams(beta=F(1), gamma=F(1)), **kwargs})
+        assert str(info.value) == message
 
 
 class TestSerialization:
