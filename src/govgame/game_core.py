@@ -14,7 +14,6 @@ its unique, pure equilibrium without a vertex walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -62,33 +61,72 @@ def _coerce_labels(labels: object, count: int, field: str) -> tuple[str, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class BimatrixGame:
+# Sets a record's field past _Record.__setattr__; only constructors call it.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of govgame's immutable records.
+
+    Each subclass names its fields, in order, in _fields and sets each
+    one once in its constructor. The fields drive the repr
+    Name(field=value, ...), the equality, which holds only between
+    records of exactly the same class, and the hash. Assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BimatrixGame(_Record):
     """A two-player game given by one payoff matrix per player.
 
     Rows index player 1's pure strategies and columns player 2's. The
     two matrices must share the same shape. Entries may be given as
-    ints, Fractions, or "p/q" strings and are stored as Fractions.
+    ints, Fractions, or "p/q" strings and are stored as tuples of
+    Fractions. Missing labels default to R1, R2, ... for rows and C1,
+    C2, ... for columns.
     """
 
-    payoff1: PayoffMatrix
-    payoff2: PayoffMatrix
-    row_labels: tuple[str, ...] | None = None
-    col_labels: tuple[str, ...] | None = None
+    _fields = ("payoff1", "payoff2", "row_labels", "col_labels")
 
-    def __post_init__(self) -> None:
-        p1 = _coerce_matrix(self.payoff1, "payoff1")
-        p2 = _coerce_matrix(self.payoff2, "payoff2")
+    def __init__(
+        self,
+        payoff1: object,
+        payoff2: object,
+        row_labels: object = None,
+        col_labels: object = None,
+    ) -> None:
+        p1 = _coerce_matrix(payoff1, "payoff1")
+        p2 = _coerce_matrix(payoff2, "payoff2")
         if len(p2) != len(p1) or len(p2[0]) != len(p1[0]):
             raise ValidationError("payoff1 and payoff2 must have the same shape")
-        object.__setattr__(self, "payoff1", p1)
-        object.__setattr__(self, "payoff2", p2)
-        object.__setattr__(
-            self, "row_labels", _coerce_labels(self.row_labels, len(p1), "row_labels")
-        )
-        object.__setattr__(
-            self, "col_labels", _coerce_labels(self.col_labels, len(p1[0]), "col_labels")
-        )
+        _set_field(self, "payoff1", p1)
+        _set_field(self, "payoff2", p2)
+        _set_field(self, "row_labels", _coerce_labels(row_labels, len(p1), "row_labels"))
+        _set_field(self, "col_labels", _coerce_labels(col_labels, len(p1[0]), "col_labels"))
 
     @classmethod
     def _checked(
@@ -106,10 +144,10 @@ class BimatrixGame:
         checks it.
         """
         game = object.__new__(cls)
-        object.__setattr__(game, "payoff1", payoff1)
-        object.__setattr__(game, "payoff2", payoff2)
-        object.__setattr__(game, "row_labels", row_labels)
-        object.__setattr__(game, "col_labels", col_labels)
+        _set_field(game, "payoff1", payoff1)
+        _set_field(game, "payoff2", payoff2)
+        _set_field(game, "row_labels", row_labels)
+        _set_field(game, "col_labels", col_labels)
         return game
 
     @property
@@ -125,22 +163,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(_Record):
     """A probability vector over one player's pure strategies.
 
-    Entries must be non-negative and sum to exactly 1. A pure strategy
-    is the degenerate case with probability 1 on a single entry.
+    Entries must be non-negative and sum to exactly 1; probs is stored
+    as a tuple of Fractions. A pure strategy is the degenerate case with
+    probability 1 on a single entry.
     """
 
-    probs: tuple[Fraction, ...]
+    _fields = ("probs",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.probs, (list, tuple)) or not self.probs:
+    def __init__(self, probs: object) -> None:
+        if not isinstance(probs, (list, tuple)) or not probs:
             raise ValidationError("probs must be a non-empty sequence")
         probs = tuple(
             p if isinstance(p, Fraction) else parse_rational(p, f"probs[{i}]")
-            for i, p in enumerate(self.probs)
+            for i, p in enumerate(probs)
         )
         if any(p.numerator < 0 for p in probs):
             raise ValidationError("probabilities must be non-negative")
@@ -149,7 +187,7 @@ class MixedStrategy:
         common = lcm(*(p.denominator for p in probs))
         if sum(p.numerator * (common // p.denominator) for p in probs) != common:
             raise ValidationError("probabilities must sum to exactly 1")
-        object.__setattr__(self, "probs", probs)
+        _set_field(self, "probs", probs)
 
     @classmethod
     def pure(cls, index: int, size: int) -> MixedStrategy:
@@ -167,12 +205,14 @@ class MixedStrategy:
         return len(self.support) == 1
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Record):
     """One mixed strategy per player."""
 
-    sigma1: MixedStrategy
-    sigma2: MixedStrategy
+    _fields = ("sigma1", "sigma2")
+
+    def __init__(self, sigma1: MixedStrategy, sigma2: MixedStrategy) -> None:
+        _set_field(self, "sigma1", sigma1)
+        _set_field(self, "sigma2", sigma2)
 
 
 class EquilibriumKind(Enum):
@@ -180,8 +220,7 @@ class EquilibriumKind(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(_Record):
     """An equilibrium profile with its exact payoffs.
 
     kind is PURE exactly when both strategies place probability 1 on a
@@ -191,10 +230,19 @@ class EquilibriumResult:
     are returned.
     """
 
-    profile: StrategyProfile
-    payoffs: tuple[Fraction, Fraction]
-    kind: EquilibriumKind
-    degenerate_game: bool = False
+    _fields = ("profile", "payoffs", "kind", "degenerate_game")
+
+    def __init__(
+        self,
+        profile: StrategyProfile,
+        payoffs: tuple[Fraction, Fraction],
+        kind: EquilibriumKind,
+        degenerate_game: bool = False,
+    ) -> None:
+        _set_field(self, "profile", profile)
+        _set_field(self, "payoffs", payoffs)
+        _set_field(self, "kind", kind)
+        _set_field(self, "degenerate_game", degenerate_game)
 
 
 def pure_profile(game: BimatrixGame, row: int, col: int) -> StrategyProfile:

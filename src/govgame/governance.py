@@ -11,12 +11,11 @@ under each governance mode.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 
 from .errors import ValidationError
-from .game_core import BimatrixGame
+from .game_core import BimatrixGame, _Record, _set_field
 from .rationals import format_rational, parse_rational
 
 
@@ -92,8 +91,7 @@ def _positive(value: object, name: str) -> Fraction:
     return unit
 
 
-@dataclass(frozen=True)
-class GovernanceParams:
+class GovernanceParams(_Record):
     """Full parameter set for one governance scenario.
 
     Attributes:
@@ -108,52 +106,58 @@ class GovernanceParams:
         s_c: per-community-member payoff unit, positive.
         mode: governance mode deciding which evaluation rules apply.
         warnings: non-fatal oddities recorded at construction.
+
+    The rationals may be given as ints, Fractions or "p/q" strings and
+    are stored as Fractions.
     """
 
-    beta: Fraction
-    gamma: Fraction
-    gamma_prime: Fraction | None = None
-    k: int = 1
-    n: int = 1
-    s_v: Fraction = Fraction(1)
-    s_c: Fraction = Fraction(1)
-    mode: Mode = Mode.OFF_CHAIN
-    warnings: tuple[str, ...] = field(default=(), init=False)
+    _fields = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c", "mode", "warnings")
 
-    def __post_init__(self) -> None:
-        beta = _share(self.beta, "beta")
-        gamma = _share(self.gamma, "gamma")
-        gamma_prime = self.gamma_prime
+    def __init__(
+        self,
+        beta: object,
+        gamma: object,
+        gamma_prime: object = None,
+        k: int = 1,
+        n: int = 1,
+        s_v: object = Fraction(1),
+        s_c: object = Fraction(1),
+        mode: Mode = Mode.OFF_CHAIN,
+    ) -> None:
+        beta = _share(beta, "beta")
+        gamma = _share(gamma, "gamma")
         if gamma_prime is not None:
             gamma_prime = _share(gamma_prime, "gamma_prime")
-        for name, value in (("k", self.k), ("n", self.n)):
+        for name, value in (("k", k), ("n", n)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValidationError(f"{name} must be a positive integer")
-        if self.k > self.n:
+        if k > n:
             raise ValidationError("k must not exceed n")
-        s_v = _positive(self.s_v, "s_v")
-        s_c = _positive(self.s_c, "s_c")
-        if not isinstance(self.mode, Mode):
+        s_v = _positive(s_v, "s_v")
+        s_c = _positive(s_c, "s_c")
+        if not isinstance(mode, Mode):
             raise ValidationError("mode must be a Mode value")
         warnings = []
         if gamma_prime is not None:
-            if self.mode is not Mode.ON_CHAIN:
+            if mode is not Mode.ON_CHAIN:
                 warnings.append("gamma_prime is only used in on_chain mode")
             elif gamma_prime <= gamma:
                 warnings.append(
                     "gamma_prime does not exceed gamma; the consultation round "
                     "is expected to increase the upgraded-chain share"
                 )
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "gamma_prime", gamma_prime)
-        object.__setattr__(self, "s_v", s_v)
-        object.__setattr__(self, "s_c", s_c)
-        object.__setattr__(self, "warnings", tuple(warnings))
+        _set_field(self, "beta", beta)
+        _set_field(self, "gamma", gamma)
+        _set_field(self, "gamma_prime", gamma_prime)
+        _set_field(self, "k", k)
+        _set_field(self, "n", n)
+        _set_field(self, "s_v", s_v)
+        _set_field(self, "s_c", s_c)
+        _set_field(self, "mode", mode)
+        _set_field(self, "warnings", tuple(warnings))
 
 
-@dataclass(frozen=True)
-class SurplusReport:
+class SurplusReport(_Record):
     """Payoff masses and oriented surpluses for one scenario.
 
     s_yes and s_no split the voter mass k*s_v by beta; s_u and s_o split
@@ -164,28 +168,49 @@ class SurplusReport:
     the winning No side, and +1 otherwise. total is their sum.
     """
 
-    s_yes: Fraction
-    s_no: Fraction
-    s_u: Fraction
-    s_o: Fraction
-    surplus_v: Fraction
-    surplus_c: Fraction
-    total: Fraction
+    _fields = ("s_yes", "s_no", "s_u", "s_o", "surplus_v", "surplus_c", "total")
+
+    def __init__(
+        self,
+        s_yes: Fraction,
+        s_no: Fraction,
+        s_u: Fraction,
+        s_o: Fraction,
+        surplus_v: Fraction,
+        surplus_c: Fraction,
+        total: Fraction,
+    ) -> None:
+        _set_field(self, "s_yes", s_yes)
+        _set_field(self, "s_no", s_no)
+        _set_field(self, "s_u", s_u)
+        _set_field(self, "s_o", s_o)
+        _set_field(self, "surplus_v", surplus_v)
+        _set_field(self, "surplus_c", surplus_c)
+        _set_field(self, "total", total)
 
 
 # Field names in declaration order; every surplus writer iterates these.
-SURPLUS_FIELDS = tuple(spec.name for spec in fields(SurplusReport))
+SURPLUS_FIELDS = SurplusReport._fields
 
 
-@dataclass(frozen=True)
-class PredictionResult:
+class PredictionResult(_Record):
     """Predicted outcome of one governance scenario."""
 
-    regime: Regime
-    majority_chain: Chain
-    fork_risk: ForkRisk
-    surplus: SurplusReport
-    notes: tuple[str, ...] = ()
+    _fields = ("regime", "majority_chain", "fork_risk", "surplus", "notes")
+
+    def __init__(
+        self,
+        regime: Regime,
+        majority_chain: Chain,
+        fork_risk: ForkRisk,
+        surplus: SurplusReport,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        _set_field(self, "regime", regime)
+        _set_field(self, "majority_chain", majority_chain)
+        _set_field(self, "fork_risk", fork_risk)
+        _set_field(self, "surplus", surplus)
+        _set_field(self, "notes", notes)
 
 
 _VOTE_ROWS = ("Yes", "No")

@@ -13,12 +13,17 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .errors import ValidationError
-from .game_core import EquilibriumResult, MixedStrategy, enumerate_mixed_equilibria
+from .game_core import (
+    EquilibriumResult,
+    MixedStrategy,
+    _Record,
+    _set_field,
+    enumerate_mixed_equilibria,
+)
 from .governance import (
     Chain,
     ForkRisk,
@@ -43,48 +48,60 @@ _ROWS = ("yes", "no")
 _COLS = ("upgraded", "original")
 
 
-@dataclass(frozen=True)
-class Scenario:
+def _check_name(name: object, field: str) -> None:
+    """Raise ValidationError unless the name is a non-empty, printable str."""
+    if not isinstance(name, str) or not name:
+        raise ValidationError(f"{field} must be a non-empty string")
+    reject_lone_surrogates(name, field)
+
+
+class Scenario(_Record):
     """Named governance parameters with an optional expectation.
 
-    expected_equilibria holds (row, col, payoff_v, payoff_c) tuples in
-    the solver's row-major order, with row "yes" or "no" and col
-    "upgraded" or "original"; expected_chain is the predicted majority
-    chain. An expectation left None is not checked, and a scenario with
-    neither reports not_checked.
+    name is a non-empty string. expected_equilibria holds (row, col,
+    payoff_v, payoff_c) tuples in the solver's row-major order, with row
+    "yes" or "no" and col "upgraded" or "original"; expected_chain is
+    the predicted majority chain. An expectation left None is not
+    checked, and a scenario with neither reports not_checked.
     """
 
-    name: str
-    params: GovernanceParams
-    expected_equilibria: tuple[tuple[str, str, Fraction, Fraction], ...] | None = None
-    expected_chain: Chain | None = None
+    _fields = ("name", "params", "expected_equilibria", "expected_chain")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.params, GovernanceParams):
+    def __init__(
+        self,
+        name: str,
+        params: GovernanceParams,
+        expected_equilibria: tuple | list | None = None,
+        expected_chain: Chain | None = None,
+    ) -> None:
+        _check_name(name, "name")
+        if not isinstance(params, GovernanceParams):
             raise ValidationError("params must be a GovernanceParams")
-        if self.expected_chain is not None and not isinstance(self.expected_chain, Chain):
+        if expected_chain is not None and not isinstance(expected_chain, Chain):
             raise ValidationError("expected_chain must be a Chain value or None")
-        entries = self.expected_equilibria
-        if entries is None:
-            return
-        if not isinstance(entries, (tuple, list)):
-            raise ValidationError("expected_equilibria must be a tuple or list")
-        checked = []
-        for pos, entry in enumerate(entries, start=1):
-            what = f"expected equilibrium {pos}"
-            if not isinstance(entry, (tuple, list)) or len(entry) != 4:
-                raise ValidationError(f"{what} must be a (row, col, payoff_v, payoff_c) tuple")
-            row, col, payoff_v, payoff_c = entry
-            if row not in _ROWS:
-                raise ValidationError(f"{what}: row must be 'yes' or 'no'")
-            if col not in _COLS:
-                raise ValidationError(f"{what}: col must be 'upgraded' or 'original'")
-            try:
-                payoffs = parse_rational(payoff_v, "payoff_v"), parse_rational(payoff_c, "payoff_c")
-            except ValidationError as exc:
-                raise ValidationError(f"{what}: {exc}") from None
-            checked.append((row, col, *payoffs))
-        object.__setattr__(self, "expected_equilibria", tuple(checked))
+        if expected_equilibria is not None:
+            if not isinstance(expected_equilibria, (tuple, list)):
+                raise ValidationError("expected_equilibria must be a tuple or list")
+            checked = []
+            for pos, entry in enumerate(expected_equilibria, start=1):
+                what = f"expected equilibrium {pos}"
+                if not isinstance(entry, (tuple, list)) or len(entry) != 4:
+                    raise ValidationError(f"{what} must be a (row, col, payoff_v, payoff_c) tuple")
+                row, col, payoff_v, payoff_c = entry
+                if row not in _ROWS:
+                    raise ValidationError(f"{what}: row must be 'yes' or 'no'")
+                if col not in _COLS:
+                    raise ValidationError(f"{what}: col must be 'upgraded' or 'original'")
+                try:
+                    payoffs = parse_rational(payoff_v, "payoff_v"), parse_rational(payoff_c, "payoff_c")
+                except ValidationError as exc:
+                    raise ValidationError(f"{what}: {exc}") from None
+                checked.append((row, col, *payoffs))
+            expected_equilibria = tuple(checked)
+        _set_field(self, "name", name)
+        _set_field(self, "params", params)
+        _set_field(self, "expected_equilibria", expected_equilibria)
+        _set_field(self, "expected_chain", expected_chain)
 
 
 class CheckStatus(Enum):
@@ -93,8 +110,7 @@ class CheckStatus(Enum):
     NOT_CHECKED = "not_checked"
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(_Record):
     """Everything computed for one scenario.
 
     mismatches is None when the scenario carries no expectation, and
@@ -102,12 +118,23 @@ class ScenarioResult:
     from it, so a match never carries a mismatch line.
     """
 
-    name: str
-    params: GovernanceParams
-    equilibria: tuple[EquilibriumResult, ...]
-    prediction: PredictionResult
-    mismatches: tuple[str, ...] | None
-    notes: tuple[str, ...] = ()
+    _fields = ("name", "params", "equilibria", "prediction", "mismatches", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        params: GovernanceParams,
+        equilibria: tuple[EquilibriumResult, ...],
+        prediction: PredictionResult,
+        mismatches: tuple[str, ...] | None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "params", params)
+        _set_field(self, "equilibria", equilibria)
+        _set_field(self, "prediction", prediction)
+        _set_field(self, "mismatches", mismatches)
+        _set_field(self, "notes", notes)
 
     @property
     def status(self) -> CheckStatus:
@@ -274,7 +301,9 @@ def run_ethereum_case_study(
     if base.prediction.fork_risk is ForkRisk.NONE:
         details.append("fork_risk: predicted none, history shows the chain split")
     notes.append(f"recorded outcome: {HISTORICAL_OUTCOME}")
-    return replace(base, mismatches=tuple(details), notes=tuple(notes))
+    return ScenarioResult(
+        base.name, params, base.equilibria, base.prediction, tuple(details), tuple(notes)
+    )
 
 
 _PARAM_KEYS = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
@@ -316,9 +345,7 @@ def _parse_expected(raw: object) -> tuple[list | None, Chain | None]:
 def _parse_scenario(index: int, entry: object) -> Scenario:
     entry = json_object(entry, f"scenario {index + 1}", _SCENARIO_KEYS, ("beta", "gamma"))
     name = entry.get("name", f"scenario-{index + 1}")
-    if not isinstance(name, str) or not name:
-        raise ValidationError(f"scenario {index + 1}: name must be a non-empty string")
-    reject_lone_surrogates(name, f"scenario {index + 1}: name")
+    _check_name(name, f"scenario {index + 1}: name")
     try:
         mode_token = entry.get("mode", Mode.OFF_CHAIN.value)
         if not isinstance(mode_token, str) or mode_token not in _MODES:

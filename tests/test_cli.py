@@ -5,15 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from govgame import cli
 from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from govgame.scenario_runner import builtin_table1_scenarios, run_table1_suite
+from govgame.scenario_runner import ScenarioResult, builtin_table1_scenarios, run_table1_suite
 
 SIM6_GAME = json.dumps(
     {
@@ -272,9 +273,15 @@ class TestTable1:
 
     def test_verify_exits_2_on_a_mismatch(self, monkeypatch, capsys):
         def one_wrong_simulation():
-            results = run_table1_suite()
-            wrong = replace(results[0], mismatches=("expected payoff_v 2, computed 1",))
-            return [wrong, *results[1:]]
+            first, *rest = run_table1_suite()
+            wrong = ScenarioResult(
+                first.name,
+                first.params,
+                first.equilibria,
+                first.prediction,
+                ("expected payoff_v 2, computed 1",),
+            )
+            return [wrong, *rest]
 
         monkeypatch.setattr(cli, "run_table1_suite", one_wrong_simulation)
         assert main(["table1", "--verify"]) == EXIT_MISMATCH
@@ -585,3 +592,20 @@ def test_module_invocation_table1():
     )
     assert result.returncode == 0
     assert "all 9 simulations match" in result.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every govgame command imports govgame.cli in a new process, so it must not pay for these."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; before = set(sys.modules); import govgame.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -307,6 +307,12 @@ class TestLoadScenarios:
         "scenario, message",
         [
             ('[]', "scenario 1 must be an object"),
+            ('{"name": "", "beta": "1", "gamma": "1"}', "scenario 1: name must be a non-empty string"),
+            ('{"name": 7, "beta": "1", "gamma": "1"}', "scenario 1: name must be a non-empty string"),
+            (
+                '{"name": "\\ud800", "beta": "1", "gamma": "1"}',
+                "scenario 1: name holds the lone surrogate U+D800, which UTF-8 cannot encode",
+            ),
             ('{"beta": "1", "gamma": "1", "betta": 1}', "unknown field 'betta' in scenario 1"),
             ('{"name": "x", "gamma": "1"}', "scenario 1 is missing 'beta'"),
             (
@@ -433,8 +439,26 @@ class TestScenarioExpectation:
                 " binary floats are inexact",
             ),
             ({"params": None}, "params must be a GovernanceParams"),
+            ({"name": 123}, "name must be a non-empty string"),
+            ({"name": None}, "name must be a non-empty string"),
+            ({"name": ""}, "name must be a non-empty string"),
+            (
+                {"name": "a\ud800"},
+                "name holds the lone surrogate U+D800, which UTF-8 cannot encode",
+            ),
         ],
-        ids=["str-chain", "non-sequence", "three-tuple", "bad-token", "float-payoff", "no-params"],
+        ids=[
+            "str-chain",
+            "non-sequence",
+            "three-tuple",
+            "bad-token",
+            "float-payoff",
+            "no-params",
+            "int-name",
+            "none-name",
+            "empty-name",
+            "surrogate-name",
+        ],
     )
     def test_library_expectation_errors(self, kwargs, message):
         with pytest.raises(ValidationError) as info:
