@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -31,7 +32,7 @@ from .governance import (
     predict_outcome,
     prediction_to_dict,
 )
-from .rationals import approx, format_rational, json_text, parse_rational
+from .rationals import approx, format_rational, json_text
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
     ScenarioResult,
@@ -150,12 +151,17 @@ def _diag(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _read_file(path: str) -> str:
+def _load(path: str, parse: Callable[[str], object]) -> object:
+    """parse applied to the file's text; its errors name the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _text(lines: list[str]) -> str:
@@ -196,11 +202,7 @@ def _generic_equilibrium_dict(eq: EquilibriumResult) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    text = _read_file(args.game_file)
-    try:
-        game = load_game(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.game_file}: {exc}") from None
+    game = _load(args.game_file, load_game)
     if args.pure_only:
         equilibria = enumerate_pure_equilibria(game)
     else:
@@ -221,22 +223,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
         text = json_text(payload) + "\n"
     elif args.format == "csv":
-        header = (
-            ["equilibrium_index", "kind"]
-            + list(game.row_labels)
-            + list(game.col_labels)
-            + ["payoff1", "payoff2"]
-        )
-        text = csv_text(
-            [header]
-            + [
-                [str(idx), eq.kind.value]
-                + [format_rational(p) for p in eq.profile.sigma1.probs]
-                + [format_rational(p) for p in eq.profile.sigma2.probs]
-                + [format_rational(eq.payoffs[0]), format_rational(eq.payoffs[1])]
-                for idx, eq in enumerate(equilibria, start=1)
-            ]
-        )
+        labels = [*game.row_labels, *game.col_labels]
+        rows = [["equilibrium_index", "kind", *labels, "payoff1", "payoff2"]]
+        for idx, eq in enumerate(equilibria, start=1):
+            entry = _generic_equilibrium_dict(eq)
+            strategies = [*entry["row_strategy"], *entry["col_strategy"]]
+            rows.append([str(idx), entry["kind"], *strategies, entry["payoff1"], entry["payoff2"]])
+        text = csv_text(rows)
     elif not equilibria:
         text = "no equilibria\n"
     else:
@@ -272,8 +265,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         gamma_prime=args.gamma_prime,
         k=args.k,
         n=args.n,
-        s_v=parse_rational(args.sv, "sv"),
-        s_c=parse_rational(args.sc, "sc"),
+        s_v=args.sv,
+        s_c=args.sc,
         mode=mode,
     )
     for warning in params.warnings:
@@ -282,18 +275,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json_text(prediction_to_dict(prediction)) + "\n"
     elif args.format == "csv":
-        surplus = prediction.surplus
-        text = csv_text(
-            [
-                ["regime", "majority_chain", "fork_risk", *SURPLUS_FIELDS],
-                [
-                    prediction.regime.value,
-                    prediction.majority_chain.value,
-                    prediction.fork_risk.value,
-                    *(format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS),
-                ],
-            ]
-        )
+        entry = prediction_to_dict(prediction)
+        row = {key: entry[key] for key in ("regime", "majority_chain", "fork_risk")}
+        row.update(entry["surplus"])
+        text = csv_text([list(row), list(row.values())])
     else:
         text = _text(
             [
@@ -386,12 +371,7 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    text = _read_file(args.scenario_file)
-    try:
-        scenarios = load_scenarios(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.scenario_file}: {exc}") from None
-    results = [run_scenario(scenario) for scenario in scenarios]
+    results = [run_scenario(scenario) for scenario in _load(args.scenario_file, load_scenarios)]
     sys.stdout.write(_results_text(args, results))
     for result in results:
         for warning in result.params.warnings:

@@ -61,6 +61,20 @@ def _coerce_labels(labels: object, count: int, field: str) -> tuple[str, ...]:
     return out
 
 
+def _check_positive_int(value: object, field: str) -> None:
+    """Raise ValidationError unless the value is an int, not a bool, of at least 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{field} must be a positive integer")
+
+
+def _check_index(index: object, size: int, what: str) -> None:
+    """Raise ValidationError unless the index is an int, not a bool, in range(size)."""
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise ValidationError(f"{what} must be an int, got {type(index).__name__}")
+    if not 0 <= index < size:
+        raise ValidationError(f"{what} {index} out of range for size {size}")
+
+
 # Sets a record's field past _Record.__setattr__; only constructors call it.
 _set_field = object.__setattr__
 
@@ -192,8 +206,7 @@ class MixedStrategy(_Record):
     @classmethod
     def pure(cls, index: int, size: int) -> MixedStrategy:
         """The degenerate mix placing probability 1 on one strategy."""
-        if not 0 <= index < size:
-            raise ValidationError(f"pure strategy index {index} out of range for size {size}")
+        _check_index(index, size, "pure strategy index")
         return cls((_ZERO,) * index + (_ONE,) + (_ZERO,) * (size - index - 1))
 
     @property
@@ -592,10 +605,8 @@ def is_strong_nash(game: BimatrixGame, row: int, col: int) -> bool:
     stability of the two-player coalition: no other pure profile may
     Pareto-dominate this one.
     """
-    if not 0 <= row < game.rows:
-        raise ValidationError(f"row {row} out of range for {game.rows} rows")
-    if not 0 <= col < game.cols:
-        raise ValidationError(f"col {col} out of range for {game.cols} columns")
+    _check_index(row, game.rows, "row")
+    _check_index(col, game.cols, "col")
     if not _is_pure_equilibrium(game, row, col):
         return False
     return (row, col) in pareto_optimal_pure_profiles(game)
@@ -625,8 +636,7 @@ def load_game(text: str) -> BimatrixGame:
         declared = data.get(field)
         if declared is None:
             continue
-        if not isinstance(declared, int) or isinstance(declared, bool):
-            raise ValidationError(f"{field} must be a positive integer")
+        _check_positive_int(declared, field)
         if declared != actual:
             raise ValidationError(
                 f"{field} is declared as {declared} but the payoff matrices have {actual}"

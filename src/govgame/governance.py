@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ValidationError
-from .game_core import BimatrixGame, _Record, _set_field
+from .game_core import BimatrixGame, _Record, _check_positive_int, _set_field
 from .rationals import format_rational, parse_rational
 
 
@@ -128,9 +128,8 @@ class GovernanceParams(_Record):
         gamma = _share(gamma, "gamma")
         if gamma_prime is not None:
             gamma_prime = _share(gamma_prime, "gamma_prime")
-        for name, value in (("k", k), ("n", n)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValidationError(f"{name} must be a positive integer")
+        _check_positive_int(k, "k")
+        _check_positive_int(n, "n")
         if k > n:
             raise ValidationError("k must not exceed n")
         s_v = _positive(s_v, "s_v")

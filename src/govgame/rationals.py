@@ -64,16 +64,22 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
     raise ValidationError(f"{field} must be a number or 'p/q' string, got {type(value).__name__}")
 
 
+def _reject_constant(literal: str) -> None:
+    raise ValidationError(f"not valid JSON: {literal} is not a JSON number")
+
+
 def parse_json(text: str) -> object:
     """Decode JSON text, reading every decimal literal as an exact Fraction.
 
-    Malformed text, nesting too deep for the decoder, number literals
-    longer than the interpreter's integer digit limit and decimal
-    exponents beyond 4300 all raise ValidationError.
+    Malformed text, NaN and Infinity literals, nesting too deep for the
+    decoder, number literals longer than the interpreter's integer digit
+    limit and decimal exponents beyond 4300 all raise ValidationError.
     """
     try:
         return json.loads(
-            text, parse_float=lambda literal: Fraction(_checked_exponent(literal, "JSON number"))
+            text,
+            parse_float=lambda literal: Fraction(_checked_exponent(literal, "JSON number")),
+            parse_constant=_reject_constant,
         )
     except json.JSONDecodeError as exc:
         raise ValidationError(

@@ -314,6 +314,13 @@ _MODES = {mode.value: mode for mode in Mode}
 _CHAINS = {chain.value: chain for chain in Chain}
 
 
+def _token(value: object, field: str, table: dict[str, Enum]) -> Enum:
+    """The member the token names; ValidationError unless it is one of table's keys."""
+    if not isinstance(value, str) or value not in table:
+        raise ValidationError(f"{field} must be one of {sorted(table)}, got {value!r}")
+    return table[value]
+
+
 def _parse_expected(raw: object) -> tuple[list | None, Chain | None]:
     """The expectation's equilibria as (row, col, payoff_v, payoff_c) lists, and its chain."""
     if raw is None:
@@ -333,12 +340,7 @@ def _parse_expected(raw: object) -> tuple[list | None, Chain | None]:
             equilibria.append([entry[key] for key in _EQUILIBRIUM_KEYS])
     chain = None
     if "majority_chain" in raw:
-        token = raw["majority_chain"]
-        if not isinstance(token, str) or token not in _CHAINS:
-            raise ValidationError(
-                f"majority_chain must be one of {sorted(_CHAINS)}, got {token!r}"
-            )
-        chain = _CHAINS[token]
+        chain = _token(raw["majority_chain"], "majority_chain", _CHAINS)
     return equilibria, chain
 
 
@@ -347,17 +349,12 @@ def _parse_scenario(index: int, entry: object) -> Scenario:
     name = entry.get("name", f"scenario-{index + 1}")
     _check_name(name, f"scenario {index + 1}: name")
     try:
-        mode_token = entry.get("mode", Mode.OFF_CHAIN.value)
-        if not isinstance(mode_token, str) or mode_token not in _MODES:
-            raise ValidationError(
-                f"mode must be one of {sorted(_MODES)}, got {mode_token!r}"
-            )
         # GovernanceParams parses and range-checks every field it is given;
         # absent optional fields take its defaults. Scenario checks the
         # expectation's values.
         params = GovernanceParams(
             **{field: entry[field] for field in _PARAM_KEYS if field in entry},
-            mode=_MODES[mode_token],
+            mode=_token(entry.get("mode", Mode.OFF_CHAIN.value), "mode", _MODES),
         )
         return Scenario(name, params, *_parse_expected(entry.get("expected")))
     except ValidationError as exc:
@@ -374,28 +371,19 @@ def load_scenarios(text: str) -> list[Scenario]:
     strings and are parsed exactly. Unknown fields are rejected so
     typos cannot silently change a scenario's meaning.
     """
-    data = parse_json(text)
-    if not isinstance(data, dict) or set(data) != {"scenarios"}:
-        raise ValidationError(
-            'scenario file must be an object with a single "scenarios" array'
-        )
+    data = json_object(parse_json(text), "scenario file", {"scenarios"}, {"scenarios"})
     if not isinstance(data["scenarios"], list):
         raise ValidationError('"scenarios" must be an array')
     return [_parse_scenario(i, entry) for i, entry in enumerate(data["scenarios"])]
 
 
 def _params_to_dict(params: GovernanceParams) -> dict:
-    entry: dict = {
-        "mode": params.mode.value,
-        "beta": format_rational(params.beta),
-        "gamma": format_rational(params.gamma),
-    }
-    if params.gamma_prime is not None:
-        entry["gamma_prime"] = format_rational(params.gamma_prime)
-    entry["k"] = params.k
-    entry["n"] = params.n
-    entry["s_v"] = format_rational(params.s_v)
-    entry["s_c"] = format_rational(params.s_c)
+    """The mode and each set parameter in _PARAM_KEYS order: counts as ints, rationals as text."""
+    entry: dict = {"mode": params.mode.value}
+    for key in _PARAM_KEYS:
+        value = getattr(params, key)
+        if value is not None:
+            entry[key] = value if isinstance(value, int) else format_rational(value)
     return entry
 
 

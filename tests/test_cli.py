@@ -221,6 +221,21 @@ class TestPredict:
         assert main(["predict", "--beta", "3/2", "--gamma", "1/2"]) == EXIT_USAGE
         assert "beta out of [0,1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sv", "abc", "s_v: cannot parse 'abc' as a rational"),
+            ("--sc", "1/0", "s_c: denominator must be positive"),
+            ("--sv", "0", "s_v must be positive"),
+            ("--sc", "-1/2", "s_c must be positive"),
+        ],
+    )
+    def test_unit_errors_name_the_parameter(self, capsys, flag, value, message):
+        assert main(["predict", "--beta", "1/2", "--gamma", "1/2", f"{flag}={value}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_tie_without_flag(self, capsys):
         assert main(["predict", "--beta", "1/2", "--gamma", "7/10"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -17,6 +17,7 @@ from govgame.game_core import (
     is_strong_nash,
     load_game,
     pareto_optimal_pure_profiles,
+    pure_profile,
 )
 from reference_solvers import is_nash, payoffs
 
@@ -260,6 +261,40 @@ class TestStrongNash:
             is_strong_nash(ALL_ZERO, 0, 5)
 
 
+class TestStrategyIndex:
+    """MixedStrategy.pure, pure_profile and is_strong_nash share one index check."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: MixedStrategy.pure(1.5, 3), "pure strategy index must be an int, got float"),
+            (lambda: pure_profile(ALL_ZERO, "0", 0), "pure strategy index must be an int, got str"),
+            (lambda: is_strong_nash(ALL_ZERO, 0.5, 0), "row must be an int, got float"),
+            (lambda: is_strong_nash(ALL_ZERO, True, 0), "row must be an int, got bool"),
+            (lambda: is_strong_nash(ALL_ZERO, 0, False), "col must be an int, got bool"),
+            (lambda: MixedStrategy.pure(3, 3), "pure strategy index 3 out of range for size 3"),
+            (lambda: pure_profile(ALL_ZERO, 0, -1), "pure strategy index -1 out of range for size 2"),
+            (lambda: is_strong_nash(ALL_ZERO, 2, 0), "row 2 out of range for size 2"),
+            (lambda: is_strong_nash(ALL_ZERO, 0, 5), "col 5 out of range for size 2"),
+        ],
+        ids=[
+            "pure-float",
+            "profile-str",
+            "strong-float",
+            "strong-bool-row",
+            "strong-bool-col",
+            "pure-past-end",
+            "profile-negative",
+            "strong-row-past-end",
+            "strong-col-past-end",
+        ],
+    )
+    def test_invalid_index_is_a_validation_error(self, call, message):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestGameInterchange:
     def test_load_minimal(self):
         game = load_game('{"payoff1": [[1, 2]], "payoff2": [[3, 4]]}')
@@ -320,6 +355,18 @@ class TestGameInterchange:
             (
                 '{"payoff1": [[1, 2], [3]], "payoff2": [[1, 2], [3, 4]]}',
                 "payoff1 row 1 has 1 entries, expected 2",
+            ),
+            ('{"rows": 0, "payoff1": [[1]], "payoff2": [[1]]}', "rows must be a positive integer"),
+            ('{"rows": -1, "payoff1": [[1]], "payoff2": [[1]]}', "rows must be a positive integer"),
+            ('{"cols": 0, "payoff1": [[1]], "payoff2": [[1]]}', "cols must be a positive integer"),
+            ('{"payoff1": [[NaN]], "payoff2": [[1]]}', "not valid JSON: NaN is not a JSON number"),
+            (
+                '{"payoff1": [[1]], "payoff2": [[Infinity]]}',
+                "not valid JSON: Infinity is not a JSON number",
+            ),
+            (
+                '{"payoff1": [[-Infinity]], "payoff2": [[1]]}',
+                "not valid JSON: -Infinity is not a JSON number",
             ),
         ],
     )

@@ -354,6 +354,15 @@ class TestLoadScenarios:
                 ' {"row": "yes", "col": "sideways", "payoff_v": "1", "payoff_c": "1"}]}}',
                 "scenario 'x': expected equilibrium 2: col must be 'upgraded' or 'original'",
             ),
+            ('{"name": "x", "beta": NaN, "gamma": "1"}', "not valid JSON: NaN is not a JSON number"),
+            (
+                '{"name": "x", "beta": "1", "gamma": Infinity}',
+                "not valid JSON: Infinity is not a JSON number",
+            ),
+            (
+                '{"name": "x", "beta": "1", "gamma": "1", "k": -Infinity}',
+                "not valid JSON: -Infinity is not a JSON number",
+            ),
         ],
     )
     def test_field_errors_exact(self, scenario, message):
@@ -367,10 +376,15 @@ class TestLoadScenarios:
         assert str(info.value) == '"scenarios" must be an array'
 
     def test_top_level_shape(self):
-        with pytest.raises(ValidationError):
-            load_scenarios('{"scenario": []}')
-        with pytest.raises(ValidationError):
-            load_scenarios('[]')
+        for text, message in [
+            ("[]", "scenario file must be an object"),
+            ("{}", "scenario file is missing 'scenarios'"),
+            ('{"scenario": []}', "unknown field 'scenario' in scenario file"),
+            ('{"scenarios": [], "x": 1}', "unknown field 'x' in scenario file"),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                load_scenarios(text)
+            assert str(info.value) == message
 
     def test_missing_required_field(self):
         with pytest.raises(ValidationError, match="beta"):
