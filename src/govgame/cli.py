@@ -36,6 +36,7 @@ from .rationals import approx, format_rational, json_text
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
     ScenarioResult,
+    _equilibrium_text,
     csv_text,
     load_scenarios,
     result_rows,
@@ -192,22 +193,25 @@ def _strategy_text(labels: tuple[str, ...], mix: MixedStrategy) -> str:
 
 
 def _generic_equilibrium_dict(eq: EquilibriumResult) -> dict:
+    row_strategy, col_strategy, payoff1, payoff2 = _equilibrium_text(eq)
     return {
         "kind": eq.kind.value,
-        "row_strategy": [format_rational(p) for p in eq.profile.sigma1.probs],
-        "col_strategy": [format_rational(p) for p in eq.profile.sigma2.probs],
-        "payoff1": format_rational(eq.payoffs[0]),
-        "payoff2": format_rational(eq.payoffs[1]),
+        "row_strategy": row_strategy,
+        "col_strategy": col_strategy,
+        "payoff1": payoff1,
+        "payoff2": payoff2,
     }
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     game = _load(args.game_file, load_game)
     if args.pure_only:
+        # The pure enumeration does not compute the flag, so it is reported as unknown.
         equilibria = enumerate_pure_equilibria(game)
+        degenerate = None
     else:
         equilibria = enumerate_mixed_equilibria(game)
-    degenerate = any(eq.degenerate_game for eq in equilibria)
+        degenerate = any(eq.degenerate_game for eq in equilibria)
     if degenerate:
         _diag(
             args,
@@ -226,9 +230,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         labels = [*game.row_labels, *game.col_labels]
         rows = [["equilibrium_index", "kind", *labels, "payoff1", "payoff2"]]
         for idx, eq in enumerate(equilibria, start=1):
-            entry = _generic_equilibrium_dict(eq)
-            strategies = [*entry["row_strategy"], *entry["col_strategy"]]
-            rows.append([str(idx), entry["kind"], *strategies, entry["payoff1"], entry["payoff2"]])
+            row_strategy, col_strategy, payoff1, payoff2 = _equilibrium_text(eq)
+            rows.append([str(idx), eq.kind.value, *row_strategy, *col_strategy, payoff1, payoff2])
         text = csv_text(rows)
     elif not equilibria:
         text = "no equilibria\n"

@@ -82,15 +82,36 @@ _set_field = object.__setattr__
 class _Record:
     """Base of govgame's immutable records.
 
-    Each subclass names its fields, in order, in _fields and sets each
-    one once in its constructor. The fields drive the repr
-    Name(field=value, ...), the equality, which holds only between
-    records of exactly the same class, and the hash. Assigning or
-    deleting an attribute raises AttributeError.
+    Each subclass names its fields, in order, in _fields. A subclass
+    that defines no constructor of its own (nor inherits one from a
+    record) gets a generated __init__(self, <fields>) that stores each
+    argument through _set_field; a field named in the class's _defaults
+    mapping takes that value when omitted. A validating record writes
+    its own constructor instead, which sets each field once. The fields
+    drive the repr Name(field=value, ...), the equality, which holds only
+    between records of exactly the same class, and the hash. Assigning
+    or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        if cls.__init__ is not object.__init__:
+            return
+        # Compiled from source, as dataclasses does, so that a wrong call
+        # raises Python's own TypeError naming Class.__init__ and its fields.
+        params = "".join(
+            f", {name}=_defaults[{name!r}]" if name in cls._defaults else f", {name}"
+            for name in cls._fields
+        )
+        body = "".join(f"\n    _set_field(self, {name!r}, {name})" for name in cls._fields)
+        namespace = {"_set_field": _set_field, "_defaults": cls._defaults}
+        exec(f"def __init__(self{params}):{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -223,10 +244,6 @@ class StrategyProfile(_Record):
 
     _fields = ("sigma1", "sigma2")
 
-    def __init__(self, sigma1: MixedStrategy, sigma2: MixedStrategy) -> None:
-        _set_field(self, "sigma1", sigma1)
-        _set_field(self, "sigma2", sigma2)
-
 
 class EquilibriumKind(Enum):
     PURE = "pure"
@@ -244,18 +261,7 @@ class EquilibriumResult(_Record):
     """
 
     _fields = ("profile", "payoffs", "kind", "degenerate_game")
-
-    def __init__(
-        self,
-        profile: StrategyProfile,
-        payoffs: tuple[Fraction, Fraction],
-        kind: EquilibriumKind,
-        degenerate_game: bool = False,
-    ) -> None:
-        _set_field(self, "profile", profile)
-        _set_field(self, "payoffs", payoffs)
-        _set_field(self, "kind", kind)
-        _set_field(self, "degenerate_game", degenerate_game)
+    _defaults = {"degenerate_game": False}
 
 
 def pure_profile(game: BimatrixGame, row: int, col: int) -> StrategyProfile:

@@ -169,24 +169,6 @@ class SurplusReport(_Record):
 
     _fields = ("s_yes", "s_no", "s_u", "s_o", "surplus_v", "surplus_c", "total")
 
-    def __init__(
-        self,
-        s_yes: Fraction,
-        s_no: Fraction,
-        s_u: Fraction,
-        s_o: Fraction,
-        surplus_v: Fraction,
-        surplus_c: Fraction,
-        total: Fraction,
-    ) -> None:
-        _set_field(self, "s_yes", s_yes)
-        _set_field(self, "s_no", s_no)
-        _set_field(self, "s_u", s_u)
-        _set_field(self, "s_o", s_o)
-        _set_field(self, "surplus_v", surplus_v)
-        _set_field(self, "surplus_c", surplus_c)
-        _set_field(self, "total", total)
-
 
 # Field names in declaration order; every surplus writer iterates these.
 SURPLUS_FIELDS = SurplusReport._fields
@@ -196,20 +178,7 @@ class PredictionResult(_Record):
     """Predicted outcome of one governance scenario."""
 
     _fields = ("regime", "majority_chain", "fork_risk", "surplus", "notes")
-
-    def __init__(
-        self,
-        regime: Regime,
-        majority_chain: Chain,
-        fork_risk: ForkRisk,
-        surplus: SurplusReport,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        _set_field(self, "regime", regime)
-        _set_field(self, "majority_chain", majority_chain)
-        _set_field(self, "fork_risk", fork_risk)
-        _set_field(self, "surplus", surplus)
-        _set_field(self, "notes", notes)
+    _defaults = {"notes": ()}
 
 
 _VOTE_ROWS = ("Yes", "No")

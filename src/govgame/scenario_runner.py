@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import ValidationError
 from .game_core import (
     EquilibriumResult,
-    MixedStrategy,
     _Record,
     _set_field,
     enumerate_mixed_equilibria,
@@ -119,22 +118,7 @@ class ScenarioResult(_Record):
     """
 
     _fields = ("name", "params", "equilibria", "prediction", "mismatches", "notes")
-
-    def __init__(
-        self,
-        name: str,
-        params: GovernanceParams,
-        equilibria: tuple[EquilibriumResult, ...],
-        prediction: PredictionResult,
-        mismatches: tuple[str, ...] | None,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        _set_field(self, "name", name)
-        _set_field(self, "params", params)
-        _set_field(self, "equilibria", equilibria)
-        _set_field(self, "prediction", prediction)
-        _set_field(self, "mismatches", mismatches)
-        _set_field(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     @property
     def status(self) -> CheckStatus:
@@ -143,36 +127,34 @@ class ScenarioResult(_Record):
         return CheckStatus.MISMATCH if self.mismatches else CheckStatus.MATCH
 
 
-def _strategy_text(mix: MixedStrategy) -> str:
-    return "(" + ", ".join(format_rational(p) for p in mix.probs) + ")"
+def _equilibrium_text(eq: EquilibriumResult) -> tuple[list[str], list[str], str, str]:
+    """The row strategy, the col strategy and both payoffs, each value as exact text."""
+    return (
+        [format_rational(p) for p in eq.profile.sigma1.probs],
+        [format_rational(p) for p in eq.profile.sigma2.probs],
+        format_rational(eq.payoffs[0]),
+        format_rational(eq.payoffs[1]),
+    )
 
 
 def _diff_equilibrium(idx: int, want: tuple, got: EquilibriumResult) -> list[str]:
     row, col, payoff_v, payoff_c = want
-    out = []
-    sigma1 = got.profile.sigma1
-    sigma2 = got.profile.sigma2
-    if sigma1.probs[_ROWS.index(row)] != 1:
-        out.append(
-            f"equilibrium {idx}: expected pure row {row!r}, "
-            f"computed row strategy {_strategy_text(sigma1)}"
-        )
-    if sigma2.probs[_COLS.index(col)] != 1:
-        out.append(
-            f"equilibrium {idx}: expected pure col {col!r}, "
-            f"computed col strategy {_strategy_text(sigma2)}"
-        )
-    if got.payoffs[0] != payoff_v:
-        out.append(
-            f"equilibrium {idx}: expected payoff_v {format_rational(payoff_v)}, "
-            f"computed {format_rational(got.payoffs[0])}"
-        )
-    if got.payoffs[1] != payoff_c:
-        out.append(
-            f"equilibrium {idx}: expected payoff_c {format_rational(payoff_c)}, "
-            f"computed {format_rational(got.payoffs[1])}"
-        )
-    return out
+    same = (
+        got.profile.sigma1.probs[_ROWS.index(row)] == 1,
+        got.profile.sigma2.probs[_COLS.index(col)] == 1,
+        got.payoffs[0] == payoff_v,
+        got.payoffs[1] == payoff_c,
+    )
+    if all(same):
+        return []
+    row_strategy, col_strategy, got_v, got_c = _equilibrium_text(got)
+    lines = (
+        f"pure row {row!r}, computed row strategy ({', '.join(row_strategy)})",
+        f"pure col {col!r}, computed col strategy ({', '.join(col_strategy)})",
+        f"payoff_v {format_rational(payoff_v)}, computed {got_v}",
+        f"payoff_c {format_rational(payoff_c)}, computed {got_c}",
+    )
+    return [f"equilibrium {idx}: expected {line}" for ok, line in zip(same, lines) if not ok]
 
 
 def _check_expectation(
@@ -388,13 +370,14 @@ def _params_to_dict(params: GovernanceParams) -> dict:
 
 
 def _equilibrium_to_dict(eq: EquilibriumResult) -> dict:
+    row_strategy, col_strategy, payoff_v, payoff_c = _equilibrium_text(eq)
     return {
         "kind": eq.kind.value,
         "degenerate_game": eq.degenerate_game,
-        "row_strategy": [format_rational(p) for p in eq.profile.sigma1.probs],
-        "col_strategy": [format_rational(p) for p in eq.profile.sigma2.probs],
-        "payoff_v": format_rational(eq.payoffs[0]),
-        "payoff_c": format_rational(eq.payoffs[1]),
+        "row_strategy": row_strategy,
+        "col_strategy": col_strategy,
+        "payoff_v": payoff_v,
+        "payoff_c": payoff_c,
     }
 
 
@@ -437,16 +420,8 @@ def result_rows(result: ScenarioResult) -> Iterator[list[str]]:
     beta = format_rational(result.params.beta)
     gamma = format_rational(result.params.gamma)
     for idx, eq in enumerate(result.equilibria, start=1):
-        yield [
-            result.name,
-            beta,
-            gamma,
-            str(idx),
-            *(format_rational(p) for p in eq.profile.sigma1.probs),
-            *(format_rational(p) for p in eq.profile.sigma2.probs),
-            format_rational(eq.payoffs[0]),
-            format_rational(eq.payoffs[1]),
-        ]
+        row_strategy, col_strategy, payoff_v, payoff_c = _equilibrium_text(eq)
+        yield [result.name, beta, gamma, str(idx), *row_strategy, *col_strategy, payoff_v, payoff_c]
 
 
 def csv_text(rows: Iterable[Iterable[str]]) -> str:

@@ -119,6 +119,15 @@ class TestSolve:
             assert expected in out
             assert json.loads(out)["equilibria"] == []
 
+    def test_pure_only_leaves_degeneracy_unknown(self, tmp_path, capsys):
+        # The all-zero game is degenerate, but the pure enumeration never checks it.
+        path = tmp_path / "zero.json"
+        path.write_text(ALL_ZERO_GAME)
+        assert main(["solve", str(path), "--pure-only", "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["degenerate_game"] is None
+        assert captured.err == ""
+
     def test_degenerate_warning_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(ALL_ZERO_GAME)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from govgame.errors import ValidationError
 from govgame.game_core import (
     BimatrixGame,
     EquilibriumKind,
@@ -245,3 +246,64 @@ def test_defaults():
 def test_warnings_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         GovernanceParams(F(1), F(1), warnings=())
+
+
+# The five records that store their arguments as given, with the TypeError
+# text of each wrong call: a missing argument, an unknown keyword, a
+# repeated argument and one positional argument too many.
+PLAIN_CALL_ERRORS = {
+    "StrategyProfile": (
+        "missing 1 required positional argument: 'sigma1'",
+        "takes 3 positional arguments but 4 were given",
+    ),
+    "EquilibriumResult": (
+        "missing 1 required positional argument: 'profile'",
+        "takes from 4 to 5 positional arguments but 6 were given",
+    ),
+    "SurplusReport": (
+        "missing 1 required positional argument: 's_yes'",
+        "takes 8 positional arguments but 9 were given",
+    ),
+    "PredictionResult": (
+        "missing 1 required positional argument: 'regime'",
+        "takes from 5 to 6 positional arguments but 7 were given",
+    ),
+    "ScenarioResult": (
+        "missing 1 required positional argument: 'name'",
+        "takes from 6 to 7 positional arguments but 8 were given",
+    ),
+}
+
+# A call that each validating record rejects.
+INVALID_CALLS = {
+    "BimatrixGame": lambda cls: cls([[1]], [[1, 2]]),
+    "MixedStrategy": lambda cls: cls((F(1, 2),)),
+    "GovernanceParams": lambda cls: cls("2", "1/2"),
+    "Scenario": lambda cls: cls("", _params()),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_CALL_ERRORS))
+def test_plain_record_rejects_wrong_calls(name):
+    cls, fields, make, _ = RECORDS[name]
+    values = make()
+    missing, too_many = PLAIN_CALL_ERRORS[name]
+    calls = [
+        (lambda: cls(**dict(zip(fields[1:], values[1:]))), missing),
+        (lambda: cls(*values, extra=1), "got an unexpected keyword argument 'extra'"),
+        (lambda: cls(*values, **{fields[0]: values[0]}), f"got multiple values for argument '{fields[0]}'"),
+        (lambda: cls(*values, None), too_many),
+    ]
+    for call, message in calls:
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value) == f"{name}.__init__() {message}"
+
+
+@pytest.mark.parametrize("name", list(INVALID_CALLS))
+def test_subclass_of_validating_record_still_validates(name):
+    cls = RECORDS[name][0]
+    with pytest.raises(ValidationError):
+        INVALID_CALLS[name](cls)
+    with pytest.raises(ValidationError):
+        INVALID_CALLS[name](type("Sub", (cls,), {}))
