@@ -25,6 +25,7 @@ from .game_core import (
 )
 from .governance import (
     SURPLUS_FIELDS,
+    _PARAM_KEYS,
     GovernanceParams,
     Mode,
     PredictionResult,
@@ -113,10 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--gamma-prime",
         help="post-consultation upgraded-chain proportion (on_chain rejections)",
     )
-    p.add_argument("--k", type=int, default=1, help="voter count (default 1)")
-    p.add_argument("--n", type=int, default=1, help="community size (default 1)")
-    p.add_argument("--sv", default="1", help="per-voter payoff unit (default 1)")
-    p.add_argument("--sc", default="1", help="per-community-member payoff unit (default 1)")
+    # Flags left out are not passed on, so GovernanceParams supplies the defaults.
+    p.add_argument("--k", type=int, help="voter count (default 1)")
+    p.add_argument("--n", type=int, help="community size (default 1)")
+    p.add_argument("--sv", dest="s_v", metavar="SV", help="per-voter payoff unit (default 1)")
+    p.add_argument(
+        "--sc", dest="s_c", metavar="SC", help="per-community-member payoff unit (default 1)"
+    )
     p.add_argument(
         "--tie-break",
         choices=["accept", "reject"],
@@ -255,23 +259,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     mode = Mode(args.mode)
-    beta = args.beta
-    if beta is None:
+    given = {key: value for key in _PARAM_KEYS if (value := getattr(args, key)) is not None}
+    if "beta" not in given:
         if mode is not Mode.NO_GOVERNANCE:
             raise ValidationError("beta is required unless mode is 'none'")
         # Without governance no vote takes place; an even split is the
         # neutral stand-in so the voter-side fields stay defined.
-        beta = Fraction(1, 2)
-    params = GovernanceParams(
-        beta=beta,
-        gamma=args.gamma,
-        gamma_prime=args.gamma_prime,
-        k=args.k,
-        n=args.n,
-        s_v=args.sv,
-        s_c=args.sc,
-        mode=mode,
-    )
+        given["beta"] = Fraction(1, 2)
+    params = GovernanceParams(**given, mode=mode)
     for warning in params.warnings:
         _diag(args, f"warning: {warning}")
     prediction = predict_outcome(params, tie_break=args.tie_break)

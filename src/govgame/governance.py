@@ -91,6 +91,11 @@ def _positive(value: object, name: str) -> Fraction:
     return unit
 
 
+# GovernanceParams' arguments other than mode, in order; every reader and writer of a
+# scenario's parameters iterates these.
+_PARAM_KEYS = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
+
+
 class GovernanceParams(_Record):
     """Full parameter set for one governance scenario.
 
@@ -111,7 +116,7 @@ class GovernanceParams(_Record):
     are stored as Fractions.
     """
 
-    _fields = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c", "mode", "warnings")
+    _fields = (*_PARAM_KEYS, "mode", "warnings")
 
     def __init__(
         self,
@@ -273,53 +278,47 @@ def predict_outcome(
       - risk by mode: unanimity (beta = gamma = 1) has risk NONE; any
         other vote has risk HIGH without governance, PRESENT off-chain
         and REDUCED on-chain, where the consultation round lowers it.
-      - destination: unanimity and a majority accept go Upgraded, an
-        off-chain rejection Original, and a tie splits 50/50 unless
-        tie_break forces the accept or reject rules. Without governance
-        the vote does not bind and the sign of gamma - 1/2 decides; in
-        an on-chain rejection the consultation round can flip the
-        community, so the sign of the total surplus decides. A positive
-        sign means Upgraded, a negative one Original, zero a 50/50 split.
+      - destination, first match wins: unanimity goes Upgraded; without
+        governance the vote does not bind and the sign of gamma - 1/2
+        decides; a tie splits 50/50 unless tie_break forces the accept
+        or reject rules; a majority accept goes Upgraded; an off-chain
+        rejection goes Original; in an on-chain rejection the
+        consultation round can flip the community, so the sign of the
+        total surplus decides. A positive sign means Upgraded, a
+        negative one Original, zero a 50/50 split.
       - orientation: one sign orients both surpluses, -1 for a
         rejection outside on_chain mode and +1 otherwise (SurplusReport).
     """
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
     regime = classify_regime(params)
+    unanimous = regime is Regime.UNANIMOUS_ACCEPT
+    governed = params.mode is not Mode.NO_GOVERNANCE
     notes: list[str] = []
     if params.beta < _HALF < params.gamma or params.gamma < _HALF < params.beta:
         notes.append("community majority decided independently of the voter majority")
-
-    if regime is Regime.UNANIMOUS_ACCEPT:
-        return PredictionResult(
-            regime, Chain.UPGRADED, ForkRisk.NONE, _report(params, regime), tuple(notes)
-        )
-
-    risk = _FORK_RISK[params.mode]
-    if params.mode is Mode.NO_GOVERNANCE:
+    effective = regime
+    if unanimous:
+        pass  # a unanimous vote draws no note on tie_break
+    elif not governed:
         if tie_break is not None:
             notes.append("tie_break has no effect without governance")
-        chain = _chain_by_sign(params.gamma - _HALF)
-        return PredictionResult(regime, chain, risk, _report(params, regime), tuple(notes))
-
-    effective = regime
-    if regime is Regime.TIE and tie_break is None:
+    elif regime is Regime.TIE and tie_break is None:
         notes.append("tie vote: no majority side; pass tie_break to force accept or reject")
     elif regime is Regime.TIE:
-        effective = (
-            Regime.MAJORITY_ACCEPT if tie_break == "accept" else Regime.MAJORITY_REJECT
-        )
+        effective = Regime.MAJORITY_ACCEPT if tie_break == "accept" else Regime.MAJORITY_REJECT
         notes.append(f"tie broken toward {tie_break} by caller flag")
     elif tie_break is not None:
         notes.append("tie_break ignored: the vote is not tied")
-
-    if params.beta == 1 and params.gamma != 1:
-        notes.append(
-            "unanimous yes vote, but part of the community stays behind (gamma < 1)"
-        )
+    if governed and params.beta == 1 and params.gamma != 1:
+        notes.append("unanimous yes vote, but part of the community stays behind (gamma < 1)")
 
     surplus = _report(params, effective)
-    if effective is Regime.TIE:
+    if unanimous:
+        chain = Chain.UPGRADED
+    elif not governed:
+        chain = _chain_by_sign(params.gamma - _HALF)
+    elif effective is Regime.TIE:
         chain = Chain.SPLIT_50_50
     elif effective is Regime.MAJORITY_ACCEPT:
         chain = Chain.UPGRADED
@@ -329,6 +328,7 @@ def predict_outcome(
         chain = _chain_by_sign(surplus.total)
         if chain is Chain.SPLIT_50_50:
             notes.append("total surplus is exactly zero: the community splits evenly")
+    risk = ForkRisk.NONE if unanimous else _FORK_RISK[params.mode]
     return PredictionResult(regime, chain, risk, surplus, tuple(notes))
 
 

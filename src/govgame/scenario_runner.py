@@ -24,6 +24,7 @@ from .game_core import (
     enumerate_mixed_equilibria,
 )
 from .governance import (
+    _PARAM_KEYS,
     Chain,
     ForkRisk,
     GovernanceParams,
@@ -288,7 +289,6 @@ def run_ethereum_case_study(
     )
 
 
-_PARAM_KEYS = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
 _SCENARIO_KEYS = {"name", "mode", *_PARAM_KEYS, "expected"}
 _EXPECTED_KEYS = {"equilibria", "majority_chain"}
 _EQUILIBRIUM_KEYS = ("row", "col", "payoff_v", "payoff_c")
@@ -402,16 +402,7 @@ def results_to_json(results: list[ScenarioResult]) -> str:
 
 
 RESULT_CSV_COLUMNS = (
-    "simulation",
-    "beta",
-    "gamma",
-    "equilibrium_index",
-    "yes",
-    "no",
-    "upgraded",
-    "original",
-    "v_payoff",
-    "c_payoff",
+    "simulation", "beta", "gamma", "equilibrium_index", *_ROWS, *_COLS, "v_payoff", "c_payoff"
 )
 
 

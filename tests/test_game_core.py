@@ -85,6 +85,10 @@ class TestBimatrixGame:
         with pytest.raises(ValidationError):
             BimatrixGame(payoff1=[[1, 2]], payoff2=[[1, 2]], row_labels=("A", "B"))
 
+    def test_labels_must_be_strings(self):
+        with pytest.raises(ValidationError, match="row_labels entries must be strings"):
+            BimatrixGame([[1]], [[1]], row_labels=[1])
+
 
 class TestMixedStrategy:
     def test_pure_helper(self):
@@ -102,6 +106,11 @@ class TestMixedStrategy:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError, match="probabilities must be non-negative"):
             MixedStrategy((F(-1, 2), F(3, 2)))
+
+    @pytest.mark.parametrize("probs", [[], "1"])
+    def test_probs_must_be_a_non_empty_sequence(self, probs):
+        with pytest.raises(ValidationError, match="probs must be a non-empty sequence"):
+            MixedStrategy(probs)
 
     def test_sum_must_be_one(self):
         with pytest.raises(ValidationError, match="probabilities must sum to exactly 1"):

@@ -90,6 +90,10 @@ class TestForkRiskOrdering:
     def test_rank_values(self):
         assert [r.rank for r in (ForkRisk.NONE, ForkRisk.REDUCED, ForkRisk.PRESENT, ForkRisk.HIGH)] == [0, 1, 2, 3]
 
+    def test_comparison_with_another_type_raises(self):
+        with pytest.raises(TypeError):
+            ForkRisk.NONE < 1
+
 
 class TestBuildGovernanceGame:
     def test_unanimous_cells(self):
@@ -378,6 +382,59 @@ class TestPredictOutcome:
         assert "community majority decided independently of the voter majority" in result.notes
         aligned = predict_outcome(params("7/10", "4/5"))
         assert "community majority decided independently of the voter majority" not in aligned.notes
+
+
+INDEPENDENT = "community majority decided independently of the voter majority"
+IGNORED = "tie_break ignored: the vote is not tied"
+BEHIND = "unanimous yes vote, but part of the community stays behind (gamma < 1)"
+ZERO_TOTAL = "total surplus is exactly zero: the community splits evenly"
+
+
+@pytest.mark.parametrize(
+    "mode, tie_break, beta, gamma, gamma_prime, expected",
+    [
+        ("none", "accept", "0", "3/4", None,
+         ("MAJORITY_REJECT", "UPGRADED", "HIGH",
+          (INDEPENDENT, "tie_break has no effect without governance"))),
+        ("off_chain", None, "1", "0", None,
+         ("MAJORITY_ACCEPT", "UPGRADED", "PRESENT", (INDEPENDENT, BEHIND))),
+        ("off_chain", "accept", "0", "3/4", None,
+         ("MAJORITY_REJECT", "ORIGINAL", "PRESENT", (INDEPENDENT, IGNORED))),
+        ("off_chain", "accept", "1", "0", None,
+         ("MAJORITY_ACCEPT", "UPGRADED", "PRESENT", (INDEPENDENT, IGNORED, BEHIND))),
+        ("off_chain", "accept", "1", "1/2", None,
+         ("MAJORITY_ACCEPT", "UPGRADED", "PRESENT", (IGNORED, BEHIND))),
+        ("on_chain", None, "1", "0", None,
+         ("MAJORITY_ACCEPT", "UPGRADED", "REDUCED", (INDEPENDENT, BEHIND))),
+        ("on_chain", "accept", "0", "3/4", "1/4",
+         ("MAJORITY_REJECT", "ORIGINAL", "REDUCED", (INDEPENDENT, IGNORED))),
+        ("on_chain", "accept", "1", "0", None,
+         ("MAJORITY_ACCEPT", "UPGRADED", "REDUCED", (INDEPENDENT, IGNORED, BEHIND))),
+        ("on_chain", "accept", "1", "1/2", None,
+         ("MAJORITY_ACCEPT", "UPGRADED", "REDUCED", (IGNORED, BEHIND))),
+        ("on_chain", None, "1/4", "3/4", "4/5",
+         ("MAJORITY_REJECT", "SPLIT_50_50", "REDUCED", (INDEPENDENT, ZERO_TOTAL))),
+        ("on_chain", "accept", "1/4", "3/4", "4/5",
+         ("MAJORITY_REJECT", "SPLIT_50_50", "REDUCED", (INDEPENDENT, IGNORED, ZERO_TOTAL))),
+        ("on_chain", "reject", "1/2", "1/2", "1/2",
+         ("TIE", "SPLIT_50_50", "REDUCED", ("tie broken toward reject by caller flag", ZERO_TOTAL))),
+    ],
+)
+def test_notes_keep_their_order(mode, tie_break, beta, gamma, gamma_prime, expected):
+    """The exact notes, in order, of every kind of input that draws two or more.
+
+    The first nine give one input per distinct (notes, mode) pair that draws two or
+    more notes on the grid of three modes, tie_break None/accept/reject, beta and
+    gamma in {0, 1/4, 1/2, 3/4, 1} and gamma_prime in {None, 1/4, 3/4}; the last
+    three add the exactly-zero total of an on-chain rejection after the other notes.
+    """
+    p = params(beta, gamma, gamma_prime=gamma_prime, k=3, n=10, s_v=2, s_c="1/2", mode=Mode(mode))
+    result = predict_outcome(p, tie_break=tie_break)
+    regime, chain, risk, notes = expected
+    assert result.regime is Regime[regime]
+    assert result.majority_chain is Chain[chain]
+    assert result.fork_risk is ForkRisk[risk]
+    assert result.notes == notes
 
 
 class TestPredictionToDict:
