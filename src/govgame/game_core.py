@@ -225,10 +225,22 @@ class MixedStrategy(_Record):
         _set_field(self, "probs", probs)
 
     @classmethod
+    def _checked(cls, probs: tuple[Fraction, ...]) -> MixedStrategy:
+        """A mix from probabilities that are already valid, without re-checking them.
+
+        Precondition: probs is a non-empty tuple of non-negative Fractions
+        that sum to exactly 1. The caller guarantees this; nothing here
+        checks it.
+        """
+        mix = object.__new__(cls)
+        _set_field(mix, "probs", probs)
+        return mix
+
+    @classmethod
     def pure(cls, index: int, size: int) -> MixedStrategy:
         """The degenerate mix placing probability 1 on one strategy."""
         _check_index(index, size, "pure strategy index")
-        return cls((_ZERO,) * index + (_ONE,) + (_ZERO,) * (size - index - 1))
+        return cls._checked((_ZERO,) * index + (_ONE,) + (_ZERO,) * (size - index - 1))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -551,7 +563,7 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
             memo[v] = (
                 tuple(i for i, c in enumerate(wide) if c),
                 total,
-                MixedStrategy(tuple(Fraction(c, total) for c in wide)),
+                MixedStrategy._checked(tuple(Fraction(c, total) for c in wide)),
                 wide,
             )
         return memo[v]

@@ -190,15 +190,30 @@ _VOTE_ROWS = ("Yes", "No")
 _VOTE_COLS = ("Upgraded", "Original")
 
 
+def _split(part: Fraction, count: int, unit: Fraction) -> tuple[Fraction, Fraction]:
+    """part and 1 - part of count * unit, each as one Fraction of integer products."""
+    mass = count * unit.numerator
+    den = part.denominator * unit.denominator
+    return (
+        Fraction(part.numerator * mass, den),
+        Fraction((part.denominator - part.numerator) * mass, den),
+    )
+
+
 def _masses(
     params: GovernanceParams, share: Fraction
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """s_yes, s_no, s_u, s_o: beta splits k*s_v, share splits n*s_c."""
-    voters = params.k * params.s_v
-    community = params.n * params.s_c
-    s_yes = params.beta * voters
-    s_u = share * community
-    return s_yes, voters - s_yes, s_u, community - s_u
+    """s_yes, s_no, s_u, s_o: beta splits k*s_v, share splits n*s_c.
+
+    Each mass is one Fraction built from integers: with beta = p/q and
+    s_v = a/b, s_yes = p*k*a / (q*b) and s_no = (q - p)*k*a / (q*b), and
+    the same for share, n and s_c. The values are those of the Fraction
+    formula beta * (k * s_v) and k * s_v - s_yes, but this skips the type
+    dispatch that each Fraction operator does first (an int operand goes
+    through the numbers.Rational check) and that made _masses one of the
+    larger costs of a sweep scenario outside the solver.
+    """
+    return (*_split(params.beta, params.k, params.s_v), *_split(share, params.n, params.s_c))
 
 
 def build_governance_game(params: GovernanceParams) -> BimatrixGame:

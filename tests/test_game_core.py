@@ -94,6 +94,8 @@ class TestMixedStrategy:
     def test_pure_helper(self):
         s = MixedStrategy.pure(1, 3)
         assert s.probs == (F(0), F(1), F(0))
+        assert s == MixedStrategy(s.probs)
+        assert all(type(p) is F for p in s.probs)
         assert s.is_pure
         assert s.support == (1,)
 

@@ -30,6 +30,18 @@ HALF = F(1, 2)
 
 unit = st.fractions(min_value=F(0), max_value=F(1), max_denominator=30)
 positive = st.fractions(min_value=F(1, 10), max_value=F(10), max_denominator=12)
+# Shares and payoff units with large numerators and denominators, and the
+# shares' end points exactly.
+wide_unit = st.one_of(
+    st.just(F(0)),
+    st.just(F(1)),
+    unit,
+    st.fractions(min_value=F(0), max_value=F(1), max_denominator=10**12),
+)
+wide_positive = st.one_of(
+    positive,
+    st.fractions(min_value=F(1, 10**12), max_value=F(10**12), max_denominator=10**12),
+)
 modes = st.sampled_from(list(Mode))
 tie_breaks = st.sampled_from([None, "accept", "reject"])
 # Risk of every vote that is not unanimous; unanimity has risk NONE.
@@ -41,11 +53,11 @@ RISK_BY_MODE = {
 
 
 @st.composite
-def governance_params(draw, betas=unit):
+def governance_params(draw, betas=unit, shares=unit, units=positive):
     beta = draw(betas)
-    gamma = draw(unit)
+    gamma = draw(shares)
     mode = draw(modes)
-    gamma_prime = draw(unit) if mode is Mode.ON_CHAIN else None
+    gamma_prime = draw(shares) if mode is Mode.ON_CHAIN else None
     k = draw(st.integers(min_value=1, max_value=50))
     n = draw(st.integers(min_value=k, max_value=100))
     return GovernanceParams(
@@ -54,8 +66,8 @@ def governance_params(draw, betas=unit):
         gamma_prime=gamma_prime,
         k=k,
         n=n,
-        s_v=draw(positive),
-        s_c=draw(positive),
+        s_v=draw(units),
+        s_c=draw(units),
         mode=mode,
     )
 
@@ -254,23 +266,40 @@ def test_vote_game_is_dominance_solvable_unless_a_share_is_half(beta, gamma, pay
     assert all(r.degenerate_game == (len(cells) > 1) for r in results)
 
 
-@settings(max_examples=200)
-@given(governance_params(betas=st.one_of(st.just(HALF), unit)))
+def _operator_masses(params: GovernanceParams, share: F) -> tuple[F, F, F, F]:
+    """s_yes, s_no, s_u, s_o by the Fraction operators, the formula the masses follow."""
+    voters = params.k * params.s_v
+    community = params.n * params.s_c
+    s_yes = params.beta * voters
+    s_u = share * community
+    return s_yes, voters - s_yes, s_u, community - s_u
+
+
+@settings(max_examples=300)
+@given(
+    governance_params(
+        betas=st.one_of(st.just(HALF), wide_unit), shares=wide_unit, units=wide_positive
+    )
+)
 def test_vote_game_entries_are_the_surplus_masses(params):
     game = build_governance_game(params)
     # The trusted constructor builds what the validating one would.
     assert game == BimatrixGame(game.payoff1, game.payoff2, game.row_labels, game.col_labels)
     assert all(type(v) is F for matrix in (game.payoff1, game.payoff2) for row in matrix for v in row)
     report = predict_outcome(params).surplus
-    s_u, s_o = report.s_u, report.s_o
+    share = params.gamma
     if params.mode is Mode.ON_CHAIN and classify_regime(params) is Regime.MAJORITY_REJECT:
         # The report splits the community by gamma_prime, the game by gamma.
-        community = params.n * params.s_c
-        assert s_u == params.gamma_prime * community
-        s_u = params.gamma * community
-        s_o = community - s_u
-    assert game.payoff1 == ((report.s_yes,) * 2, (report.s_no,) * 2)
+        share = params.gamma_prime
+    expected = _operator_masses(params, params.gamma)
+    s_yes, s_no, s_u, s_o = expected
+    assert game.payoff1 == ((s_yes,) * 2, (s_no,) * 2)
     assert game.payoff2 == ((s_u, s_o),) * 2
+    # The repr also pins the type and the lowest terms of each mass.
+    masses = (game.payoff1[0][0], game.payoff1[1][0], game.payoff2[0][0], game.payoff2[0][1])
+    assert repr(masses) == repr(expected)
+    masses = (report.s_yes, report.s_no, report.s_u, report.s_o)
+    assert repr(masses) == repr(_operator_masses(params, share))
 
 
 @settings(max_examples=100)

@@ -6,7 +6,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from govgame.game_core import BimatrixGame, EquilibriumKind, enumerate_mixed_equilibria
+from govgame.game_core import (
+    BimatrixGame,
+    EquilibriumKind,
+    MixedStrategy,
+    enumerate_mixed_equilibria,
+)
 from reference_solvers import payoffs, vertex_oracle
 
 F = Fraction
@@ -18,6 +23,11 @@ def _profiles(results) -> list:
 
 def _check_payoffs_and_kind(game, results) -> None:
     for result in results:
+        # The solver builds its mixes without the constructor's checks;
+        # each must still be one that the validating constructor accepts.
+        for mix in (result.profile.sigma1, result.profile.sigma2):
+            assert MixedStrategy(mix.probs) == mix
+            assert all(type(p) is Fraction for p in mix.probs)
         x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
         assert result.payoffs == payoffs(game.payoff1, game.payoff2, x, y)
         pure = result.profile.sigma1.is_pure and result.profile.sigma2.is_pure
