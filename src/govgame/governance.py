@@ -67,8 +67,6 @@ class ForkRisk(Enum):
         return self.rank < other.rank
 
 
-_HALF = Fraction(1, 2)
-
 # Chain-split risk of every vote that is not unanimous; unanimity has risk NONE.
 _FORK_RISK = {
     Mode.NO_GOVERNANCE: ForkRisk.HIGH,
@@ -77,18 +75,30 @@ _FORK_RISK = {
 }
 
 
+# The checks and sign rules below read a Fraction's numerator p and denominator
+# q > 0, which are in lowest terms: 0 <= p/q <= 1 is 0 <= p <= q, and p/q - 1/2
+# has the sign of 2p - q. Integer comparisons skip the numbers.Rational check
+# that each Fraction comparison makes first.
+
+
 def _share(value: object, name: str) -> Fraction:
     share = parse_rational(value, name)
-    if not 0 <= share <= 1:
+    if not 0 <= share.numerator <= share.denominator:
         raise ValidationError(f"{name} out of [0,1]")
     return share
 
 
 def _positive(value: object, name: str) -> Fraction:
     unit = parse_rational(value, name)
-    if unit <= 0:
+    if unit.numerator <= 0:
         raise ValidationError(f"{name} must be positive")
     return unit
+
+
+def _half_sign(share: Fraction) -> int:
+    """-1, 0 or 1: the sign of share - 1/2, read as the sign of 2p - q."""
+    excess = 2 * share.numerator - share.denominator
+    return (excess > 0) - (excess < 0)
 
 
 # GovernanceParams' arguments other than mode, in order; every reader and writer of a
@@ -145,7 +155,10 @@ class GovernanceParams(_Record):
         if gamma_prime is not None:
             if mode is not Mode.ON_CHAIN:
                 warnings.append("gamma_prime is only used in on_chain mode")
-            elif gamma_prime <= gamma:
+            elif (
+                gamma_prime.numerator * gamma.denominator
+                <= gamma.numerator * gamma_prime.denominator
+            ):
                 warnings.append(
                     "gamma_prime does not exceed gamma; the consultation round "
                     "is expected to increase the upgraded-chain share"
@@ -231,6 +244,9 @@ def build_governance_game(params: GovernanceParams) -> BimatrixGame:
     )
 
 
+_REGIME_BY_SIGN = {1: Regime.MAJORITY_ACCEPT, 0: Regime.TIE, -1: Regime.MAJORITY_REJECT}
+
+
 def classify_regime(params: GovernanceParams) -> Regime:
     """Classify the vote outcome by beta.
 
@@ -241,14 +257,25 @@ def classify_regime(params: GovernanceParams) -> Regime:
     """
     if params.beta == 1 and params.gamma == 1:
         return Regime.UNANIMOUS_ACCEPT
-    if params.beta == _HALF:
-        return Regime.TIE
-    if params.beta < _HALF:
-        return Regime.MAJORITY_REJECT
-    return Regime.MAJORITY_ACCEPT
+    return _REGIME_BY_SIGN[_half_sign(params.beta)]
 
 
-def _report(params: GovernanceParams, regime: Regime) -> SurplusReport:
+def _report(
+    params: GovernanceParams,
+    regime: Regime,
+    masses: tuple[Fraction, Fraction, Fraction, Fraction] | None,
+) -> SurplusReport:
+    """The SurplusReport, its surpluses each one Fraction of integer products.
+
+    masses are s_yes, s_no, s_u, s_o with the community split by gamma,
+    as the vote game holds them, or None to compute them here; the
+    report always computes its own after an on-chain rejection, which
+    splits the community by gamma_prime. With beta = p/q, s_v = a/b and
+    the share r/t, s_c = c/d: s_yes - s_no = (2p - q)*k*a / (q*b),
+    s_u - s_o = (2r - t)*n*c / (t*d), and the total is their sum over
+    the product of the two denominators. The orientation -1 negates the
+    numerators.
+    """
     rejects = regime is Regime.MAJORITY_REJECT
     on_chain = params.mode is Mode.ON_CHAIN
     share = params.gamma
@@ -258,16 +285,30 @@ def _report(params: GovernanceParams, regime: Regime) -> SurplusReport:
                 "gamma_prime is required in on_chain mode when the vote rejects"
             )
         share = params.gamma_prime
-    s_yes, s_no, s_u, s_o = _masses(params, share)
+        masses = None
+    if masses is None:
+        masses = _masses(params, share)
+    beta, s_v, s_c = params.beta, params.s_v, params.s_c
+    num_v = (2 * beta.numerator - beta.denominator) * params.k * s_v.numerator
+    num_c = (2 * share.numerator - share.denominator) * params.n * s_c.numerator
     if rejects and not on_chain:
-        surplus_v, surplus_c = s_no - s_yes, s_o - s_u
-    else:
-        surplus_v, surplus_c = s_yes - s_no, s_u - s_o
-    return SurplusReport(s_yes, s_no, s_u, s_o, surplus_v, surplus_c, surplus_v + surplus_c)
+        num_v, num_c = -num_v, -num_c
+    den_v = beta.denominator * s_v.denominator
+    den_c = share.denominator * s_c.denominator
+    return SurplusReport(
+        *masses,
+        Fraction(num_v, den_v),
+        Fraction(num_c, den_c),
+        Fraction(num_v * den_c + num_c * den_v, den_v * den_c),
+    )
 
 
-def _chain_by_sign(value: Fraction) -> Chain:
-    """UPGRADED for a positive value, ORIGINAL for a negative one, else a split."""
+def _chain_by_sign(value: int) -> Chain:
+    """UPGRADED for a positive integer, ORIGINAL for a negative one, else a split.
+
+    Callers pass an integer with the sign that decides: a total surplus's
+    numerator, or the _half_sign of gamma.
+    """
     if value > 0:
         return Chain.UPGRADED
     if value < 0:
@@ -304,13 +345,23 @@ def predict_outcome(
       - orientation: one sign orients both surpluses, -1 for a
         rejection outside on_chain mode and +1 otherwise (SurplusReport).
     """
+    return _predict(params, tie_break, None)
+
+
+def _predict(
+    params: GovernanceParams,
+    tie_break: str | None,
+    masses: tuple[Fraction, Fraction, Fraction, Fraction] | None,
+) -> PredictionResult:
+    """predict_outcome, given the vote game's masses or None (see _report)."""
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
     regime = classify_regime(params)
     unanimous = regime is Regime.UNANIMOUS_ACCEPT
     governed = params.mode is not Mode.NO_GOVERNANCE
+    gamma_sign = _half_sign(params.gamma)
     notes: list[str] = []
-    if params.beta < _HALF < params.gamma or params.gamma < _HALF < params.beta:
+    if _half_sign(params.beta) * gamma_sign < 0:
         notes.append("community majority decided independently of the voter majority")
     effective = regime
     if unanimous:
@@ -328,11 +379,11 @@ def predict_outcome(
     if governed and params.beta == 1 and params.gamma != 1:
         notes.append("unanimous yes vote, but part of the community stays behind (gamma < 1)")
 
-    surplus = _report(params, effective)
+    surplus = _report(params, effective, masses)
     if unanimous:
         chain = Chain.UPGRADED
     elif not governed:
-        chain = _chain_by_sign(params.gamma - _HALF)
+        chain = _chain_by_sign(gamma_sign)
     elif effective is Regime.TIE:
         chain = Chain.SPLIT_50_50
     elif effective is Regime.MAJORITY_ACCEPT:
@@ -340,7 +391,7 @@ def predict_outcome(
     elif params.mode is Mode.OFF_CHAIN:
         chain = Chain.ORIGINAL
     else:
-        chain = _chain_by_sign(surplus.total)
+        chain = _chain_by_sign(surplus.total.numerator)
         if chain is Chain.SPLIT_50_50:
             notes.append("total surplus is exactly zero: the community splits evenly")
     risk = ForkRisk.NONE if unanimous else _FORK_RISK[params.mode]

@@ -42,7 +42,17 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
 
     Floats are rejected: they have already lost the decimal the user wrote,
     so callers must route text through here (or json parse_float) instead.
+    Text is tested first: it is the common input, and the Fraction test
+    goes through ABCMeta for any value that is not a Fraction.
     """
+    if isinstance(value, str):
+        _checked_exponent(value, field)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValidationError(f"{field}: denominator must be positive") from None
+        except ValueError:
+            raise ValidationError(f"{field}: cannot parse {value!r} as a rational") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -53,14 +63,6 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
         raise ValidationError(
             f"{field} must be given as text or an integer; binary floats are inexact"
         )
-    if isinstance(value, str):
-        _checked_exponent(value, field)
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValidationError(f"{field}: denominator must be positive") from None
-        except ValueError:
-            raise ValidationError(f"{field}: cannot parse {value!r} as a rational") from None
     raise ValidationError(f"{field} must be a number or 'p/q' string, got {type(value).__name__}")
 
 

@@ -236,6 +236,7 @@ class TestPredict:
             ("--sv", "abc", "s_v: cannot parse 'abc' as a rational"),
             ("--sc", "1/0", "s_c: denominator must be positive"),
             ("--sv", "0", "s_v must be positive"),
+            ("--sv", "0/3", "s_v must be positive"),
             ("--sc", "-1/2", "s_c must be positive"),
         ],
     )

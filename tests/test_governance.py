@@ -32,18 +32,31 @@ class TestGovernanceParams:
         p = params("27/50", "0.7")
         assert p.beta == F(27, 50)
         assert p.gamma == F(7, 10)
+        # The ends of [0, 1], in lowest terms and not.
+        for share in ("0", "1", "0/7", "7/7"):
+            p = params(share, share, gamma_prime=share, mode=Mode.ON_CHAIN)
+            assert p.beta == p.gamma == p.gamma_prime == F(share)
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValidationError, match=r"beta out of \[0,1\]"):
             params("3/2", "1/2")
+        for beta in ("8/7", "-1/7"):
+            with pytest.raises(ValidationError, match=r"beta out of \[0,1\]"):
+                params(beta, "1/2")
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValidationError, match=r"gamma out of \[0,1\]"):
             params("1/2", "-1/10")
+        for gamma in ("8/7", "-1/7"):
+            with pytest.raises(ValidationError, match=r"gamma out of \[0,1\]"):
+                params("1/2", gamma)
 
     def test_gamma_prime_out_of_range(self):
         with pytest.raises(ValidationError, match=r"gamma_prime out of \[0,1\]"):
             params("1/2", "1/2", gamma_prime="2", mode=Mode.ON_CHAIN)
+        for gamma_prime in ("8/7", "-1/7"):
+            with pytest.raises(ValidationError, match=r"gamma_prime out of \[0,1\]"):
+                params("1/2", "1/2", gamma_prime=gamma_prime, mode=Mode.ON_CHAIN)
 
     def test_k_must_be_positive_integer(self):
         with pytest.raises(ValidationError, match="k must be a positive integer"):
@@ -58,6 +71,8 @@ class TestGovernanceParams:
     def test_scale_units_positive(self):
         with pytest.raises(ValidationError, match="s_v must be positive"):
             params("1/2", "1/2", s_v=0)
+        with pytest.raises(ValidationError, match="s_v must be positive"):
+            params("1/2", "1/2", s_v="0/3")
         with pytest.raises(ValidationError, match="s_c must be positive"):
             params("1/2", "1/2", s_c="-1")
 
@@ -71,6 +86,9 @@ class TestGovernanceParams:
 
     def test_gamma_prime_not_above_gamma_warns(self):
         p = params("3/5", "7/10", gamma_prime="3/5", mode=Mode.ON_CHAIN)
+        assert any("does not exceed gamma" in w for w in p.warnings)
+        # Equal to gamma, in other terms.
+        p = params("3/5", "1/2", gamma_prime="2/4", mode=Mode.ON_CHAIN)
         assert any("does not exceed gamma" in w for w in p.warnings)
 
     def test_well_formed_on_chain_has_no_warnings(self):

@@ -19,11 +19,14 @@ from govgame.governance import (
     ForkRisk,
     GovernanceParams,
     Mode,
+    PredictionResult,
     Regime,
+    SurplusReport,
     build_governance_game,
     classify_regime,
     predict_outcome,
 )
+from govgame.scenario_runner import Scenario, run_scenario
 
 F = Fraction
 HALF = F(1, 2)
@@ -53,7 +56,7 @@ RISK_BY_MODE = {
 
 
 @st.composite
-def governance_params(draw, betas=unit, shares=unit, units=positive):
+def governance_params(draw, betas=unit, shares=unit, units=positive, modes=modes):
     beta = draw(betas)
     gamma = draw(shares)
     mode = draw(modes)
@@ -275,12 +278,71 @@ def _operator_masses(params: GovernanceParams, share: F) -> tuple[F, F, F, F]:
     return s_yes, voters - s_yes, s_u, community - s_u
 
 
+def _operator_report(params: GovernanceParams, effective: Regime) -> SurplusReport:
+    """The surplus report by the Fraction operators, from the masses' formula."""
+    rejects = effective is Regime.MAJORITY_REJECT
+    on_chain = params.mode is Mode.ON_CHAIN
+    share = params.gamma_prime if rejects and on_chain else params.gamma
+    s_yes, s_no, s_u, s_o = _operator_masses(params, share)
+    sign = -1 if rejects and not on_chain else 1
+    surplus_v, surplus_c = sign * (s_yes - s_no), sign * (s_u - s_o)
+    return SurplusReport(s_yes, s_no, s_u, s_o, surplus_v, surplus_c, surplus_v + surplus_c)
+
+
+def _operator_chain(value: F) -> Chain:
+    return Chain.UPGRADED if value > 0 else Chain.ORIGINAL if value < 0 else Chain.SPLIT_50_50
+
+
+def _operator_prediction(params: GovernanceParams, tie_break) -> PredictionResult:
+    """predict_outcome's documented rules, by Fraction operators and comparisons."""
+    beta, gamma, mode = params.beta, params.gamma, params.mode
+    governed = mode is not Mode.NO_GOVERNANCE
+    unanimous = beta == 1 and gamma == 1
+    if unanimous:
+        regime = Regime.UNANIMOUS_ACCEPT
+    elif beta == HALF:
+        regime = Regime.TIE
+    else:
+        regime = Regime.MAJORITY_ACCEPT if beta > HALF else Regime.MAJORITY_REJECT
+    notes = []
+    if beta < HALF < gamma or gamma < HALF < beta:
+        notes.append("community majority decided independently of the voter majority")
+    effective = regime
+    if not unanimous and tie_break is not None:
+        if not governed:
+            notes.append("tie_break has no effect without governance")
+        elif regime is Regime.TIE:
+            effective = Regime[f"MAJORITY_{tie_break.upper()}"]
+            notes.append(f"tie broken toward {tie_break} by caller flag")
+        else:
+            notes.append("tie_break ignored: the vote is not tied")
+    elif governed and regime is Regime.TIE:
+        notes.append("tie vote: no majority side; pass tie_break to force accept or reject")
+    if governed and beta == 1 and gamma < 1:
+        notes.append("unanimous yes vote, but part of the community stays behind (gamma < 1)")
+    report = _operator_report(params, effective)
+    if unanimous or (governed and effective is Regime.MAJORITY_ACCEPT):
+        chain = Chain.UPGRADED
+    elif not governed:
+        chain = _operator_chain(gamma - HALF)
+    elif effective is Regime.TIE:
+        chain = Chain.SPLIT_50_50
+    elif mode is Mode.OFF_CHAIN:
+        chain = Chain.ORIGINAL
+    else:
+        chain = _operator_chain(report.total)
+        if report.total == 0:
+            notes.append("total surplus is exactly zero: the community splits evenly")
+    risk = ForkRisk.NONE if unanimous else RISK_BY_MODE[mode]
+    return PredictionResult(regime, chain, risk, report, tuple(notes))
+
+
+wide_shares = st.one_of(st.just(HALF), wide_unit)
+wide_params = governance_params(betas=wide_shares, shares=wide_shares, units=wide_positive)
+
+
 @settings(max_examples=300)
-@given(
-    governance_params(
-        betas=st.one_of(st.just(HALF), wide_unit), shares=wide_unit, units=wide_positive
-    )
-)
+@given(governance_params(betas=wide_shares, shares=wide_unit, units=wide_positive))
 def test_vote_game_entries_are_the_surplus_masses(params):
     game = build_governance_game(params)
     # The trusted constructor builds what the validating one would.
@@ -300,6 +362,35 @@ def test_vote_game_entries_are_the_surplus_masses(params):
     assert repr(masses) == repr(expected)
     masses = (report.s_yes, report.s_no, report.s_u, report.s_o)
     assert repr(masses) == repr(_operator_masses(params, share))
+
+
+@settings(max_examples=400)
+@given(wide_params, tie_breaks)
+def test_prediction_matches_the_operator_reference(params, tie_break):
+    # The predictor decides from integer numerators and denominators; the
+    # reference compares and combines Fractions. The repr pins every field,
+    # the type and lowest terms of each surplus and the order of the notes.
+    assert repr(predict_outcome(params, tie_break)) == repr(_operator_prediction(params, tie_break))
+
+
+# On-chain rejections, whose report splits the community by gamma_prime and
+# so cannot reuse the vote game's masses.
+on_chain_rejections = governance_params(
+    betas=st.one_of(st.just(F(0)), st.fractions(min_value=F(0), max_value=F(49, 100))),
+    shares=wide_shares,
+    units=wide_positive,
+    modes=st.just(Mode.ON_CHAIN),
+).filter(lambda params: params.gamma_prime != params.gamma)
+
+
+@settings(max_examples=300)
+@given(st.one_of(wide_params, on_chain_rejections))
+def test_run_scenario_predicts_as_predict_outcome(params):
+    # run_scenario hands the vote game's masses to the predictor.
+    prediction = run_scenario(Scenario("s", params)).prediction
+    expected = predict_outcome(params)
+    assert prediction == expected
+    assert repr(prediction) == repr(expected)
 
 
 @settings(max_examples=100)
