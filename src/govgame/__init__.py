@@ -32,7 +32,6 @@ from .governance import (
     build_governance_game,
     classify_regime,
     predict_outcome,
-    prediction_to_dict,
 )
 from .rationals import format_rational, parse_rational
 from .scenario_runner import (
@@ -41,7 +40,6 @@ from .scenario_runner import (
     ScenarioResult,
     builtin_table1_scenarios,
     load_scenarios,
-    result_to_dict,
     results_to_csv,
     results_to_json,
     run_ethereum_case_study,
@@ -80,9 +78,7 @@ __all__ = [
     "pareto_optimal_pure_profiles",
     "parse_rational",
     "predict_outcome",
-    "prediction_to_dict",
     "pure_profile",
-    "result_to_dict",
     "results_to_csv",
     "results_to_json",
     "run_ethereum_case_study",

@@ -26,12 +26,12 @@ from .game_core import (
 from .governance import (
     SURPLUS_FIELDS,
     _PARAM_KEYS,
+    _prediction_json,
     GovernanceParams,
     Mode,
     PredictionResult,
     SurplusReport,
     predict_outcome,
-    prediction_to_dict,
 )
 from .rationals import approx, format_rational, json_text
 from .scenario_runner import (
@@ -271,12 +271,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _diag(args, f"warning: {warning}")
     prediction = predict_outcome(params, tie_break=args.tie_break)
     if args.format == "json":
-        text = json_text(prediction_to_dict(prediction)) + "\n"
+        text = _prediction_json(prediction, "\n") + "\n"
     elif args.format == "csv":
-        entry = prediction_to_dict(prediction)
-        row = {key: entry[key] for key in ("regime", "majority_chain", "fork_risk")}
-        row.update(entry["surplus"])
-        text = csv_text([list(row), list(row.values())])
+        members = (prediction.regime, prediction.majority_chain, prediction.fork_risk)
+        surplus = prediction.surplus
+        row = [
+            *(member.value for member in members),
+            *(format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS),
+        ]
+        text = csv_text([["regime", "majority_chain", "fork_risk", *SURPLUS_FIELDS], row])
     else:
         text = _text(
             [

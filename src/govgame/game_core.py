@@ -9,7 +9,9 @@ surviving subgame's two best-response polytopes with integer pivoting
 extreme equilibrium of any game, degenerate or not. The elimination is
 strict only: a weakly dominated strategy is kept, since it may be played
 in an equilibrium, and a game left with a single profile returns it as
-its unique, pure equilibrium without a vertex walk.
+its unique, pure equilibrium without a vertex walk. Only a subgame that
+is walked has its payoffs shifted to positive entries; elimination and
+the equilibrium payoffs use the payoffs scaled to integers alone.
 """
 
 from __future__ import annotations
@@ -314,19 +316,28 @@ def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     ]
 
 
-def _positive_integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int, int]:
-    """Scale a payoff matrix to integers and shift every entry to >= 1.
+def _integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int]:
+    """Scale a payoff matrix to integers: entry v becomes v * scale.
 
-    Returns the integer matrix with its scale and shift: entry v becomes
-    v * scale + shift. Both steps are positive affine maps of one
-    player's payoffs, so they leave the game's Nash equilibria unchanged.
-    Entries >= 1 make the best-response polytope built from the matrix
-    bounded.
+    Returns the integer matrix with its scale, the lcm of the entries'
+    denominators. A positive scale is a positive affine map of one
+    player's payoffs, so it leaves the game's Nash equilibria and its
+    strict dominance unchanged.
     """
     scale = lcm(*(v.denominator for row in matrix for v in row))
-    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
-    shift = 1 - min(min(row) for row in ints)
-    return [[v + shift for v in row] for row in ints], scale, shift
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
+
+
+def _shifted(matrix: list[list[int]]) -> list[list[int]]:
+    """The integer matrix with one constant added so its least entry is 1.
+
+    Entries >= 1 make the best-response polytope built from the matrix
+    bounded. Adding a constant to one player's payoffs leaves the Nash
+    equilibria, and so the normalised vertex pairs and their labels,
+    unchanged.
+    """
+    shift = 1 - min(min(row) for row in matrix)
+    return [[v + shift for v in row] for row in matrix]
 
 
 def _survivors(lines: list[list[int]]) -> list[int]:
@@ -488,18 +499,21 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
 def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     """All extreme Nash equilibria, by exact vertex enumeration.
 
-    Each payoff matrix is scaled to positive integers, and strictly
-    dominated pure strategies are eliminated from the integer matrices
-    until none is left (see _undominated). This keeps the Nash set: an
+    Each payoff matrix is scaled to integers, and strictly dominated
+    pure strategies are eliminated from the integer matrices until none
+    is left (see _undominated). This keeps the Nash set: an
     eliminated strategy does strictly worse than a survivor against
     every opponent mix on the survivors, so it is in no equilibrium's
     support, and each extreme equilibrium of the game is one of the
     subgame's widened by zeros. Weakly dominated strategies are kept. A
     single surviving profile is returned as the unique pure equilibrium.
-    Otherwise every vertex of the subgame's two best-response polytopes
-    P = {x >= 0 : B^T x <= 1} and Q = {y >= 0 : A y <= 1} is found by
-    integer pivoting; m and n count the surviving rows and columns, and
-    a game that loses no strategy is walked as it is. Label i < m is
+    Otherwise only the surviving subgame is shifted: a constant is added
+    to each player's integer payoffs so that the least is 1, which moves
+    no equilibrium. Every vertex of its two best-response polytopes
+    P = {x >= 0 : B^T x <= 1} and Q = {y >= 0 : A y <= 1}, with A and B
+    the shifted matrices, is then found by integer pivoting; m and n
+    count the surviving rows and columns, and a game that loses no
+    strategy is walked whole. Label i < m is
     "row i unplayed" on P and "row i a best response" on Q; label m + j
     is "column j a best response" on P and "column j unplayed" on Q. The
     extreme equilibria are the nonzero vertex pairs that carry all m + n
@@ -510,8 +524,8 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     than every basis of a degenerate vertex.
     Every row in supp(x) is a best response to y, and every column in
     supp(y) to x, so player 1's payoff is read from one such row and
-    player 2's from one column, each as one Fraction of the scaled
-    integer entries and the vertex's integer coordinates.
+    player 2's from one column, each as one Fraction of the scaled,
+    unshifted integer entries and the vertex's integer coordinates.
 
     Results are ordered by row support size, row support, column support
     size, column support, then the strategies themselves, so pure
@@ -522,15 +536,15 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     (x2, y1) are equilibria too. They then span a convex set of
     equilibria, a continuum that is reported only by its vertices.
     """
-    a, scale_a, shift_a = _positive_integers(game.payoff1)
-    b, scale_b, shift_b = _positive_integers(game.payoff2)
+    a, scale_a = _integers(game.payoff1)
+    b, scale_b = _integers(game.payoff2)
     rows, cols, sub_a, sub_bt = _undominated(a, [list(col) for col in zip(*b)])
     if len(rows) == len(cols) == 1:
         return [_pure_result(game, rows[0], cols[0])]
     m, n = len(rows), len(cols)
     full = (1 << (m + n)) - 1
-    p = _vertices(sub_bt)
-    q = _vertices(sub_a)
+    p = _vertices(_shifted(sub_bt))
+    q = _vertices(_shifted(sub_a))
     xs = [(x, labels) for x, labels in p.items() if any(x)]
     # Q's own labels put its n coordinates first; move them after P's m rows.
     low = (1 << n) - 1
@@ -572,10 +586,10 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     for x_sub, _, y_sub, _ in pairs:
         sx, tx, mx, x = strategy(0, x_sub)
         sy, ty, my, y = strategy(1, y_sub)
-        # Undo the integer scaling: payoff = (entry - shift) / scale.
+        # Undo the integer scaling of the unshifted matrices: payoff = entry / scale.
         row, col = a[sx[0]], sy[0]
-        u1 = Fraction(sum(row[j] * y[j] for j in sy) - shift_a * ty, scale_a * ty)
-        u2 = Fraction(sum(b[i][col] * x[i] for i in sx) - shift_b * tx, scale_b * tx)
+        u1 = Fraction(sum(row[j] * y[j] for j in sy), scale_a * ty)
+        u2 = Fraction(sum(b[i][col] * x[i] for i in sx), scale_b * tx)
         found.append(((len(sx), sx, len(sy), sy, mx.probs, my.probs), mx, my, (u1, u2)))
     found.sort(key=lambda item: item[0])
     return [

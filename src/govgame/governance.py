@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .game_core import BimatrixGame, _Record, _check_positive_int, _set_field
-from .rationals import format_rational, parse_rational
+from .rationals import _json_array, _json_fields, _quote, format_rational, parse_rational
 
 
 class Mode(Enum):
@@ -398,15 +398,31 @@ def _predict(
     return PredictionResult(regime, chain, risk, surplus, tuple(notes))
 
 
-def prediction_to_dict(prediction: PredictionResult) -> dict:
-    """JSON-ready mapping with exact "p/q" strings for all rationals."""
+def _prediction_json(prediction: PredictionResult, newline: str) -> str:
+    """The prediction as JSON text, laid out at newline as rationals._write lays it out.
+
+    The enums are written as their values, each surplus field as exact
+    text and the notes as a list of strings; only the notes are escaped,
+    as enum values and exact text never need it.
+    """
+    inner = newline + "  "
     surplus = prediction.surplus
-    return {
-        "regime": prediction.regime.value,
-        "majority_chain": prediction.majority_chain.value,
-        "fork_risk": prediction.fork_risk.value,
-        "surplus": {
-            name: format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS
-        },
-        "notes": list(prediction.notes),
-    }
+    return _json_fields(
+        [
+            ("regime", f'"{prediction.regime.value}"'),
+            ("majority_chain", f'"{prediction.majority_chain.value}"'),
+            ("fork_risk", f'"{prediction.fork_risk.value}"'),
+            (
+                "surplus",
+                _json_fields(
+                    [
+                        (name, f'"{format_rational(getattr(surplus, name))}"')
+                        for name in SURPLUS_FIELDS
+                    ],
+                    inner,
+                ),
+            ),
+            ("notes", _json_array([_quote(note) for note in prediction.notes], inner)),
+        ],
+        newline,
+    )

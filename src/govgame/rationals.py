@@ -7,8 +7,10 @@ exact arithmetic. These helpers convert the external representations
 without ever rounding: a decimal literal is read as the rational it
 denotes, not as the nearest binary float. The JSON the package reads
 goes through `parse_json`, and each object in it through `json_object`;
-the JSON it writes goes through `json_text`. `reject_lone_surrogates`
-refuses text that UTF-8 cannot encode.
+the JSON it writes goes through `json_text`, or, for results and
+predictions written straight from their records, through `_json_array`
+and `_json_fields`, which lay the text out the same way.
+`reject_lone_surrogates` refuses text that UTF-8 cannot encode.
 """
 
 from __future__ import annotations
@@ -46,8 +48,17 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
     goes through ABCMeta for any value that is not a Fraction.
     """
     if isinstance(value, str):
-        _checked_exponent(value, field)
+        # ASCII digits, optionally "/" and more ASCII digits, are read as two
+        # ints, which skips Fraction(str)'s ABC check, regex and exponent
+        # check. Signs, spaces, underscores, decimals and other digits take
+        # the Fraction(str) path.
+        num, slash, den = value.partition("/")
+        plain = num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())
+        if not plain:
+            _checked_exponent(value, field)
         try:
+            if plain:
+                return Fraction(int(num), int(den) if slash else 1)
             return Fraction(value)
         except ZeroDivisionError:
             raise ValidationError(f"{field}: denominator must be positive") from None
@@ -189,6 +200,26 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         out.append("false")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_array(items: list[str], newline: str) -> str:
+    """A JSON array of items already written as JSON, laid out as _write lays it out."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"
+
+
+def _json_fields(fields: list[tuple[str, str]], newline: str) -> str:
+    """A JSON object of (key, value already written as JSON) pairs, laid out as _write lays it out.
+
+    Each key is a plain name, written between quotes without escaping.
+    """
+    if not fields:
+        return "{}"
+    inner = newline + "  "
+    members = ("," + inner).join([f'"{key}": {value}' for key, value in fields])
+    return f"{{{inner}{members}{newline}}}"
 
 
 def format_rational(value: Fraction) -> str:

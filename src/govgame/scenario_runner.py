@@ -26,18 +26,20 @@ from .game_core import (
 from .governance import (
     _PARAM_KEYS,
     _predict,
+    _prediction_json,
     Chain,
     ForkRisk,
     GovernanceParams,
     Mode,
     PredictionResult,
     build_governance_game,
-    prediction_to_dict,
 )
 from .rationals import (
+    _json_array,
+    _json_fields,
+    _quote,
     format_rational,
     json_object,
-    json_text,
     parse_json,
     parse_rational,
     reject_lone_surrogates,
@@ -362,46 +364,56 @@ def load_scenarios(text: str) -> list[Scenario]:
     return [_parse_scenario(i, entry) for i, entry in enumerate(data["scenarios"])]
 
 
-def _params_to_dict(params: GovernanceParams) -> dict:
-    """The mode and each set parameter in _PARAM_KEYS order: counts as ints, rationals as text."""
-    entry: dict = {"mode": params.mode.value}
+def _result_json(result: ScenarioResult, newline: str) -> str:
+    """One result as JSON text, laid out at newline as rationals._write lays it out.
+
+    The params give the mode and each set field in _PARAM_KEYS order,
+    counts as ints and rationals as exact text; the prediction is
+    governance's _prediction_json. Only the name, the mismatch lines and
+    the notes are escaped: enum values and exact text never need it.
+    """
+    inner = newline + "  "
+    nested = inner + "  "
+    deeper = nested + "  "
+    params = result.params
+    entries = [("mode", f'"{params.mode.value}"')]
     for key in _PARAM_KEYS:
         value = getattr(params, key)
         if value is not None:
-            entry[key] = value if isinstance(value, int) else format_rational(value)
-    return entry
-
-
-def _equilibrium_to_dict(eq: EquilibriumResult) -> dict:
-    row_strategy, col_strategy, payoff_v, payoff_c = _equilibrium_text(eq)
-    return {
-        "kind": eq.kind.value,
-        "degenerate_game": eq.degenerate_game,
-        "row_strategy": row_strategy,
-        "col_strategy": col_strategy,
-        "payoff_v": payoff_v,
-        "payoff_c": payoff_c,
-    }
-
-
-def result_to_dict(result: ScenarioResult) -> dict:
-    """JSON-ready mapping for one result, rationals as "p/q" strings."""
-    return {
-        "name": result.name,
-        "params": _params_to_dict(result.params),
-        "equilibria": [_equilibrium_to_dict(eq) for eq in result.equilibria],
-        "prediction": prediction_to_dict(result.prediction),
-        "expectation_check": {
-            "status": result.status.value,
-            "details": list(result.mismatches or ()),
-        },
-        "notes": list(result.notes),
-    }
+            text = str(value) if isinstance(value, int) else f'"{format_rational(value)}"'
+            entries.append((key, text))
+    equilibria = []
+    for eq in result.equilibria:
+        row_strategy, col_strategy, payoff_v, payoff_c = _equilibrium_text(eq)
+        fields = [
+            ("kind", f'"{eq.kind.value}"'),
+            ("degenerate_game", "true" if eq.degenerate_game else "false"),
+            ("row_strategy", _json_array([f'"{p}"' for p in row_strategy], deeper)),
+            ("col_strategy", _json_array([f'"{p}"' for p in col_strategy], deeper)),
+            ("payoff_v", f'"{payoff_v}"'),
+            ("payoff_c", f'"{payoff_c}"'),
+        ]
+        equilibria.append(_json_fields(fields, nested))
+    check = [
+        ("status", f'"{result.status.value}"'),
+        ("details", _json_array([_quote(line) for line in result.mismatches or ()], nested)),
+    ]
+    return _json_fields(
+        [
+            ("name", _quote(result.name)),
+            ("params", _json_fields(entries, inner)),
+            ("equilibria", _json_array(equilibria, inner)),
+            ("prediction", _prediction_json(result.prediction, inner)),
+            ("expectation_check", _json_fields(check, inner)),
+            ("notes", _json_array([_quote(note) for note in result.notes], inner)),
+        ],
+        newline,
+    )
 
 
 def results_to_json(results: list[ScenarioResult]) -> str:
-    """Full-fidelity JSON array of scenario results."""
-    return json_text([result_to_dict(r) for r in results])
+    """Full-fidelity JSON array of scenario results, as json.dumps(..., indent=2) lays it out."""
+    return _json_array([_result_json(r, "\n  ") for r in results], "\n")
 
 
 RESULT_CSV_COLUMNS = (

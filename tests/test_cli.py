@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from govgame import cli
 from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from govgame.scenario_runner import ScenarioResult, builtin_table1_scenarios, run_table1_suite
+from govgame.errors import ValidationError
+from govgame.governance import GovernanceParams, Mode, predict_outcome
+from govgame.scenario_runner import (
+    ScenarioResult,
+    builtin_table1_scenarios,
+    csv_text,
+    run_table1_suite,
+)
+from reference_writers import prediction_csv_rows, prediction_dict
 
 SIM6_GAME = json.dumps(
     {
@@ -634,3 +646,46 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+SHARES = st.fractions(min_value=0, max_value=1, max_denominator=12)
+UNITS = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@given(
+    st.sampled_from(Mode),
+    SHARES,
+    SHARES,
+    st.none() | SHARES,
+    st.integers(1, 5),
+    st.integers(0, 4),
+    UNITS,
+    UNITS,
+    st.sampled_from([None, "accept", "reject"]),
+)
+def test_predict_json_and_csv_equal_the_reference_layout(
+    mode, beta, gamma, gamma_prime, k, extra, s_v, s_c, tie_break
+):
+    """`predict --format json/csv` against tests/reference_writers.py."""
+    n = k + extra
+    try:
+        prediction = predict_outcome(
+            GovernanceParams(beta, gamma, gamma_prime, k, n, s_v, s_c, mode), tie_break
+        )
+    except ValidationError:
+        # An on-chain rejection without gamma_prime has no prediction.
+        assume(False)
+    argv = ["predict", "--mode", mode.value, "--beta", str(beta), "--gamma", str(gamma)]
+    argv += ["--k", str(k), "--n", str(n), "--sv", str(s_v), "--sc", str(s_c), "--quiet"]
+    if gamma_prime is not None:
+        argv += ["--gamma-prime", str(gamma_prime)]
+    if tie_break is not None:
+        argv += ["--tie-break", tie_break]
+    for fmt, want in (
+        ("json", json.dumps(prediction_dict(prediction), indent=2) + "\n"),
+        ("csv", csv_text(prediction_csv_rows(prediction))),
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) == EXIT_OK
+        assert out.getvalue() == want

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from govgame.governance import (
     Regime,
     build_governance_game,
     classify_regime,
+    _prediction_json,
     predict_outcome,
-    prediction_to_dict,
 )
+from reference_writers import prediction_dict
 
 F = Fraction
 
@@ -456,8 +458,13 @@ def test_notes_keep_their_order(mode, tie_break, beta, gamma, gamma_prime, expec
 
 
 class TestPredictionToDict:
+    """The prediction's JSON, checked against the reference layout in tests/reference_writers.py."""
+
     def test_exact_strings(self):
-        data = prediction_to_dict(predict_outcome(params("27/50", "7/10")))
+        prediction = predict_outcome(params("27/50", "7/10"))
+        text = _prediction_json(prediction, "\n")
+        assert text == json.dumps(prediction_dict(prediction), indent=2)
+        data = json.loads(text)
         assert data["regime"] == "majority_accept"
         assert data["majority_chain"] == "upgraded"
         assert data["fork_risk"] == "present"

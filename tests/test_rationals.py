@@ -10,7 +10,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from govgame.errors import ValidationError
-from govgame.rationals import approx, format_rational, json_text, parse_json, parse_rational
+from govgame.rationals import (
+    _checked_exponent,
+    approx,
+    format_rational,
+    json_text,
+    parse_json,
+    parse_rational,
+)
 
 
 def test_parse_fraction_string():
@@ -59,6 +66,61 @@ def test_parse_garbage():
 def test_parse_error_names_field():
     with pytest.raises(ValidationError, match="gamma:"):
         parse_rational("x", field="gamma")
+
+
+def _reference_parse(value: str, field: str) -> Fraction:
+    """parse_rational's text path before plain "p/q" text was read in integers."""
+    _checked_exponent(value, field)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValidationError(f"{field}: denominator must be positive") from None
+    except ValueError:
+        raise ValidationError(f"{field}: cannot parse {value!r} as a rational") from None
+
+
+def _outcome(parse, value: str) -> tuple:
+    try:
+        result = parse(value, "sv")
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "value", type(result), result
+
+
+# Pieces of rational text: signs, spaces, underscores, decimals, exponents,
+# zero denominators, non-ASCII digits (Arabic-Indic, superscript, fullwidth)
+# and digit runs on both sides of the 4300-digit limit.
+_PIECES = st.sampled_from(
+    ["0", "1", "7", "00", "/", "/0", "+", "-", " ", "_", ".", "e", "E5", "\u0661", "\u00b2", "\uff11"]
+)
+_LONG_DIGITS = st.integers(4295, 4305).map(lambda size: "9" * size)
+_PART = st.lists(_PIECES | _LONG_DIGITS, max_size=3).map("".join)
+# Text shaped like "p/q", each side optionally signed or padded.
+_SIDE = r"[ +-]?[0-9]{0,3}[_.eE\u0661\u00b2\uff11]?[0-9]{0,3}"
+_SHAPED = st.from_regex(rf"\A{_SIDE}(/{_SIDE})?\Z")
+
+
+@given(st.tuples(_PART, st.sampled_from(["", "/"]), _PART).map("".join) | _SHAPED)
+@example("007")
+@example("0/5")
+@example("1/0")
+@example("-1/2")
+@example("+3")
+@example(" 4/5 ")
+@example("1_000/3")
+@example("\u0661/2")
+@example("\u00b2")
+@example("\uff11/2")
+@example("1/")
+@example("/2")
+@example("1/2/3")
+@example("1/-2")
+@example("1/ 2")
+@example("9" * 4300)
+@example("9" * 4301)
+@example("1/" + "9" * 4301)
+def test_parse_text_equals_the_fraction_reference(value):
+    assert _outcome(parse_rational, value) == _outcome(_reference_parse, value)
 
 
 def test_format_round_trip():

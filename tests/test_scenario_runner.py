@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from govgame.errors import ValidationError
@@ -19,13 +19,13 @@ from govgame.scenario_runner import (
     Scenario,
     builtin_table1_scenarios,
     load_scenarios,
-    result_to_dict,
     results_to_csv,
     results_to_json,
     run_ethereum_case_study,
     run_scenario,
     run_table1_suite,
 )
+from reference_writers import result_dict
 
 F = Fraction
 
@@ -521,8 +521,9 @@ class TestSerialization:
         assert six["prediction"]["surplus"]["total"] == "3/5"
 
     def test_result_dict_keys(self):
+        # The whole layout is checked against tests/reference_writers.py below.
         result = run_table1_suite()[0]
-        data = result_to_dict(result)
+        data = json.loads(results_to_json([result]))[0]
         assert set(data) == {
             "name",
             "params",
@@ -555,3 +556,85 @@ def test_independent_majority_note_iff_disagreement(beta, gamma):
     note = "community majority decided independently of the voter majority"
     disagrees = (beta > F(1, 2)) != (gamma > F(1, 2))
     assert (note in result.prediction.notes) == disagrees
+
+
+# Quotes, backslashes, control characters and non-ASCII text drawn often;
+# names may not hold lone surrogates.
+NAMES = st.text(
+    st.characters(exclude_categories=["Cs"])
+    | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    min_size=1,
+    max_size=8,
+)
+SHARES = st.fractions(min_value=0, max_value=1, max_denominator=12)
+UNITS = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+EXPECTED_EQUILIBRIA = st.lists(
+    st.tuples(
+        st.sampled_from(["yes", "no"]), st.sampled_from(["upgraded", "original"]), SHARES, SHARES
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def scenario_results(draw):
+    """A run scenario with any mode, optional gamma_prime and an expectation that may mismatch."""
+    n = draw(st.integers(1, 5))
+    params = GovernanceParams(
+        draw(SHARES),
+        draw(SHARES),
+        draw(st.none() | SHARES),
+        draw(st.integers(1, n)),
+        n,
+        draw(UNITS),
+        draw(UNITS),
+        draw(st.sampled_from(Mode)),
+    )
+    scenario = Scenario(
+        draw(NAMES),
+        params,
+        draw(st.none() | EXPECTED_EQUILIBRIA),
+        draw(st.none() | st.sampled_from(Chain)),
+    )
+    try:
+        return run_scenario(scenario)
+    except ValidationError:
+        # An on-chain rejection without gamma_prime has no prediction.
+        assume(False)
+
+
+FOUR_EQUILIBRIA_TIE = run_scenario(
+    Scenario("tie \"4\"", GovernanceParams("1/2", "1/2", mode=Mode.NO_GOVERNANCE))
+)
+
+
+def _reference_json(results) -> str:
+    return json.dumps([result_dict(r) for r in results], indent=2)
+
+
+@given(st.lists(scenario_results(), max_size=3))
+@example([])
+@example([FOUR_EQUILIBRIA_TIE])
+def test_results_json_equals_the_reference_layout(results):
+    assert results_to_json(results) == _reference_json(results)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        run_table1_suite,
+        lambda: [run_ethereum_case_study()],
+        lambda: [run_ethereum_case_study(beta="1/5")],
+        lambda: [run_ethereum_case_study(beta="1", gamma="3/5")],
+    ],
+    ids=["table1", "casestudy", "casestudy-minority", "casestudy-unanimous"],
+)
+def test_suite_json_equals_the_reference_layout(run):
+    results = run()
+    assert results_to_json(results) == _reference_json(results)
+
+
+def test_results_json_refuses_a_value_too_long_to_print():
+    result = run_scenario(Scenario("long", GovernanceParams("1/2", "1/3", s_v=10**4300)))
+    with pytest.raises(ValidationError, match="more than 4300 digits"):
+        results_to_json([result])

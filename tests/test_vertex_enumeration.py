@@ -164,6 +164,38 @@ def test_two_rounds_of_elimination_leave_a_mixed_subgame():
     assert _profiles(enumerate_mixed_equilibria(game)) == [(half, half)]
 
 
+def test_dominated_lines_holding_the_least_payoffs_leave_the_walk_unchanged():
+    # Only the walked subgame is shifted to entries >= 1. Row 2 and column 2
+    # hold each player's least payoff and are strictly dominated, so the
+    # subgame's shift (1) differs from that of the whole matrices (101 and 71).
+    game = BimatrixGame(
+        payoff1=[[3, 0, 1], [0, 1, 2], [-100, -90, -80]],
+        payoff2=[[0, 2, -60], [1, 0, -70], [4, 5, -50]],
+    )
+    _assert_matches_vertex_oracle(game)
+    (result,) = enumerate_mixed_equilibria(game)
+    x, y = (F(1, 3), F(2, 3), F(0)), (F(1, 4), F(3, 4), F(0))
+    assert _profiles([result]) == [(x, y)]
+    assert result.payoffs == payoffs(game.payoff1, game.payoff2, x, y) == (F(3, 4), F(2, 3))
+
+
+def test_all_negative_games_match_the_vertex_oracle():
+    game = BimatrixGame(payoff1=[[-3, -7], [-8, -2]], payoff2=[[-5, -1], [-2, -6]])
+    _assert_matches_vertex_oracle(game)
+    half = (F(1, 2), F(1, 2))
+    (result,) = enumerate_mixed_equilibria(game)
+    assert _profiles([result]) == [(half, half)]
+    assert result.payoffs == (F(-5), F(-7, 2))
+    rng = random.Random(7)
+    for _ in range(30):
+        _assert_matches_vertex_oracle(
+            BimatrixGame(
+                payoff1=[[F(rng.randint(-99, -1), rng.randint(1, 5)) for _ in range(3)] for _ in range(3)],
+                payoff2=[[F(rng.randint(-99, -1), rng.randint(1, 5)) for _ in range(3)] for _ in range(3)],
+            )
+        )
+
+
 def test_weakly_dominated_row_played_in_an_equilibrium_is_reported():
     # Row 1 is weakly but not strictly dominated by row 0, and (row 1,
     # column 0) is an equilibrium.
