@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .game_core import (
-    EquilibriumResult,
     MixedStrategy,
     enumerate_mixed_equilibria,
     enumerate_pure_equilibria,
@@ -33,7 +32,7 @@ from .governance import (
     SurplusReport,
     predict_outcome,
 )
-from .rationals import approx, format_rational, json_text
+from .rationals import _json_array, _json_fields, _quote, approx, format_rational
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
     ScenarioResult,
@@ -196,17 +195,6 @@ def _strategy_text(labels: tuple[str, ...], mix: MixedStrategy) -> str:
     )
 
 
-def _generic_equilibrium_dict(eq: EquilibriumResult) -> dict:
-    row_strategy, col_strategy, payoff1, payoff2 = _equilibrium_text(eq)
-    return {
-        "kind": eq.kind.value,
-        "row_strategy": row_strategy,
-        "col_strategy": col_strategy,
-        "payoff1": payoff1,
-        "payoff2": payoff2,
-    }
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     game = _load(args.game_file, load_game)
     if args.pure_only:
@@ -223,13 +211,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "by its vertex equilibria",
         )
     if args.format == "json":
-        payload = {
-            "row_labels": list(game.row_labels),
-            "col_labels": list(game.col_labels),
-            "degenerate_game": degenerate,
-            "equilibria": [_generic_equilibrium_dict(eq) for eq in equilibria],
-        }
-        text = json_text(payload) + "\n"
+        # Only the labels are escaped: enum values and exact text never need it.
+        entries = []
+        for eq in equilibria:
+            row_strategy, col_strategy, payoff1, payoff2 = _equilibrium_text(eq)
+            fields = [
+                ("kind", f'"{eq.kind.value}"'),
+                ("row_strategy", _json_array([f'"{p}"' for p in row_strategy], "\n      ")),
+                ("col_strategy", _json_array([f'"{p}"' for p in col_strategy], "\n      ")),
+                ("payoff1", f'"{payoff1}"'),
+                ("payoff2", f'"{payoff2}"'),
+            ]
+            entries.append(_json_fields(fields, "\n    "))
+        flag = "null" if degenerate is None else "true" if degenerate else "false"
+        payload = [
+            ("row_labels", _json_array([_quote(label) for label in game.row_labels], "\n  ")),
+            ("col_labels", _json_array([_quote(label) for label in game.col_labels], "\n  ")),
+            ("degenerate_game", flag),
+            ("equilibria", _json_array(entries, "\n  ")),
+        ]
+        text = _json_fields(payload, "\n") + "\n"
     elif args.format == "csv":
         labels = [*game.row_labels, *game.col_labels]
         rows = [["equilibrium_index", "kind", *labels, "payoff1", "payoff2"]]

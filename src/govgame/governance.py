@@ -399,7 +399,7 @@ def _predict(
 
 
 def _prediction_json(prediction: PredictionResult, newline: str) -> str:
-    """The prediction as JSON text, laid out at newline as rationals._write lays it out.
+    """The prediction as JSON text, laid out at newline as json.dumps(..., indent=2) lays it out.
 
     The enums are written as their values, each surplus field as exact
     text and the notes as a list of strings; only the notes are escaped,

@@ -7,9 +7,8 @@ exact arithmetic. These helpers convert the external representations
 without ever rounding: a decimal literal is read as the rational it
 denotes, not as the nearest binary float. The JSON the package reads
 goes through `parse_json`, and each object in it through `json_object`;
-the JSON it writes goes through `json_text`, or, for results and
-predictions written straight from their records, through `_json_array`
-and `_json_fields`, which lay the text out the same way.
+the JSON it writes is built from its records with `_json_array`,
+`_json_fields` and `_quote`, laid out as json.dumps(..., indent=2) lays it out.
 `reject_lone_surrogates` refuses text that UTF-8 cannot encode.
 """
 
@@ -140,70 +139,8 @@ def reject_lone_surrogates(text: str, field: str) -> None:
         ) from None
 
 
-def json_text(value: object) -> str:
-    """The text json.dumps(value, indent=2) writes, built in one join.
-
-    The stdlib runs its pure-Python encoder whenever indent is set; this
-    writer appends each token to one list and quotes strings with the C
-    quoting function. It takes values whose type is exactly dict (with
-    str keys), list, str, int, bool or None; any other value or key
-    raises TypeError.
-    """
-    out: list[str] = []
-    _write(value, "\n", out)
-    return "".join(out)
-
-
-def _write(value: object, newline: str, out: list[str]) -> None:
-    # newline is the line break plus the indent of value's own line;
-    # string items, the most common leaf, are quoted inline.
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{separator}{_quote(key)}: ")
-            if type(item) is str:
-                out.append(_quote(item))
-            else:
-                _write(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "}")
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            if type(item) is str:
-                out.append(_quote(item))
-            else:
-                _write(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "]")
-    elif kind is str:
-        out.append(_quote(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
 def _json_array(items: list[str], newline: str) -> str:
-    """A JSON array of items already written as JSON, laid out as _write lays it out."""
+    """A JSON array of items already written as JSON, as json.dumps(..., indent=2) lays it out."""
     if not items:
         return "[]"
     inner = newline + "  "
@@ -211,7 +148,7 @@ def _json_array(items: list[str], newline: str) -> str:
 
 
 def _json_fields(fields: list[tuple[str, str]], newline: str) -> str:
-    """A JSON object of (key, value already written as JSON) pairs, laid out as _write lays it out.
+    """A JSON object of (key, value as JSON text) pairs, as json.dumps(..., indent=2) lays it out.
 
     Each key is a plain name, written between quotes without escaping.
     """

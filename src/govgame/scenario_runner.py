@@ -365,7 +365,7 @@ def load_scenarios(text: str) -> list[Scenario]:
 
 
 def _result_json(result: ScenarioResult, newline: str) -> str:
-    """One result as JSON text, laid out at newline as rationals._write lays it out.
+    """One result as JSON text, laid out at newline as json.dumps(..., indent=2) lays it out.
 
     The params give the mode and each set field in _PARAM_KEYS order,
     counts as ints and rationals as exact text; the prediction is

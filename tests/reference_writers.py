@@ -1,10 +1,11 @@
 """Reference layouts the tests hold govgame's JSON and CSV writers to.
 
-govgame writes each scenario result and each prediction straight from
-its record. These builders give the same data as plain dicts and lists,
-which json.dumps(..., indent=2) then lays out; a writer is right when its
-text equals that dump. Rationals are written with str(), which is what
-govgame's format_rational does for every value short enough to print.
+govgame writes each scenario result, each prediction and the output of
+`govgame solve` straight from its records. These builders give the same
+data as plain dicts and lists, which json.dumps(..., indent=2) then lays
+out; a writer is right when its text equals that dump. Rationals are
+written with str(), which is what govgame's format_rational does for
+every value short enough to print.
 """
 
 from __future__ import annotations
@@ -31,6 +32,25 @@ def equilibrium_dict(eq) -> dict:
         "col_strategy": [str(p) for p in eq.profile.sigma2.probs],
         "payoff_v": str(eq.payoffs[0]),
         "payoff_c": str(eq.payoffs[1]),
+    }
+
+
+def solve_dict(game, equilibria, degenerate) -> dict:
+    """`govgame solve --format json`: degenerate is None when the solve did not check it."""
+    return {
+        "row_labels": list(game.row_labels),
+        "col_labels": list(game.col_labels),
+        "degenerate_game": degenerate,
+        "equilibria": [
+            {
+                "kind": eq.kind.value,
+                "row_strategy": [str(p) for p in eq.profile.sigma1.probs],
+                "col_strategy": [str(p) for p in eq.profile.sigma2.probs],
+                "payoff1": str(eq.payoffs[0]),
+                "payoff2": str(eq.payoffs[1]),
+            }
+            for eq in equilibria
+        ],
     }
 
 

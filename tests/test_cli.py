@@ -13,12 +13,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from govgame import cli
 from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from govgame.errors import ValidationError
+from govgame.game_core import (
+    enumerate_mixed_equilibria,
+    enumerate_pure_equilibria,
+    load_game,
+)
 from govgame.governance import GovernanceParams, Mode, predict_outcome
 from govgame.scenario_runner import (
     ScenarioResult,
@@ -26,7 +31,7 @@ from govgame.scenario_runner import (
     csv_text,
     run_table1_suite,
 )
-from reference_writers import prediction_csv_rows, prediction_dict
+from reference_writers import prediction_csv_rows, prediction_dict, solve_dict
 
 SIM6_GAME = json.dumps(
     {
@@ -689,3 +694,48 @@ def test_predict_json_and_csv_equal_the_reference_layout(
         with contextlib.redirect_stdout(out):
             assert main([*argv, "--format", fmt]) == EXIT_OK
         assert out.getvalue() == want
+
+
+# Labels with quotes, backslashes, control characters, non-ASCII text and
+# empty strings; lone surrogates are refused when the game is read.
+LABEL = st.text(
+    st.characters(exclude_categories=["Cs"])
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n"]),
+    max_size=4,
+)
+PAYOFF = st.integers(-2, 2) | st.fractions(-5, 5, max_denominator=4).map(str)
+
+
+@st.composite
+def games(draw) -> dict:
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(PAYOFF, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return {
+        "row_labels": draw(st.lists(LABEL, min_size=rows, max_size=rows)),
+        "col_labels": draw(st.lists(LABEL, min_size=cols, max_size=cols)),
+        "payoff1": draw(matrix),
+        "payoff2": draw(matrix),
+    }
+
+
+@given(games())
+@example({"payoff1": [[0] * 3] * 3, "payoff2": [[0] * 3] * 3})  # degenerate_game: true
+@example(  # a 1x1 game
+    {"row_labels": ['a "b"'], "col_labels": ["\u00e9\U0001f600"], "payoff1": [[1]], "payoff2": [[-3]]}
+)
+@example(json.loads(MATCHING_PENNIES))  # no pure equilibrium: "equilibria": []
+def test_solve_json_equals_the_reference_layout(tmp_path_factory, document):
+    """`solve --format json`, with and without --pure-only, against tests/reference_writers.py."""
+    path = tmp_path_factory.mktemp("solve") / "game.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    game = load_game(path.read_text(encoding="utf-8"))
+    mixed = enumerate_mixed_equilibria(game)
+    for extra, equilibria, degenerate in (
+        ([], mixed, any(eq.degenerate_game for eq in mixed)),
+        (["--pure-only"], enumerate_pure_equilibria(game), None),
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", str(path), "--format", "json", "--quiet", *extra]) == EXIT_OK
+        want = solve_dict(game, equilibria, degenerate)
+        assert out.getvalue() == json.dumps(want, indent=2) + "\n"

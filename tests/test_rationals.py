@@ -1,8 +1,7 @@
-"""Tests for exact rational parsing and formatting, and the JSON writer."""
+"""Tests for exact rational parsing and formatting."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from govgame.rationals import (
     _checked_exponent,
     approx,
     format_rational,
-    json_text,
     parse_json,
     parse_rational,
 )
@@ -161,34 +159,3 @@ def test_exponent_beyond_the_bound_is_rejected(text):
 def test_format_rational_beyond_the_digit_limit():
     with pytest.raises(ValidationError, match="more than 4300 digits"):
         format_rational(Fraction(10**4300, 3))
-
-
-# Any character, with lone surrogates and control characters drawn often:
-# the default alphabet excludes the first and rarely reaches the second.
-TEXT = st.text(
-    st.characters() | st.characters(categories=["Cs"]) | st.characters(categories=["Cc"]),
-    max_size=6,
-)
-JSON_TREES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**20) | TEXT,
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(TEXT, children, max_size=3),
-    max_leaves=12,
-)
-
-
-@given(JSON_TREES)
-@example([])
-@example({})
-@example({"a": [], "b": {}, "": [[]]})
-@example(["\ud800", "\x00\x1f\x7f", "Gr\u00fc\u00dfe \U0001f600", -(10**30)])
-def test_json_text_equals_indented_dumps(value):
-    assert json_text(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize(
-    "value", [0.5, Fraction(1, 2), (1, 2), {1: "a"}, [{"a": {None: 1}}], {"a": [1.0]}]
-)
-def test_json_text_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        json_text(value)
