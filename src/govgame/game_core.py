@@ -89,7 +89,8 @@ class _Record:
     record) gets a generated __init__(self, <fields>) that stores each
     argument through _set_field; a field named in the class's _defaults
     mapping takes that value when omitted. A validating record writes
-    its own constructor instead, which sets each field once. The fields
+    its own constructor instead, which sets each field once; _checked
+    builds any record from values that are already valid. The fields
     drive the repr Name(field=value, ...), the equality, which holds only
     between records of exactly the same class, and the hash. Assigning
     or deleting an attribute raises AttributeError.
@@ -114,6 +115,18 @@ class _Record:
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
+
+    @classmethod
+    def _checked(cls, *values: object) -> _Record:
+        """A record from field values in _fields order, stored without any check.
+
+        Precondition: each value is what the class's own constructor would
+        store for that field. The caller guarantees this; nothing checks it.
+        """
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _set_field(record, name, value)
+        return record
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -165,28 +178,6 @@ class BimatrixGame(_Record):
         _set_field(self, "row_labels", _coerce_labels(row_labels, len(p1), "row_labels"))
         _set_field(self, "col_labels", _coerce_labels(col_labels, len(p1[0]), "col_labels"))
 
-    @classmethod
-    def _checked(
-        cls,
-        payoff1: PayoffMatrix,
-        payoff2: PayoffMatrix,
-        row_labels: tuple[str, ...],
-        col_labels: tuple[str, ...],
-    ) -> BimatrixGame:
-        """A game from parts that are already valid, without re-checking them.
-
-        Precondition: payoff1 and payoff2 are non-empty tuples of equal-width
-        tuples of Fractions, of one shape, and the label tuples hold one str
-        per row and one per column. The caller guarantees this; nothing here
-        checks it.
-        """
-        game = object.__new__(cls)
-        _set_field(game, "payoff1", payoff1)
-        _set_field(game, "payoff2", payoff2)
-        _set_field(game, "row_labels", row_labels)
-        _set_field(game, "col_labels", col_labels)
-        return game
-
     @property
     def rows(self) -> int:
         return len(self.payoff1)
@@ -227,18 +218,6 @@ class MixedStrategy(_Record):
         _set_field(self, "probs", probs)
 
     @classmethod
-    def _checked(cls, probs: tuple[Fraction, ...]) -> MixedStrategy:
-        """A mix from probabilities that are already valid, without re-checking them.
-
-        Precondition: probs is a non-empty tuple of non-negative Fractions
-        that sum to exactly 1. The caller guarantees this; nothing here
-        checks it.
-        """
-        mix = object.__new__(cls)
-        _set_field(mix, "probs", probs)
-        return mix
-
-    @classmethod
     def pure(cls, index: int, size: int) -> MixedStrategy:
         """The degenerate mix placing probability 1 on one strategy."""
         _check_index(index, size, "pure strategy index")
@@ -269,9 +248,9 @@ class EquilibriumResult(_Record):
 
     kind is PURE exactly when both strategies place probability 1 on a
     single pure strategy. degenerate_game is set on every result when
-    two of the game's extreme equilibria span a continuum of equilibria;
-    the continuum itself is not described, only its vertex equilibria
-    are returned.
+    some extreme strategy of the game is in two of its extreme
+    equilibria, which then span a continuum of equilibria; the continuum
+    itself is not described, only its vertex equilibria are returned.
     """
 
     _fields = ("profile", "payoffs", "kind", "degenerate_game")
@@ -496,6 +475,24 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
     return found
 
 
+def _widen(
+    v: tuple[int, ...], keep: list[int], size: int
+) -> tuple[tuple[int, ...], int, MixedStrategy, tuple[int, ...]]:
+    """Support, sum, normalised strategy and coordinates of v widened by zeros.
+
+    v has one coordinate per kept strategy, keep their indices among size.
+    """
+    wide = v
+    if len(keep) < size:
+        padded = [0] * size
+        for k, c in zip(keep, v):
+            padded[k] = c
+        wide = tuple(padded)
+    total = sum(wide)
+    mix = MixedStrategy._checked(tuple(Fraction(c, total) for c in wide))
+    return tuple(i for i, c in enumerate(wide) if c), total, mix, wide
+
+
 def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     """All extreme Nash equilibria, by exact vertex enumeration.
 
@@ -531,10 +528,11 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     size, column support, then the strategies themselves, so pure
     equilibria come first in row-major order.
 
-    degenerate_game is set on every result when two distinct extreme
-    equilibria (x1, y1) and (x2, y2) are cross-compatible: (x1, y2) and
-    (x2, y1) are equilibria too. They then span a convex set of
-    equilibria, a continuum that is reported only by its vertices.
+    degenerate_game is set on every result when some extreme strategy
+    pairs with two of the other player's: exactly when two distinct
+    extreme equilibria (x1, y1) and (x2, y2) are cross-compatible, with
+    (x1, y2) and (x2, y1) equilibria too, as (x1, y2) is then a pair of
+    its own. They span a continuum that is reported only by its vertices.
     """
     a, scale_a = _integers(game.payoff1)
     b, scale_b = _integers(game.payoff2)
@@ -549,65 +547,35 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     # Q's own labels put its n coordinates first; move them after P's m rows.
     low = (1 << n) - 1
     ys = [(y, (labels & low) << m | labels >> n) for y, labels in q.items() if any(y)]
-    pairs = [(x, lx, y, ly) for x, lx in xs for y, ly in ys if lx | ly == full]
-    degenerate = any(
-        lx1 | ly2 == full and lx2 | ly1 == full
-        for i, (_, lx1, _, ly1) in enumerate(pairs)
-        for (_, lx2, _, ly2) in pairs[i + 1 :]
-    )
-    # Each paired vertex widened to the full game, with its support, sum
-    # and normalised strategy, built on its first pairing only: many
-    # equilibria share a vertex, and most vertices of a generic game are
-    # never paired.
-    built: tuple[dict, dict] = ({}, {})
-
-    def strategy(
-        player: int, v: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], int, MixedStrategy, tuple[int, ...]]:
-        memo = built[player]
-        if v not in memo:
-            keep, size = (rows, game.rows) if player == 0 else (cols, game.cols)
-            wide = v
-            if len(keep) < size:
-                padded = [0] * size
-                for k, c in zip(keep, v):
-                    padded[k] = c
-                wide = tuple(padded)
-            total = sum(wide)
-            memo[v] = (
-                tuple(i for i, c in enumerate(wide) if c),
-                total,
-                MixedStrategy._checked(tuple(Fraction(c, total) for c in wide)),
-                wide,
-            )
-        return memo[v]
-
+    pairs = [(x, y) for x, lx in xs for y, ly in ys if lx | ly == full]
+    # Each paired vertex is widened once: many equilibria share a vertex,
+    # and most vertices of a generic game are never paired.
+    wide_x = {x: _widen(x, rows, game.rows) for x in {x for x, _ in pairs}}
+    wide_y = {y: _widen(y, cols, game.cols) for y in {y for _, y in pairs}}
+    degenerate = len(wide_x) < len(pairs) or len(wide_y) < len(pairs)
     found = []
-    for x_sub, _, y_sub, _ in pairs:
-        sx, tx, mx, x = strategy(0, x_sub)
-        sy, ty, my, y = strategy(1, y_sub)
+    for x_sub, y_sub in pairs:
+        sx, tx, mx, x = wide_x[x_sub]
+        sy, ty, my, y = wide_y[y_sub]
         # Undo the integer scaling of the unshifted matrices: payoff = entry / scale.
         row, col = a[sx[0]], sy[0]
         u1 = Fraction(sum(row[j] * y[j] for j in sy), scale_a * ty)
         u2 = Fraction(sum(b[i][col] * x[i] for i in sx), scale_b * tx)
-        found.append(((len(sx), sx, len(sy), sy, mx.probs, my.probs), mx, my, (u1, u2)))
+        kind = EquilibriumKind.PURE if len(sx) == len(sy) == 1 else EquilibriumKind.MIXED
+        result = EquilibriumResult(StrategyProfile(mx, my), (u1, u2), kind, degenerate)
+        found.append(((len(sx), sx, len(sy), sy, mx.probs, my.probs), result))
     found.sort(key=lambda item: item[0])
-    return [
-        EquilibriumResult(
-            StrategyProfile(mx, my),
-            payoffs,
-            EquilibriumKind.PURE if len(sx) == len(sy) == 1 else EquilibriumKind.MIXED,
-            degenerate,
-        )
-        for (_, sx, _, sy, _, _), mx, my, payoffs in found
-    ]
+    return [result for _, result in found]
 
 
-def _dominates(
-    p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]
-) -> bool:
-    """Whether p weakly improves both payoffs and strictly improves one."""
-    return p[0] >= q[0] and p[1] >= q[1] and (p[0] > q[0] or p[1] > q[1])
+def _pareto_dominated(game: BimatrixGame, row: int, col: int) -> bool:
+    """Whether some pure profile weakly improves both payoffs of (row, col) and strictly one."""
+    u1, u2 = game.payoff1[row][col], game.payoff2[row][col]
+    return any(
+        v1 >= u1 and v2 >= u2 and (v1 > u1 or v2 > u2)
+        for line1, line2 in zip(game.payoff1, game.payoff2)
+        for v1, v2 in zip(line1, line2)
+    )
 
 
 def pareto_optimal_pure_profiles(game: BimatrixGame) -> list[tuple[int, int]]:
@@ -618,16 +586,7 @@ def pareto_optimal_pure_profiles(game: BimatrixGame) -> list[tuple[int, int]]:
     one.
     """
     cells = [(i, j) for i in range(game.rows) for j in range(game.cols)]
-    out = []
-    for i, j in cells:
-        mine = (game.payoff1[i][j], game.payoff2[i][j])
-        if not any(
-            _dominates((game.payoff1[r][c], game.payoff2[r][c]), mine)
-            for r, c in cells
-            if (r, c) != (i, j)
-        ):
-            out.append((i, j))
-    return out
+    return [(i, j) for i, j in cells if not _pareto_dominated(game, i, j)]
 
 
 def is_strong_nash(game: BimatrixGame, row: int, col: int) -> bool:
@@ -639,9 +598,7 @@ def is_strong_nash(game: BimatrixGame, row: int, col: int) -> bool:
     """
     _check_index(row, game.rows, "row")
     _check_index(col, game.cols, "col")
-    if not _is_pure_equilibrium(game, row, col):
-        return False
-    return (row, col) in pareto_optimal_pure_profiles(game)
+    return _is_pure_equilibrium(game, row, col) and not _pareto_dominated(game, row, col)
 
 
 _GAME_KEYS = {"rows", "cols", "row_labels", "col_labels", "payoff1", "payoff2"}

@@ -364,20 +364,15 @@ def _predict(
     if _half_sign(params.beta) * gamma_sign < 0:
         notes.append("community majority decided independently of the voter majority")
     effective = regime
-    if unanimous:
-        pass  # a unanimous vote draws no note on tie_break
+    if tie_break is None or unanimous:
+        pass  # a unanimous vote draws no note on tie_break either
     elif not governed:
-        if tie_break is not None:
-            notes.append("tie_break has no effect without governance")
-    elif regime is Regime.TIE and tie_break is None:
-        notes.append("tie vote: no majority side; pass tie_break to force accept or reject")
+        notes.append("tie_break has no effect without governance")
     elif regime is Regime.TIE:
         effective = Regime.MAJORITY_ACCEPT if tie_break == "accept" else Regime.MAJORITY_REJECT
         notes.append(f"tie broken toward {tie_break} by caller flag")
-    elif tie_break is not None:
+    else:
         notes.append("tie_break ignored: the vote is not tied")
-    if governed and params.beta == 1 and params.gamma != 1:
-        notes.append("unanimous yes vote, but part of the community stays behind (gamma < 1)")
 
     surplus = _report(params, effective, masses)
     if unanimous:
@@ -386,8 +381,11 @@ def _predict(
         chain = _chain_by_sign(gamma_sign)
     elif effective is Regime.TIE:
         chain = Chain.SPLIT_50_50
+        notes.append("tie vote: no majority side; pass tie_break to force accept or reject")
     elif effective is Regime.MAJORITY_ACCEPT:
         chain = Chain.UPGRADED
+        if params.beta == 1:  # and gamma < 1, as the vote is not unanimous
+            notes.append("unanimous yes vote, but part of the community stays behind (gamma < 1)")
     elif params.mode is Mode.OFF_CHAIN:
         chain = Chain.ORIGINAL
     else:
