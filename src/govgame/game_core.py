@@ -19,7 +19,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt
 
 from .errors import ValidationError
 from .rationals import json_object, parse_json, parse_rational, reject_lone_surrogates
@@ -273,11 +272,8 @@ def _pure_result(game: BimatrixGame, row: int, col: int) -> EquilibriumResult:
 
 
 def _is_pure_equilibrium(game: BimatrixGame, row: int, col: int) -> bool:
-    if any(game.payoff1[r][col] > game.payoff1[row][col] for r in range(game.rows)):
-        return False
-    return not any(
-        game.payoff2[row][c] > game.payoff2[row][col] for c in range(game.cols)
-    )
+    u1, u2 = game.payoff1[row][col], game.payoff2[row][col]
+    return all(line[col] <= u1 for line in game.payoff1) and max(game.payoff2[row]) <= u2
 
 
 def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
@@ -287,12 +283,8 @@ def enumerate_pure_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     and payoff2[i][j] is maximal in its row. The degenerate_game flag is
     not computed here; use enumerate_mixed_equilibria for it.
     """
-    return [
-        _pure_result(game, i, j)
-        for i in range(game.rows)
-        for j in range(game.cols)
-        if _is_pure_equilibrium(game, i, j)
-    ]
+    cells = ((i, j) for i in range(game.rows) for j in range(game.cols))
+    return [_pure_result(game, i, j) for i, j in cells if _is_pure_equilibrium(game, i, j)]
 
 
 def _integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int]:
@@ -303,61 +295,68 @@ def _integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int]:
     player's payoffs, so it leaves the game's Nash equilibria and its
     strict dominance unchanged.
     """
-    scale = lcm(*(v.denominator for row in matrix for v in row))
+    scale = lcm(*[v.denominator for row in matrix for v in row])
     return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
 
 
-def _shifted(matrix: list[list[int]]) -> list[list[int]]:
-    """The integer matrix with one constant added so its least entry is 1.
+def _shifted(matrix: list[list[int]], rows: list[int], cols: list[int]) -> list[list[int]]:
+    """The integer matrix's rows and cols with one constant added so the least entry is 1.
 
     Entries >= 1 make the best-response polytope built from the matrix
     bounded. Adding a constant to one player's payoffs leaves the Nash
     equilibria, and so the normalised vertex pairs and their labels,
     unchanged.
     """
-    shift = 1 - min(min(row) for row in matrix)
-    return [[v + shift for v in row] for row in matrix]
+    sub = [[matrix[i][j] for j in cols] for i in rows]
+    shift = 1 - min(min(row) for row in sub)
+    return [[v + shift for v in row] for row in sub]
 
 
-def _survivors(lines: list[list[int]]) -> list[int]:
-    """Positions of the lines that no other line beats in every entry."""
-    return [
-        k
-        for k, line in enumerate(lines)
-        if not any(all(map(lt, line, other)) for other in lines)
-    ]
+def _survivors(lines: list[list[int]], keep: list[int], against: list[int]) -> list[int]:
+    """The lines in keep that no other line in keep beats at every position in against."""
+    survivors = []
+    for k in keep:
+        line = lines[k]
+        for o in keep:
+            other = lines[o]
+            for j in against:
+                if line[j] >= other[j]:
+                    break
+            else:
+                break  # other beats line in every entry
+        else:
+            survivors.append(k)
+    return survivors
 
 
-def _undominated(
-    a: list[list[int]], bt: list[list[int]]
-) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+def _undominated(a: list[list[int]], bt: list[list[int]]) -> tuple[list[int], list[int]]:
     """Iterated elimination of strictly dominated pure strategies.
 
     a holds player 1's payoffs by row and bt player 2's by column. A row
     is dropped when another surviving row pays player 1 strictly more
-    against every surviving column, and a column likewise for player 2;
-    the two sides alternate until a pass over each drops nothing. Returns
-    the surviving row and column indices with a and bt restricted to
-    them; when nothing is dropped these are a and bt themselves. Strict
-    dominance keeps every Nash equilibrium, and a weakly dominated
+    against every surviving column, and a column likewise for player 2.
+    The sides alternate until a pass over each drops nothing; a side with
+    one line left cannot lose it, so it counts as such a pass and is not
+    passed over. The order of elimination does not change the surviving
+    subgame (Gilboa, Kalai and Zemel 1990). Returns the surviving row and
+    column indices; the matrices are read in place, never restricted.
+    Strict dominance keeps every Nash equilibrium, and a weakly dominated
     strategy is kept because it may be played in one.
     """
     kept = [list(range(len(a))), list(range(len(bt)))]
-    sides = [a, bt]
+    sides = (a, bt)
     side = idle = 0
     # A pass leaves its own side undominated until the other side shrinks.
     while idle < 2:
-        lines = sides[side]
-        keep = _survivors(lines)
-        if len(keep) == len(lines):
+        keep = kept[side]
+        survivors = _survivors(sides[side], keep, kept[1 - side]) if len(keep) > 1 else keep
+        if len(survivors) == len(keep):
             idle += 1
         else:
             idle = 1
-            kept[side] = [kept[side][k] for k in keep]
-            sides[side] = [lines[k] for k in keep]
-            sides[1 - side] = [[line[k] for k in keep] for line in sides[1 - side]]
+            kept[side] = survivors
         side = 1 - side
-    return kept[0], kept[1], sides[0], sides[1]
+    return kept[0], kept[1]
 
 
 def _lex_cross(
@@ -535,14 +534,14 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     its own. They span a continuum that is reported only by its vertices.
     """
     a, scale_a = _integers(game.payoff1)
-    b, scale_b = _integers(game.payoff2)
-    rows, cols, sub_a, sub_bt = _undominated(a, [list(col) for col in zip(*b)])
+    bt, scale_b = _integers(tuple(zip(*game.payoff2)))
+    rows, cols = _undominated(a, bt)
     if len(rows) == len(cols) == 1:
         return [_pure_result(game, rows[0], cols[0])]
     m, n = len(rows), len(cols)
     full = (1 << (m + n)) - 1
-    p = _vertices(_shifted(sub_bt))
-    q = _vertices(_shifted(sub_a))
+    p = _vertices(_shifted(bt, cols, rows))
+    q = _vertices(_shifted(a, rows, cols))
     xs = [(x, labels) for x, labels in p.items() if any(x)]
     # Q's own labels put its n coordinates first; move them after P's m rows.
     low = (1 << n) - 1
@@ -560,7 +559,7 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
         # Undo the integer scaling of the unshifted matrices: payoff = entry / scale.
         row, col = a[sx[0]], sy[0]
         u1 = Fraction(sum(row[j] * y[j] for j in sy), scale_a * ty)
-        u2 = Fraction(sum(b[i][col] * x[i] for i in sx), scale_b * tx)
+        u2 = Fraction(sum(bt[col][i] * x[i] for i in sx), scale_b * tx)
         kind = EquilibriumKind.PURE if len(sx) == len(sy) == 1 else EquilibriumKind.MIXED
         result = EquilibriumResult(StrategyProfile(mx, my), (u1, u2), kind, degenerate)
         found.append(((len(sx), sx, len(sy), sy, mx.probs, my.probs), result))

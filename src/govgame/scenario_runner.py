@@ -264,7 +264,7 @@ def run_ethereum_case_study(
     Mining pools holding about 54 percent of the vote supported the
     upgrade, so beta defaults to 27/50 under off-chain governance. No
     measured community proportion exists: gamma defaults to an assumed
-    7/10 (any value above 1/2 gives the same qualitative prediction),
+    7/10 (every gamma in [0, 1] gives the same qualitative prediction),
     or to 1 when beta is overridden to 1, since a unanimous vote leaves
     nobody to stay behind. The expectation check compares the
     prediction against the recorded outcome: the majority moved to the

@@ -10,6 +10,9 @@ None of these shares a code path with govgame's solver:
   pairs of the two best-response polytopes by solving every square
   tight subsystem, with no pivoting and no code from govgame.
 - brute_force_pure: the pure equilibria, by scanning every cell.
+- undominated_reference: iterated elimination of strictly dominated
+  strategies on the Fractions, dropping every dominated row and column
+  of a round at once.
 """
 
 from __future__ import annotations
@@ -55,3 +58,29 @@ def brute_force_pure(game: BimatrixGame) -> list[tuple[int, int]]:
             if row_best and col_best:
                 found.append((i, j))
     return found
+
+
+def undominated_reference(payoff1, payoff2) -> tuple[list[int], list[int]]:
+    """Rows and columns left by iterated elimination of strictly dominated strategies.
+
+    Each round finds, on the surviving subgame, every row that another
+    surviving row beats for player 1 in every surviving column and every
+    column that another surviving column beats for player 2 in every
+    surviving row, and drops them all at once; it stops after a round
+    that drops nothing. The order of elimination does not change what
+    survives, so any other order must agree.
+    """
+    rows, cols = list(range(len(payoff1))), list(range(len(payoff1[0])))
+    while True:
+        dropped_rows = [
+            i for i in rows
+            if any(all(payoff1[k][j] > payoff1[i][j] for j in cols) for k in rows)
+        ]
+        dropped_cols = [
+            j for j in cols
+            if any(all(payoff2[i][k] > payoff2[i][j] for i in rows) for k in cols)
+        ]
+        if not dropped_rows and not dropped_cols:
+            return rows, cols
+        rows = [i for i in rows if i not in dropped_rows]
+        cols = [j for j in cols if j not in dropped_cols]

@@ -192,16 +192,29 @@ def test_criterion_5_conservation_and_destination_dichotomy():
     _stamp("conservation and destination dichotomy on 1000 parameter sets", started, 5.0)
 
 
+def _brute_force_frontier(game: BimatrixGame) -> list[tuple[int, int]]:
+    """Cells that no other cell Pareto-dominates, by comparing every pair of cells."""
+    cells = [(i, j) for i in range(game.rows) for j in range(game.cols)]
+    pays = {(i, j): (game.payoff1[i][j], game.payoff2[i][j]) for i, j in cells}
+    frontier = []
+    for cell in cells:
+        u1, u2 = pays[cell]
+        if not any(v1 >= u1 and v2 >= u2 and (v1, v2) != (u1, u2) for v1, v2 in pays.values()):
+            frontier.append(cell)
+    return frontier
+
+
 def test_criterion_6_strong_nash_and_accept_cell_dominance():
     started = time.perf_counter()
     rng = random.Random(13)
     for _ in range(1000):
         game = _random_game(rng)
-        frontier = set(pareto_optimal_pure_profiles(game))
+        frontier = _brute_force_frontier(game)
+        assert pareto_optimal_pure_profiles(game) == frontier
+        stable = brute_force_pure(game)
         for i in range(game.rows):
             for j in range(game.cols):
-                if is_strong_nash(game, i, j):
-                    assert (i, j) in frontier
+                assert is_strong_nash(game, i, j) == ((i, j) in stable and (i, j) in frontier)
     for _ in range(500):
         beta = F(rng.randint(51, 99), 100)
         gamma = F(rng.randint(51, 99), 100)
@@ -212,5 +225,6 @@ def test_criterion_6_strong_nash_and_accept_cell_dominance():
             payoff2=[[gamma * mass_c, (1 - gamma) * mass_c]],
             col_labels=("B1", "B2"),
         )
+        assert _brute_force_frontier(comparison) == [(0, 0)]
         assert pareto_optimal_pure_profiles(comparison) == [(0, 0)]
     _stamp("strong Nash within Pareto frontier, accept cell dominant", started, 5.0)

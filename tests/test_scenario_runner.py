@@ -239,6 +239,16 @@ class TestCaseStudy:
         assert result.prediction.fork_risk is ForkRisk.PRESENT
         assert result.status is CheckStatus.MATCH
 
+    def test_every_gamma_gives_the_default_prediction(self):
+        # The assumed gamma does not matter: the off-chain majority accepts
+        # and the chain splits for every community share in [0, 1].
+        for g in range(101):
+            result = run_ethereum_case_study(gamma=F(g, 100))
+            assert result.prediction.regime is Regime.MAJORITY_ACCEPT
+            assert result.prediction.majority_chain is Chain.UPGRADED
+            assert result.prediction.fork_risk is ForkRisk.PRESENT
+            assert result.status is CheckStatus.MATCH
+
     def test_minority_beta_mismatches_on_chain(self):
         result = run_ethereum_case_study(beta="1/5")
         assert result.prediction.majority_chain is Chain.ORIGINAL

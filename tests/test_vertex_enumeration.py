@@ -9,10 +9,12 @@ from itertools import product
 from govgame.game_core import (
     BimatrixGame,
     EquilibriumKind,
+    EquilibriumResult,
     MixedStrategy,
     enumerate_mixed_equilibria,
+    pure_profile,
 )
-from reference_solvers import payoffs, vertex_oracle
+from reference_solvers import payoffs, undominated_reference, vertex_oracle
 
 F = Fraction
 
@@ -215,3 +217,81 @@ def test_rectangular_small_integer_games_match_the_vertex_oracle():
                     payoff2=[[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)],
                 )
             )
+
+
+# The solver's elimination order differs from the reference's, which drops
+# every dominated row and column of a round at once. Iterated strict
+# dominance leaves the same subgame in any order, so the two must agree.
+
+
+def _assert_agrees_with_undominated_reference(game) -> tuple[list[int], list[int]]:
+    """Check that no result plays a strategy the reference drops; return what it keeps."""
+    rows, cols = undominated_reference(game.payoff1, game.payoff2)
+    results = enumerate_mixed_equilibria(game)
+    assert results
+    for result in results:
+        x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
+        assert all(p == 0 for i, p in enumerate(x) if i not in rows)
+        assert all(q == 0 for j, q in enumerate(y) if j not in cols)
+    if len(rows) == len(cols) == 1:
+        (i,), (j,) = rows, cols
+        pure = (game.payoff1[i][j], game.payoff2[i][j])
+        assert results == [EquilibriumResult(pure_profile(game, i, j), pure, EquilibriumKind.PURE)]
+    return rows, cols
+
+
+def test_dominance_step_agrees_with_the_reference_on_all_2x2_games_in_minus_one_to_one():
+    shrunk = solved = 0
+    for entries in product((-1, 0, 1), repeat=8):
+        game = BimatrixGame(
+            payoff1=[list(entries[0:2]), list(entries[2:4])],
+            payoff2=[list(entries[4:6]), list(entries[6:8])],
+        )
+        rows, cols = _assert_agrees_with_undominated_reference(game)
+        shrunk += len(rows) + len(cols) < 4
+        solved += len(rows) == len(cols) == 1
+    # The inputs reach both paths: 2592 games lose a line, 1620 of them
+    # down to a single profile.
+    assert (shrunk, solved) == (2592, 1620)
+
+
+def test_dominance_step_on_single_row_and_single_column_games():
+    # One side starts with a single line, which it cannot lose.
+    rng = random.Random(1990)
+
+    def entry():
+        # Small integers tie often; the fractions seldom do.
+        return rng.randint(-2, 2) if rng.random() < 0.5 else F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for n in range(1, 7):
+        for _ in range(15):
+            line1, line2 = [entry() for _ in range(n)], [entry() for _ in range(n)]
+            for game in (
+                BimatrixGame(payoff1=[line1], payoff2=[line2]),
+                BimatrixGame(payoff1=[[v] for v in line1], payoff2=[[v] for v in line2]),
+            ):
+                _assert_agrees_with_undominated_reference(game)
+                _assert_matches_vertex_oracle(game)
+
+
+def test_equal_lines_never_remove_each_other():
+    # Rows 0 and 1 are equal and beat row 2; column 0 beats column 1.
+    game = BimatrixGame(payoff1=[[2, 1], [2, 1], [0, 0]], payoff2=[[1, 0], [1, 0], [1, 0]])
+    assert undominated_reference(game.payoff1, game.payoff2) == ([0, 1], [0])
+    _assert_agrees_with_undominated_reference(game)
+    results = enumerate_mixed_equilibria(game)
+    assert {i for r in results for i in r.profile.sigma1.support} == {0, 1}
+    _assert_matches_vertex_oracle(game)
+    # Small-integer games with one row and one column repeated.
+    rng = random.Random(1991)
+    for _ in range(60):
+        a = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)]
+        b = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)]
+        r, c = rng.randrange(3), rng.randrange(3)
+        a, b = a + [a[r]], b + [b[r]]
+        a, b = [line + [line[c]] for line in a], [line + [line[c]] for line in b]
+        game = BimatrixGame(payoff1=a, payoff2=b)
+        rows, cols = undominated_reference(a, b)
+        assert (r in rows) == (3 in rows) and (c in cols) == (3 in cols)
+        _assert_agrees_with_undominated_reference(game)
+        _assert_matches_vertex_oracle(game)
