@@ -76,23 +76,20 @@ def _check_index(index: object, size: int, what: str) -> None:
         raise ValidationError(f"{what} {index} out of range for size {size}")
 
 
-# Sets a record's field past _Record.__setattr__; only constructors call it.
-_set_field = object.__setattr__
-
-
 class _Record:
     """Base of govgame's immutable records.
 
-    Each subclass names its fields, in order, in _fields. A subclass
-    that defines no constructor of its own (nor inherits one from a
-    record) gets a generated __init__(self, <fields>) that stores each
-    argument through _set_field; a field named in the class's _defaults
-    mapping takes that value when omitted. A validating record writes
-    its own constructor instead, which sets each field once; _checked
-    builds any record from values that are already valid. The fields
-    drive the repr Name(field=value, ...), the equality, which holds only
-    between records of exactly the same class, and the hash. Assigning
-    or deleting an attribute raises AttributeError.
+    Each subclass names its fields, in order, in _fields, and gets a
+    generated _store(self, <fields>) that stores each argument past
+    __setattr__; a field named in the class's _defaults mapping takes
+    that value when omitted. A subclass that defines no constructor of
+    its own (nor inherits one from a record) uses _store as its
+    __init__. A validating record writes its own constructor instead,
+    which checks its arguments and ends in one self._store(...) call;
+    _checked builds any record from values that are already valid. The
+    fields drive the repr Name(field=value, ...), the equality, which
+    holds only between records of exactly the same class, and the hash.
+    Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -100,20 +97,20 @@ class _Record:
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
-        if cls.__init__ is not object.__init__:
-            return
         # Compiled from source, as dataclasses does, so that a wrong call
         # raises Python's own TypeError naming Class.__init__ and its fields.
         params = "".join(
             f", {name}=_defaults[{name!r}]" if name in cls._defaults else f", {name}"
             for name in cls._fields
         )
-        body = "".join(f"\n    _set_field(self, {name!r}, {name})" for name in cls._fields)
-        namespace = {"_set_field": _set_field, "_defaults": cls._defaults}
-        exec(f"def __init__(self{params}):{body}", namespace)
-        init = namespace["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        role = "__init__" if cls.__init__ is object.__init__ else "_store"
+        exec(f"def {role}(self{params}):{body}", namespace)
+        cls._store = namespace[role]
+        cls._store.__qualname__ = f"{cls.__qualname__}.{role}"
+        if role == "__init__":
+            cls.__init__ = cls._store
 
     @classmethod
     def _checked(cls, *values: object) -> _Record:
@@ -123,8 +120,7 @@ class _Record:
         store for that field. The caller guarantees this; nothing checks it.
         """
         record = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            _set_field(record, name, value)
+        cls._store(record, *values)
         return record
 
     def _values(self) -> tuple:
@@ -172,10 +168,8 @@ class BimatrixGame(_Record):
         p2 = _coerce_matrix(payoff2, "payoff2")
         if len(p2) != len(p1) or len(p2[0]) != len(p1[0]):
             raise ValidationError("payoff1 and payoff2 must have the same shape")
-        _set_field(self, "payoff1", p1)
-        _set_field(self, "payoff2", p2)
-        _set_field(self, "row_labels", _coerce_labels(row_labels, len(p1), "row_labels"))
-        _set_field(self, "col_labels", _coerce_labels(col_labels, len(p1[0]), "col_labels"))
+        rows = _coerce_labels(row_labels, len(p1), "row_labels")
+        self._store(p1, p2, rows, _coerce_labels(col_labels, len(p1[0]), "col_labels"))
 
     @property
     def rows(self) -> int:
@@ -214,7 +208,7 @@ class MixedStrategy(_Record):
         common = lcm(*(p.denominator for p in probs))
         if sum(p.numerator * (common // p.denominator) for p in probs) != common:
             raise ValidationError("probabilities must sum to exactly 1")
-        _set_field(self, "probs", probs)
+        self._store(probs)
 
     @classmethod
     def pure(cls, index: int, size: int) -> MixedStrategy:

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ValidationError
-from .game_core import BimatrixGame, _Record, _check_positive_int, _set_field
+from .game_core import BimatrixGame, _Record, _check_positive_int
 from .rationals import _json_array, _json_fields, _quote, format_rational, parse_rational
 
 
@@ -163,15 +163,7 @@ class GovernanceParams(_Record):
                     "gamma_prime does not exceed gamma; the consultation round "
                     "is expected to increase the upgraded-chain share"
                 )
-        _set_field(self, "beta", beta)
-        _set_field(self, "gamma", gamma)
-        _set_field(self, "gamma_prime", gamma_prime)
-        _set_field(self, "k", k)
-        _set_field(self, "n", n)
-        _set_field(self, "s_v", s_v)
-        _set_field(self, "s_c", s_c)
-        _set_field(self, "mode", mode)
-        _set_field(self, "warnings", tuple(warnings))
+        self._store(beta, gamma, gamma_prime, k, n, s_v, s_c, mode, tuple(warnings))
 
 
 class SurplusReport(_Record):
@@ -263,18 +255,17 @@ def classify_regime(params: GovernanceParams) -> Regime:
 def _report(
     params: GovernanceParams,
     regime: Regime,
-    masses: tuple[Fraction, Fraction, Fraction, Fraction] | None,
+    masses: tuple[Fraction, Fraction, Fraction, Fraction],
 ) -> SurplusReport:
     """The SurplusReport, its surpluses each one Fraction of integer products.
 
     masses are s_yes, s_no, s_u, s_o with the community split by gamma,
-    as the vote game holds them, or None to compute them here; the
-    report always computes its own after an on-chain rejection, which
-    splits the community by gamma_prime. With beta = p/q, s_v = a/b and
-    the share r/t, s_c = c/d: s_yes - s_no = (2p - q)*k*a / (q*b),
-    s_u - s_o = (2r - t)*n*c / (t*d), and the total is their sum over
-    the product of the two denominators. The orientation -1 negates the
-    numerators.
+    as the vote game holds them; the report computes its own only after
+    an on-chain rejection, which splits the community by gamma_prime.
+    With beta = p/q, s_v = a/b and the share r/t, s_c = c/d:
+    s_yes - s_no = (2p - q)*k*a / (q*b), s_u - s_o = (2r - t)*n*c / (t*d),
+    and the total is their sum over the product of the two denominators.
+    The orientation -1 negates the numerators.
     """
     rejects = regime is Regime.MAJORITY_REJECT
     on_chain = params.mode is Mode.ON_CHAIN
@@ -285,8 +276,6 @@ def _report(
                 "gamma_prime is required in on_chain mode when the vote rejects"
             )
         share = params.gamma_prime
-        masses = None
-    if masses is None:
         masses = _masses(params, share)
     beta, s_v, s_c = params.beta, params.s_v, params.s_c
     num_v = (2 * beta.numerator - beta.denominator) * params.k * s_v.numerator
@@ -345,15 +334,15 @@ def predict_outcome(
       - orientation: one sign orients both surpluses, -1 for a
         rejection outside on_chain mode and +1 otherwise (SurplusReport).
     """
-    return _predict(params, tie_break, None)
+    return _predict(params, tie_break, _masses(params, params.gamma))
 
 
 def _predict(
     params: GovernanceParams,
     tie_break: str | None,
-    masses: tuple[Fraction, Fraction, Fraction, Fraction] | None,
+    masses: tuple[Fraction, Fraction, Fraction, Fraction],
 ) -> PredictionResult:
-    """predict_outcome, given the vote game's masses or None (see _report)."""
+    """predict_outcome, given the vote game's masses (see _report)."""
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
     regime = classify_regime(params)

@@ -17,12 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ValidationError
-from .game_core import (
-    EquilibriumResult,
-    _Record,
-    _set_field,
-    enumerate_mixed_equilibria,
-)
+from .game_core import EquilibriumResult, _Record, enumerate_mixed_equilibria
 from .governance import (
     _PARAM_KEYS,
     _predict,
@@ -94,16 +89,10 @@ class Scenario(_Record):
                     raise ValidationError(f"{what}: row must be 'yes' or 'no'")
                 if col not in _COLS:
                     raise ValidationError(f"{what}: col must be 'upgraded' or 'original'")
-                try:
-                    payoffs = parse_rational(payoff_v, "payoff_v"), parse_rational(payoff_c, "payoff_c")
-                except ValidationError as exc:
-                    raise ValidationError(f"{what}: {exc}") from None
-                checked.append((row, col, *payoffs))
+                payoff_v = parse_rational(payoff_v, f"{what}: payoff_v")
+                checked.append((row, col, payoff_v, parse_rational(payoff_c, f"{what}: payoff_c")))
             expected_equilibria = tuple(checked)
-        _set_field(self, "name", name)
-        _set_field(self, "params", params)
-        _set_field(self, "expected_equilibria", expected_equilibria)
-        _set_field(self, "expected_chain", expected_chain)
+        self._store(name, params, expected_equilibria, expected_chain)
 
 
 class CheckStatus(Enum):

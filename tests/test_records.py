@@ -213,14 +213,20 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 @pytest.mark.parametrize(
     "clone",
-    [copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
-    ids=["copy", "deepcopy", "pickle"],
+    [
+        copy.copy,
+        copy.deepcopy,
+        lambda record: pickle.loads(pickle.dumps(record)),
+        lambda record: type(record)._checked(*record._values()),
+    ],
+    ids=["copy", "deepcopy", "pickle", "checked"],
 )
 def test_copies_are_equal(name, clone):
     record = _build(name)
     twin = clone(record)
     assert type(twin) is type(record)
     assert twin == record
+    assert hash(twin) == hash(record)
     assert repr(twin) == repr(record)
 
 

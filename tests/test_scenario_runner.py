@@ -462,6 +462,18 @@ class TestScenarioExpectation:
                 "expected equilibrium 2: payoff_c must be given as text or an integer;"
                 " binary floats are inexact",
             ),
+            (
+                {"expected_equilibria": (("yes", "upgraded", "1/0", 1),)},
+                "expected equilibrium 1: payoff_v: denominator must be positive",
+            ),
+            (
+                {"expected_equilibria": (("yes", "upgraded", 1, True),)},
+                "expected equilibrium 1: payoff_c must be a number or 'p/q' string, got a boolean",
+            ),
+            (
+                {"expected_equilibria": (("no", "original", "1e5000", 1),)},
+                "expected equilibrium 1: payoff_v: exponent in '1e5000' exceeds 4300",
+            ),
             ({"params": None}, "params must be a GovernanceParams"),
             ({"name": 123}, "name must be a non-empty string"),
             ({"name": None}, "name must be a non-empty string"),
@@ -477,6 +489,9 @@ class TestScenarioExpectation:
             "three-tuple",
             "bad-token",
             "float-payoff",
+            "zero-denominator-payoff",
+            "bool-payoff",
+            "huge-exponent-payoff",
             "no-params",
             "int-name",
             "none-name",
