@@ -8,10 +8,11 @@ surviving subgame's two best-response polytopes with integer pivoting
 (Avis, Rosenberg, Savani and von Stengel 2010), which yields every
 extreme equilibrium of any game, degenerate or not. The elimination is
 strict only: a weakly dominated strategy is kept, since it may be played
-in an equilibrium, and a game left with a single profile returns it as
-its unique, pure equilibrium without a vertex walk. Only a subgame that
-is walked has its payoffs shifted to positive entries; elimination and
-the equilibrium payoffs use the payoffs scaled to integers alone.
+in an equilibrium. A game left with one line on a side is not walked:
+the other side's survivors all tie against that line, so its extreme
+equilibria are the pure profiles of the surviving cells. Only a subgame
+that is walked has its payoffs shifted to positive entries; elimination
+and the equilibrium payoffs use the payoffs scaled to integers alone.
 """
 
 from __future__ import annotations
@@ -257,11 +258,14 @@ def pure_profile(game: BimatrixGame, row: int, col: int) -> StrategyProfile:
     )
 
 
-def _pure_result(game: BimatrixGame, row: int, col: int) -> EquilibriumResult:
+def _pure_result(
+    game: BimatrixGame, row: int, col: int, degenerate: bool = False
+) -> EquilibriumResult:
     return EquilibriumResult(
         pure_profile(game, row, col),
         (game.payoff1[row][col], game.payoff2[row][col]),
         EquilibriumKind.PURE,
+        degenerate,
     )
 
 
@@ -410,12 +414,16 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
     the slack basis is lexicographically positive and lexicographic
     pivots keep every basis so; the perturbed polytope is bounded, so its
     edge graph is connected; and every vertex of the polytope has a
-    lexicographically positive basis.
+    lexicographically positive basis. Each edge is ratio-tested once:
+    known maps each basis found to the bitmask of its nonbasic variables
+    whose edge is already crossed. The perturbed polytope is simple, so if
+    a pivot from B' brings e in and takes l out to reach B, then l entering
+    at B takes e out and returns to B'; such a pivot sets bit l of known[B].
     """
     rows, d = len(coeffs), len(coeffs[0])
     full = (1 << (d + rows)) - 1
     basic = full ^ ((1 << d) - 1)
-    seen = {basic}
+    known = {basic: 0}
     start = [list(coeff) + [1] for coeff in coeffs]
     stack = [(start, list(range(d, d + rows)), list(range(d)), basic, 1)]
     found: dict[tuple[int, ...], int] = {}
@@ -432,7 +440,10 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
         divisor = gcd(*point)
         found.setdefault(tuple(v // divisor for v in point) if divisor else tuple(point), labels)
 
+        tested = known[basic]
         for s, entering in enumerate(nonbasic):
+            if tested >> entering & 1:
+                continue
             # The polytope is bounded, so every column has a positive entry.
             r = -1
             for k, row in enumerate(tableau):
@@ -448,9 +459,10 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
                 r, best = k, row
             leaving = basis[r]
             key = basic ^ (1 << leaving) ^ (1 << entering)
-            if key in seen:
+            if key in known:
+                known[key] |= 1 << leaving
                 continue
-            seen.add(key)
+            known[key] = 1 << leaving
             piv = best[s]
             pivoted = []
             for k, row in enumerate(tableau):
@@ -495,8 +507,11 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     eliminated strategy does strictly worse than a survivor against
     every opponent mix on the survivors, so it is in no equilibrium's
     support, and each extreme equilibrium of the game is one of the
-    subgame's widened by zeros. Weakly dominated strategies are kept. A
-    single surviving profile is returned as the unique pure equilibrium.
+    subgame's widened by zeros. Weakly dominated strategies are kept. Once
+    one row or column is left, elimination passes over the other side
+    against it and drops every line that pays less there, so the other
+    side's survivors tie: the surviving cells are then the extreme
+    equilibria, pure, in row-major order and degenerate when two or more.
     Otherwise only the surviving subgame is shifted: a constant is added
     to each player's integer payoffs so that the least is 1, which moves
     no equilibrium. Every vertex of its two best-response polytopes
@@ -530,8 +545,8 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     a, scale_a = _integers(game.payoff1)
     bt, scale_b = _integers(tuple(zip(*game.payoff2)))
     rows, cols = _undominated(a, bt)
-    if len(rows) == len(cols) == 1:
-        return [_pure_result(game, rows[0], cols[0])]
+    if len(rows) == 1 or len(cols) == 1:
+        return [_pure_result(game, i, j, len(rows) * len(cols) > 1) for i in rows for j in cols]
     m, n = len(rows), len(cols)
     full = (1 << (m + n)) - 1
     p = _vertices(_shifted(bt, cols, rows))

@@ -13,12 +13,19 @@ None of these shares a code path with govgame's solver:
 - undominated_reference: iterated elimination of strictly dominated
   strategies on the Fractions, dropping every dominated row and column
   of a round at once.
+- walk_reference: the lexicographic vertex walk of
+  govgame.game_core._vertices as it was before that walk skipped the
+  edges it had already crossed: it keeps a plain set of the bases seen
+  and ratio-tests every nonbasic column of every basis. It is not
+  independent of govgame's walk; it pins the walk's output, the vertex
+  dict in its insertion order, to what the full walk gives.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from govgame.game_core import BimatrixGame
@@ -84,3 +91,85 @@ def undominated_reference(payoff1, payoff2) -> tuple[list[int], list[int]]:
             return rows, cols
         rows = [i for i in rows if i not in dropped_rows]
         cols = [j for j in cols if j not in dropped_cols]
+
+
+def _lex_cross(tableau, k, r, s, basis, nonbasic) -> int:
+    """Sign of row k's lexicographic ratio minus row r's in column s, on a ratio tie."""
+    row, best = tableau[k], tableau[r]
+    own, other = basis[k], basis[r]
+    for var in range(len(nonbasic), len(nonbasic) + len(tableau)):
+        if var == own:
+            return 1
+        if var == other:
+            return -1
+        if var in nonbasic:
+            c = nonbasic.index(var)
+            cross = row[c] * best[s] - best[c] * row[s]
+            if cross:
+                return cross
+    return 0
+
+
+def walk_reference(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
+    """Every vertex of {z >= 0 : coeffs z <= 1} with its label bitmask, by the full walk.
+
+    coeffs is r x d with positive integer entries. The keys, label bits
+    and condensed integer tableau are those of govgame's _vertices: a
+    vertex is keyed by its integer coordinates over their gcd, and
+    carries the bit of every variable (z_t is t, slack k is d + k) that
+    is zero there. From each basis every nonbasic column enters at the
+    row of the lexicographic minimum ratio, and a basis not seen before
+    is pushed on a stack; vertices are recorded in the order their
+    bases are popped.
+    """
+    rows, d = len(coeffs), len(coeffs[0])
+    full = (1 << (d + rows)) - 1
+    basic = full ^ ((1 << d) - 1)
+    seen = {basic}
+    start = [list(coeff) + [1] for coeff in coeffs]
+    stack = [(start, list(range(d, d + rows)), list(range(d)), basic, 1)]
+    found: dict[tuple[int, ...], int] = {}
+    while stack:
+        tableau, basis, nonbasic, basic, det = stack.pop()
+        point = [0] * d
+        labels = full
+        for var, row in zip(basis, tableau):
+            if row[d]:
+                labels ^= 1 << var
+                if var < d:
+                    point[var] = row[d]
+        divisor = gcd(*point)
+        found.setdefault(tuple(v // divisor for v in point) if divisor else tuple(point), labels)
+        for s, entering in enumerate(nonbasic):
+            r = -1
+            for k, row in enumerate(tableau):
+                entry = row[s]
+                if entry <= 0:
+                    continue
+                if r >= 0:
+                    cross = row[d] * best[s] - best[d] * entry
+                    if not cross:
+                        cross = _lex_cross(tableau, k, r, s, basis, nonbasic)
+                    if cross > 0:
+                        continue
+                r, best = k, row
+            leaving = basis[r]
+            key = basic ^ (1 << leaving) ^ (1 << entering)
+            if key in seen:
+                continue
+            seen.add(key)
+            piv = best[s]
+            pivoted = []
+            for k, row in enumerate(tableau):
+                f = row[s]
+                if k == r:
+                    row = row[:]
+                    row[s] = det
+                else:
+                    row = [(a * piv - f * b) // det for a, b in zip(row, best)]
+                    row[s] = -f
+                pivoted.append(row)
+            basis_next = basis[:r] + [entering] + basis[r + 1 :]
+            nonbasic_next = nonbasic[:s] + [leaving] + nonbasic[s + 1 :]
+            stack.append((pivoted, basis_next, nonbasic_next, key, piv))
+    return found

@@ -63,6 +63,9 @@ _COMMANDS = {
     "predict_bad_beta": ["predict", "--beta", "x", "--gamma", "1/2"],
     "solve_sim6": ["solve", "inputs/sim6.json"],
     "solve_sim6_pure": ["solve", "inputs/sim6.json", "--pure-only"],
+    # The vote game at beta = 3/5, gamma = 1/2: one row against two tied columns.
+    "solve_vote_gamma_1_2": ["solve", "inputs/vote_gamma_1_2.json"],
+    "solve_vote_gamma_1_2_pure": ["solve", "inputs/vote_gamma_1_2.json", "--pure-only"],
     "solve_all_zero": ["solve", "inputs/all_zero.json"],
     "solve_all_zero_pure": ["solve", "inputs/all_zero.json", "--pure-only"],
     "solve_identity_vs_ones": ["solve", "inputs/identity_vs_ones.json"],

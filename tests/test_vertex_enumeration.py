@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
+from govgame import game_core
 from govgame.game_core import (
     BimatrixGame,
     EquilibriumKind,
     EquilibriumResult,
     MixedStrategy,
+    _shifted,
+    _vertices,
     enumerate_mixed_equilibria,
     pure_profile,
 )
-from reference_solvers import payoffs, undominated_reference, vertex_oracle
+from govgame.governance import GovernanceParams, Mode, build_governance_game
+from reference_solvers import payoffs, undominated_reference, vertex_oracle, walk_reference
 
 F = Fraction
 
@@ -225,18 +231,34 @@ def test_rectangular_small_integer_games_match_the_vertex_oracle():
 
 
 def _assert_agrees_with_undominated_reference(game) -> tuple[list[int], list[int]]:
-    """Check that no result plays a strategy the reference drops; return what it keeps."""
+    """Check that no result plays a strategy the reference drops; return what it keeps.
+
+    When the reference keeps one row or one column, the other side's
+    survivors all tie against it, so the results must be the pure
+    profiles of the surviving cells in row-major order, flagged as
+    degenerate when there is more than one, and found without a walk.
+    """
     rows, cols = undominated_reference(game.payoff1, game.payoff2)
-    results = enumerate_mixed_equilibria(game)
+    one_line = len(rows) == 1 or len(cols) == 1
+    no_walk = mock.patch.object(game_core, "_vertices", side_effect=AssertionError("walked"))
+    with no_walk if one_line else contextlib.nullcontext():
+        results = enumerate_mixed_equilibria(game)
     assert results
     for result in results:
         x, y = result.profile.sigma1.probs, result.profile.sigma2.probs
         assert all(p == 0 for i, p in enumerate(x) if i not in rows)
         assert all(q == 0 for j, q in enumerate(y) if j not in cols)
-    if len(rows) == len(cols) == 1:
-        (i,), (j,) = rows, cols
-        pure = (game.payoff1[i][j], game.payoff2[i][j])
-        assert results == [EquilibriumResult(pure_profile(game, i, j), pure, EquilibriumKind.PURE)]
+    if one_line:
+        cells = [(i, j) for i in rows for j in cols]
+        assert results == [
+            EquilibriumResult(
+                pure_profile(game, i, j),
+                (game.payoff1[i][j], game.payoff2[i][j]),
+                EquilibriumKind.PURE,
+                len(cells) > 1,
+            )
+            for i, j in cells
+        ]
     return rows, cols
 
 
@@ -250,8 +272,8 @@ def test_dominance_step_agrees_with_the_reference_on_all_2x2_games_in_minus_one_
         rows, cols = _assert_agrees_with_undominated_reference(game)
         shrunk += len(rows) + len(cols) < 4
         solved += len(rows) == len(cols) == 1
-    # The inputs reach both paths: 2592 games lose a line, 1620 of them
-    # down to a single profile.
+    # The inputs reach every path: 2592 games lose a line, 1620 of them
+    # down to a single profile and the other 972 to one line on a side.
     assert (shrunk, solved) == (2592, 1620)
 
 
@@ -295,3 +317,58 @@ def test_equal_lines_never_remove_each_other():
         assert (r in rows) == (3 in rows) and (c in cols) == (3 in cols)
         _assert_agrees_with_undominated_reference(game)
         _assert_matches_vertex_oracle(game)
+
+
+def test_vote_games_with_a_half_share_match_the_vertex_oracle():
+    # On the beta = 1/2 row and the gamma = 1/2 column of the W1 grid one
+    # side of the vote game ties, so elimination leaves one line against
+    # two tied lines; at beta = gamma = 1/2 nothing is eliminated.
+    points = [(30, g) for g in range(0, 61, 3)] + [(b, 30) for b in range(61) if b != 30]
+    for b, g in points:
+        for mode, k, n in ((Mode.NO_GOVERNANCE, 1, 1), (Mode.ON_CHAIN, 3, 10)):
+            game = build_governance_game(
+                GovernanceParams(beta=F(b, 60), gamma=F(g, 60), mode=mode, k=k, n=n)
+            )
+            rows, cols = _assert_agrees_with_undominated_reference(game)
+            assert (len(rows), len(cols)) == ((2, 2) if b == g == 30 else (1, 2) if g == 30 else (2, 1))
+            _assert_matches_vertex_oracle(game)
+
+
+# The walk crosses each edge of the perturbed polytope once: an entering
+# column whose edge was already crossed from the other end is not
+# ratio-tested again. walk_reference tests every column of every basis;
+# the two must find the same vertices with the same labels, in the same
+# order.
+
+
+def _assert_walk_matches_reference(matrix) -> None:
+    coeffs = _shifted(matrix, list(range(len(matrix))), list(range(len(matrix[0]))))
+    assert list(_vertices(coeffs).items()) == list(walk_reference(coeffs).items())
+
+
+def test_walk_matches_the_full_walk_on_all_2x2_matrices_in_minus_one_to_one():
+    for entries in product((-1, 0, 1), repeat=4):
+        _assert_walk_matches_reference([list(entries[0:2]), list(entries[2:4])])
+
+
+def test_walk_matches_the_full_walk_on_random_matrices_up_to_6x6():
+    rng = random.Random(2002)
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for _ in range(6):
+                _assert_walk_matches_reference([[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)])
+                _assert_walk_matches_reference([[rng.randint(0, 3) for _ in range(cols)] for _ in range(rows)])
+                _assert_walk_matches_reference([[rng.randint(-999, 999) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_walk_matches_the_full_walk_on_identity_and_constant_matrices():
+    # An all-zero and an all-one matrix both shift to the all-one polytope.
+    for n in range(2, 7):
+        _assert_walk_matches_reference([[int(i == j) for j in range(n)] for i in range(n)])
+        _assert_walk_matches_reference([[0] * n for _ in range(n)])
+
+
+def test_walk_matches_the_full_walk_on_generic_7x7_and_8x8_matrices():
+    rng = random.Random(1964)
+    for n in (7, 7, 8):
+        _assert_walk_matches_reference([[rng.randint(-999, 999) for _ in range(n)] for _ in range(n)])
