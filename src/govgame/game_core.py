@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import ValidationError
 from .rationals import json_object, parse_json, parse_rational, reject_lone_surrogates
@@ -384,14 +384,20 @@ def _lex_cross(
     return 0
 
 
-def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
-    """Every vertex of {z >= 0 : coeffs z <= 1} with its label bitmask.
+def _vertices(coeffs: list[list[int]]) -> dict[int, tuple[list[int], list[int]]]:
+    """Every vertex of {z >= 0 : coeffs z <= 1}, keyed by its label bitmask.
 
     coeffs is r x d with positive integer entries. Variable t < d is z_t
     and variable d + k is the slack of constraint k; a vertex carries the
-    label bit of every variable that is zero there. Vertices are keyed by
-    their integer coordinates divided by their gcd, which identifies them
-    because no two nonzero vertices of such a polytope are proportional.
+    label bit of every variable that is zero there, that is, of every
+    constraint tight at it. The label set identifies the vertex: the
+    constraints tight at a vertex have rank d, so they meet in that point
+    alone. Each vertex maps to (basis, rhs) of the first basis found for
+    it, rhs[k] being the value of basic variable basis[k] times det; the
+    values of the basic z_t are the vertex's coordinates up to that common
+    factor. A basis whose right-hand side holds no zero carries exactly
+    the labels of its nonbasic variables, and each zero in it adds the
+    label of its basic variable.
 
     The search walks feasible bases from the slack basis by integer
     pivoting. The tableau is condensed: row k belongs to basic variable
@@ -426,19 +432,17 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
     known = {basic: 0}
     start = [list(coeff) + [1] for coeff in coeffs]
     stack = [(start, list(range(d, d + rows)), list(range(d)), basic, 1)]
-    found: dict[tuple[int, ...], int] = {}
+    found: dict[int, tuple[list[int], list[int]]] = {}
     while stack:
         tableau, basis, nonbasic, basic, det = stack.pop()
-        point = [0] * d
-        labels = full
-        for var, row in zip(basis, tableau):
-            value = row[d]
-            if value:
-                labels ^= 1 << var
-                if var < d:
-                    point[var] = value
-        divisor = gcd(*point)
-        found.setdefault(tuple(v // divisor for v in point) if divisor else tuple(point), labels)
+        rhs = [row[d] for row in tableau]
+        labels = full ^ basic
+        if 0 in rhs:
+            for var, value in zip(basis, rhs):
+                if not value:
+                    labels |= 1 << var
+        if labels not in found:
+            found[labels] = (basis, rhs)
 
         tested = known[basic]
         for s, entering in enumerate(nonbasic):
@@ -474,28 +478,52 @@ def _vertices(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
                     row = [(a * piv - f * b) // det for a, b in zip(row, best)]
                     row[s] = -f
                 pivoted.append(row)
-            basis_next = basis[:r] + [entering] + basis[r + 1 :]
-            nonbasic_next = nonbasic[:s] + [leaving] + nonbasic[s + 1 :]
+            basis_next = basis[:]
+            basis_next[r] = entering
+            nonbasic_next = nonbasic[:]
+            nonbasic_next[s] = leaving
             stack.append((pivoted, basis_next, nonbasic_next, key, piv))
     return found
 
 
 def _widen(
-    v: tuple[int, ...], keep: list[int], size: int
-) -> tuple[tuple[int, ...], int, MixedStrategy, tuple[int, ...]]:
-    """Support, sum, normalised strategy and coordinates of v widened by zeros.
+    vertex: tuple[list[int], list[int]], keep: list[int], size: int
+) -> tuple[tuple[int, ...], int, MixedStrategy, list[int]]:
+    """Support, sum, normalised strategy and coordinates of a vertex widened by zeros.
 
-    v has one coordinate per kept strategy, keep their indices among size.
+    vertex is a (basis, rhs) pair from _vertices over len(keep)
+    variables, keep their indices among size. The coordinates are the
+    basic variables' values, a positive multiple of the vertex's.
     """
-    wide = v
-    if len(keep) < size:
-        padded = [0] * size
-        for k, c in zip(keep, v):
-            padded[k] = c
-        wide = tuple(padded)
+    d = len(keep)
+    wide = [0] * size
+    for var, value in zip(*vertex):
+        if var < d:
+            wide[keep[var]] = value
     total = sum(wide)
-    mix = MixedStrategy._checked(tuple(Fraction(c, total) for c in wide))
-    return tuple(i for i, c in enumerate(wide) if c), total, mix, wide
+    mix = MixedStrategy._checked(tuple([Fraction(c, total) for c in wide]))
+    return tuple([i for i, c in enumerate(wide) if c]), total, mix, wide
+
+
+def _pairs(p: dict[int, object], index: dict[int, object], m: int, n: int) -> list[tuple[int, int]]:
+    """The label sets (lx, ly) of P's and Q's vertices that carry all m + n labels together.
+
+    p and index are keyed by label set, index in P's label order. A
+    vertex of P carries at least m labels and one of Q at least n, so an
+    x with exactly m labels pairs with a y of exactly n only at
+    ly == full ^ lx, one lookup. The vertices with more labels than their
+    dimension are scanned: each such x against all of Q, and each such y
+    against the x with exactly m.
+    """
+    full = (1 << (m + n)) - 1
+    wide_ys = [ly for ly in index if ly.bit_count() > n]
+    pairs = []
+    for lx in p:
+        narrow = lx.bit_count() == m
+        if narrow and full ^ lx in index:
+            pairs.append((lx, full ^ lx))
+        pairs += [(lx, ly) for ly in (wide_ys if narrow else index) if lx | ly == full]
+    return pairs
 
 
 def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
@@ -527,6 +555,13 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     nondegenerate ones. Each polytope's vertices are walked by the
     lexicographic ratio test, so the work follows the vertices rather
     than every basis of a degenerate vertex.
+
+    The walk keys each vertex by its label set, which identifies it (see
+    _vertices). The pairs are found through an index of Q's vertices by
+    label set (see _pairs): a vertex with one label per dimension looks up
+    the labels it lacks, and only vertices with more labels than their
+    dimension, which a generic game lacks, are matched by a scan. Only the
+    vertices that pair have their coordinates read.
     Every row in supp(x) is a best response to y, and every column in
     supp(y) to x, so player 1's payoff is read from one such row and
     player 2's from one column, each as one Fraction of the scaled,
@@ -548,23 +583,24 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     if len(rows) == 1 or len(cols) == 1:
         return [_pure_result(game, i, j, len(rows) * len(cols) > 1) for i in rows for j in cols]
     m, n = len(rows), len(cols)
-    full = (1 << (m + n)) - 1
+    low = (1 << n) - 1
     p = _vertices(_shifted(bt, cols, rows))
     q = _vertices(_shifted(a, rows, cols))
-    xs = [(x, labels) for x, labels in p.items() if any(x)]
+    # The zero vertices, labelled by all of their own coordinates, pair
+    # only with each other.
+    del p[(1 << m) - 1], q[low]
     # Q's own labels put its n coordinates first; move them after P's m rows.
-    low = (1 << n) - 1
-    ys = [(y, (labels & low) << m | labels >> n) for y, labels in q.items() if any(y)]
-    pairs = [(x, y) for x, lx in xs for y, ly in ys if lx | ly == full]
+    index = {(ly & low) << m | ly >> n: y for ly, y in q.items()}
+    pairs = _pairs(p, index, m, n)
     # Each paired vertex is widened once: many equilibria share a vertex,
     # and most vertices of a generic game are never paired.
-    wide_x = {x: _widen(x, rows, game.rows) for x in {x for x, _ in pairs}}
-    wide_y = {y: _widen(y, cols, game.cols) for y in {y for _, y in pairs}}
+    wide_x = {lx: _widen(p[lx], rows, game.rows) for lx in {lx for lx, _ in pairs}}
+    wide_y = {ly: _widen(index[ly], cols, game.cols) for ly in {ly for _, ly in pairs}}
     degenerate = len(wide_x) < len(pairs) or len(wide_y) < len(pairs)
     found = []
-    for x_sub, y_sub in pairs:
-        sx, tx, mx, x = wide_x[x_sub]
-        sy, ty, my, y = wide_y[y_sub]
+    for lx, ly in pairs:
+        sx, tx, mx, x = wide_x[lx]
+        sy, ty, my, y = wide_y[ly]
         # Undo the integer scaling of the unshifted matrices: payoff = entry / scale.
         row, col = a[sx[0]], sy[0]
         u1 = Fraction(sum(row[j] * y[j] for j in sy), scale_a * ty)

@@ -15,10 +15,16 @@ None of these shares a code path with govgame's solver:
   of a round at once.
 - walk_reference: the lexicographic vertex walk of
   govgame.game_core._vertices as it was before that walk skipped the
-  edges it had already crossed: it keeps a plain set of the bases seen
-  and ratio-tests every nonbasic column of every basis. It is not
-  independent of govgame's walk; it pins the walk's output, the vertex
-  dict in its insertion order, to what the full walk gives.
+  edges it had already crossed and keyed its vertices by label set: it
+  keeps a plain set of the bases seen, ratio-tests every nonbasic
+  column of every basis and keys each vertex by its coordinates over
+  their gcd. It is not independent of govgame's walk; it pins the
+  walk's vertices and labels, in the order found, to what the full walk
+  gives, once each label-keyed entry of _vertices is read back as a
+  point.
+- scan_pairs: the completely labelled vertex pairs by testing every
+  pair of label sets, as the solver found them before it paired
+  through a label index.
 """
 
 from __future__ import annotations
@@ -173,3 +179,9 @@ def walk_reference(coeffs: list[list[int]]) -> dict[tuple[int, ...], int]:
             nonbasic_next = nonbasic[:s] + [leaving] + nonbasic[s + 1 :]
             stack.append((pivoted, basis_next, nonbasic_next, key, piv))
     return found
+
+
+def scan_pairs(p, index, m: int, n: int) -> set[tuple[int, int]]:
+    """Every (lx, ly) of p's and index's label sets whose union is all m + n labels."""
+    full = (1 << (m + n)) - 1
+    return {(lx, ly) for lx in p for ly in index if lx | ly == full}

@@ -1,0 +1,220 @@
+"""Hash govgame's outputs over fixed families of inputs, to show they did not change.
+
+A change that must keep every output the same writes the hashes at the
+commit before it and checks them after it:
+
+    PYTHONPATH=src python tests/same_outputs.py --write FILE
+    PYTHONPATH=src python tests/same_outputs.py --check FILE
+
+Each family is a fixed, seeded list of inputs. Its hash is the SHA-256
+of the text written for every input in order: equilibria and
+predictions through format_rational, scenario results through
+results_to_json and results_to_csv. Nothing is hashed through repr, so
+the hashes do not depend on the Python version. --check prints one line
+per family and exits 1 if any family differs from FILE.
+
+tests/golden/same_outputs.json holds the hashes of the current outputs.
+A change that alters an output on purpose rewrites it and says why.
+Only the standard library and govgame's public functions are used.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from itertools import product
+
+from govgame import (
+    BimatrixGame,
+    GovernanceParams,
+    Mode,
+    ValidationError,
+    build_governance_game,
+    enumerate_mixed_equilibria,
+    format_rational,
+    load_scenarios,
+    predict_outcome,
+    results_to_csv,
+    results_to_json,
+    run_scenario,
+)
+
+F = Fraction
+SURPLUS = ("s_yes", "s_no", "s_u", "s_o", "surplus_v", "surplus_c", "total")
+
+
+def _equilibria_text(game: BimatrixGame) -> str:
+    lines = []
+    for eq in enumerate_mixed_equilibria(game):
+        x = " ".join(format_rational(p) for p in eq.profile.sigma1.probs)
+        y = " ".join(format_rational(p) for p in eq.profile.sigma2.probs)
+        u1, u2 = (format_rational(u) for u in eq.payoffs)
+        lines.append(f"{eq.kind.value} {int(eq.degenerate_game)} | {x} | {y} | {u1} {u2}")
+    return "\n".join(lines) + "\n\n"
+
+
+def _games_2x2() -> list[BimatrixGame]:
+    """All 6,561 2x2 games with payoffs in {-1, 0, 1}."""
+    return [
+        BimatrixGame([list(e[0:2]), list(e[2:4])], [list(e[4:6]), list(e[6:8])])
+        for e in product((-1, 0, 1), repeat=8)
+    ]
+
+
+def _games_random() -> list[BimatrixGame]:
+    """1,080 seeded games, 10 per shape from 1x1 to 6x6 and value set."""
+    rng = random.Random(2026)
+    draws = (
+        lambda: rng.randint(-2, 2),
+        lambda: rng.randint(0, 1),
+        lambda: F(rng.randint(-20, 20), rng.randint(1, 10)),
+    )
+    games = []
+    for rows, cols, draw in product(range(1, 7), range(1, 7), draws):
+        for _ in range(10):
+            a = [[draw() for _ in range(cols)] for _ in range(rows)]
+            b = [[draw() for _ in range(cols)] for _ in range(rows)]
+            games.append(BimatrixGame(a, b))
+    return games
+
+
+def _games_identity_zero() -> list[BimatrixGame]:
+    """Identity against all-ones, and all-zero, at sizes 2 to 6."""
+    games = []
+    for n in range(2, 7):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        games.append(BimatrixGame(identity, [[1] * n] * n))
+        games.append(BimatrixGame([[0] * n] * n, [[0] * n] * n))
+    return games
+
+
+def _games_vote() -> list[BimatrixGame]:
+    """The vote games of the W1 grid, beta = b/60 and gamma = g/60, at two k/n pairs."""
+    return [
+        build_governance_game(
+            GovernanceParams(F(b, 60), F(g, 60), k=k, n=n, s_v=s_v, s_c=s_c)
+        )
+        for k, n, s_v, s_c in ((1, 1, F(1), F(1)), (3, 10, F(2), F(1, 2)))
+        for g in range(0, 61, 3)
+        for b in range(61)
+    ]
+
+
+def _sweep_text(seed: int) -> str:
+    """One W1 grid as a scenario file: three modes, gamma = g/60 for g = 0, 3, ..., 60, beta = b/60.
+
+    k <= n, s_v and s_c are drawn per point; on-chain points carry a
+    gamma'; about a quarter carry an expected block, whose random
+    entries make both matches and mismatches.
+    """
+    rng = random.Random(seed)
+    chains = ("upgraded", "original", "split_50_50")
+    scenarios = []
+    for mode in ("none", "off_chain", "on_chain"):
+        for g in range(0, 61, 3):
+            for b in range(61):
+                k = rng.randint(1, 12)
+                entry = {
+                    "name": f"{mode}-b{b}-g{g}",
+                    "mode": mode,
+                    "beta": f"{b}/60",
+                    "gamma": f"{g}/60",
+                    "k": k,
+                    "n": rng.randint(k, 40),
+                    "s_v": f"{rng.randint(1, 30)}/{rng.randint(1, 12)}",
+                    "s_c": f"{rng.randint(1, 30)}/{rng.randint(1, 12)}",
+                }
+                if mode == "on_chain":
+                    entry["gamma_prime"] = f"{rng.randint(0, 60)}/60"
+                if rng.random() < 0.25:
+                    entry["expected"] = {
+                        "equilibria": [
+                            {
+                                "row": rng.choice(("yes", "no")),
+                                "col": rng.choice(("upgraded", "original")),
+                                "payoff_v": str(rng.randint(0, 3)),
+                                "payoff_c": str(rng.randint(0, 3)),
+                            }
+                        ],
+                        "majority_chain": rng.choice(chains),
+                    }
+                scenarios.append(entry)
+    return json.dumps({"scenarios": scenarios})
+
+
+def _sweep(seed: int) -> list[str]:
+    results = [run_scenario(s) for s in load_scenarios(_sweep_text(seed))]
+    return [results_to_json(results), results_to_csv(results)]
+
+
+def _predictions() -> list[str]:
+    """predict_outcome over shares in tenths, every mode, three gamma' and both tie breaks."""
+    texts = []
+    shares = [F(i, 10) for i in range(11)]
+    for mode, beta, gamma, gamma_prime, (k, n), tie_break in product(
+        Mode, shares, shares, (None, F(1, 4), F(4, 5)), ((1, 1), (3, 10)), (None, "accept", "reject")
+    ):
+        try:
+            params = GovernanceParams(beta, gamma, gamma_prime, k, n, F(2), F(1, 2), mode)
+            p = predict_outcome(params, tie_break)
+        except ValidationError as error:
+            texts.append(f"error: {error}\n")
+            continue
+        surplus = " ".join(format_rational(getattr(p.surplus, f)) for f in SURPLUS)
+        notes = "; ".join(p.notes)
+        texts.append(
+            f"{p.regime.value} {p.majority_chain.value} {p.fork_risk.value} | {surplus} | {notes}\n"
+        )
+    return texts
+
+
+def _solved(games) -> list[str]:
+    return [_equilibria_text(game) for game in games]
+
+
+FAMILIES = {
+    "mixed_2x2_minus_one_to_one": lambda: _solved(_games_2x2()),
+    "mixed_random_1x1_to_6x6": lambda: _solved(_games_random()),
+    "mixed_identity_and_zero_2_to_6": lambda: _solved(_games_identity_zero()),
+    "mixed_vote_games_w1": lambda: _solved(_games_vote()),
+    "run_scenario_w1_seed_11": lambda: _sweep(11),
+    "run_scenario_w1_seed_12": lambda: _sweep(12),
+    "predict_outcome_grid": _predictions,
+}
+
+
+def digests() -> dict[str, dict[str, object]]:
+    """Each family's item count and the SHA-256 of its texts in order."""
+    out = {}
+    for name, texts in FAMILIES.items():
+        items = texts()
+        digest = hashlib.sha256("".join(items).encode("utf-8")).hexdigest()
+        out[name] = {"items": len(items), "sha256": digest}
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or argv[0] not in ("--write", "--check"):
+        print("usage: python tests/same_outputs.py --write FILE | --check FILE", file=sys.stderr)
+        return 2
+    mode, path = argv
+    got = digests()
+    if mode == "--write":
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(got, indent=2) + "\n")
+        return 0
+    with open(path, encoding="utf-8") as handle:
+        want = json.load(handle)
+    differ = False
+    for name in sorted(set(want) | set(got)):
+        same = want.get(name) == got.get(name)
+        differ |= not same
+        print(f"{'same' if same else 'DIFFERENT'}  {name}")
+    return int(differ)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,6 +9,16 @@ reference, not a description of the code under test: regenerate them
 only from a commit whose output is known to be right, with
 
     PYTHONPATH=<that checkout>/src python tests/test_golden.py --write
+
+The same cases check a command line, such as an installed console
+script, with
+
+    python tests/test_golden.py --check govgame
+
+which runs every case as a new process of the given command, compares
+its standard output, exit code and, for STDERR_CASES, standard error
+with the golden files, names each case that differs and exits 1 if any
+does.
 """
 
 from __future__ import annotations
@@ -16,11 +26,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import govgame
 from govgame.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,6 +84,10 @@ _COMMANDS = {
     "solve_identity_vs_ones_pure": ["solve", "inputs/identity_vs_ones.json", "--pure-only"],
     "solve_nondegenerate_3x3": ["solve", "inputs/nondegenerate_3x3.json"],
     "solve_nondegenerate_3x3_pure": ["solve", "inputs/nondegenerate_3x3.json", "--pure-only"],
+    # Nothing is eliminated from either game, so both are walked whole; the
+    # 4x4 game's vertices carry more labels than their dimension.
+    "solve_generic_6x6": ["solve", "inputs/generic_6x6.json"],
+    "solve_identity_vs_ones_4x4": ["solve", "inputs/identity_vs_ones_4x4.json"],
     "run_scenarios": ["run", "inputs/scenarios.json"],
 }
 
@@ -88,13 +104,35 @@ STDERR_CASES = sorted(
 )
 
 
+def _resolved(argv: list[str]) -> list[str]:
+    return [str(GOLDEN / a) if a.startswith("inputs/") else a for a in argv]
+
+
 def run_case(argv: list[str]) -> tuple[int, str, str]:
     """Run the CLI in process; return its exit code, standard output and error."""
-    argv = [str(GOLDEN / a) if a.startswith("inputs/") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(_resolved(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def check(command: list[str], cases: list[str]) -> list[str]:
+    """Run each case as a process of command; return the cases that differ from the golden files."""
+    codes = json.loads(_read(GOLDEN / "exit_codes.json"))
+    differ = []
+    for case in cases:
+        run = subprocess.run(command + _resolved(CASES[case]), capture_output=True)
+        same = (
+            run.returncode == codes[case]
+            and run.stdout.decode("utf-8") == _read(GOLDEN / f"{case}.out")
+            and (
+                case not in STDERR_CASES
+                or run.stderr.decode("utf-8") == _read(STDERR / f"{case}.err")
+            )
+        )
+        if not same:
+            differ.append(case)
+    return differ
 
 
 def _read(path: Path) -> str:
@@ -122,6 +160,15 @@ def test_every_golden_file_has_a_case():
     assert {path.name[: -len(".err")] for path in STDERR.glob("*.err")} == set(STDERR_CASES)
 
 
+def test_check_mode_runs_cases_as_processes_of_a_command(monkeypatch):
+    # The subprocesses import the govgame under test.
+    monkeypatch.setenv("PYTHONPATH", str(Path(govgame.__file__).parents[1]))
+    # A failing run with stderr, a table and a walked solve.
+    cases = ["casestudy_beta_1_5.table", "table1.csv", "solve_identity_vs_ones_4x4.json"]
+    assert check([sys.executable, "-m", "govgame.cli"], cases) == []
+    assert check([sys.executable, "-c", "print('x')"], cases) == cases
+
+
 def _write() -> None:
     codes = {}
     for case, argv in sorted(CASES.items()):
@@ -136,6 +183,13 @@ def _write() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    _write()
+    if sys.argv[1:] == ["--write"]:
+        _write()
+    elif sys.argv[1:2] == ["--check"] and sys.argv[2:]:
+        failed = check(sys.argv[2:], sorted(CASES))
+        for case in failed:
+            print(f"differs: {case}")
+        print(f"{len(CASES) - len(failed)} of {len(CASES)} cases match")
+        sys.exit(1 if failed else 0)
+    else:
+        sys.exit("usage: python tests/test_golden.py --write | --check COMMAND...")

@@ -6,6 +6,7 @@ import contextlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from unittest import mock
 
 from govgame import game_core
@@ -20,7 +21,13 @@ from govgame.game_core import (
     pure_profile,
 )
 from govgame.governance import GovernanceParams, Mode, build_governance_game
-from reference_solvers import payoffs, undominated_reference, vertex_oracle, walk_reference
+from reference_solvers import (
+    payoffs,
+    scan_pairs,
+    undominated_reference,
+    vertex_oracle,
+    walk_reference,
+)
 
 F = Fraction
 
@@ -336,14 +343,32 @@ def test_vote_games_with_a_half_share_match_the_vertex_oracle():
 
 # The walk crosses each edge of the perturbed polytope once: an entering
 # column whose edge was already crossed from the other end is not
-# ratio-tested again. walk_reference tests every column of every basis;
-# the two must find the same vertices with the same labels, in the same
-# order.
+# ratio-tested again. It keys each vertex by its label set and keeps the
+# first basis found for it. walk_reference tests every column of every
+# basis and keys each vertex by its coordinates over their gcd; read back
+# as such points, the walk's vertices must be those of walk_reference,
+# with the same labels, in the same order.
+
+
+def _as_points(vertices: dict, d: int) -> dict:
+    """_vertices' {labels: (basis, rhs)} as {coordinates over their gcd: labels}, in order."""
+    points = {}
+    for labels, (basis, rhs) in vertices.items():
+        point = [0] * d
+        for var, value in zip(basis, rhs):
+            if var < d:
+                point[var] = value
+        divisor = gcd(*point)
+        key = tuple(v // divisor for v in point) if divisor else tuple(point)
+        assert key not in points, "two label sets give the same point"
+        points[key] = labels
+    return points
 
 
 def _assert_walk_matches_reference(matrix) -> None:
     coeffs = _shifted(matrix, list(range(len(matrix))), list(range(len(matrix[0]))))
-    assert list(_vertices(coeffs).items()) == list(walk_reference(coeffs).items())
+    points = _as_points(_vertices(coeffs), len(coeffs[0]))
+    assert list(points.items()) == list(walk_reference(coeffs).items())
 
 
 def test_walk_matches_the_full_walk_on_all_2x2_matrices_in_minus_one_to_one():
@@ -372,3 +397,70 @@ def test_walk_matches_the_full_walk_on_generic_7x7_and_8x8_matrices():
     rng = random.Random(1964)
     for n in (7, 7, 8):
         _assert_walk_matches_reference([[rng.randint(-999, 999) for _ in range(n)] for _ in range(n)])
+
+
+# The solver pairs the vertices through an index of Q's vertices by label
+# set, and scans only the vertices with more labels than their dimension.
+# scan_pairs tests every pair of label sets; on every walked game the two
+# must give the same pairs, each once.
+
+
+def _assert_pairs_match_scan(games) -> tuple[int, int]:
+    """Solve the games with each pairing checked; return (walked games, wide vertices seen)."""
+    real = game_core._pairs
+    seen = [0, 0]
+
+    def checked(p, index, m, n):
+        pairs = real(p, index, m, n)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == scan_pairs(p, index, m, n)
+        seen[0] += 1
+        seen[1] += sum(lx.bit_count() > m for lx in p) + sum(ly.bit_count() > n for ly in index)
+        return pairs
+
+    with mock.patch.object(game_core, "_pairs", checked):
+        for game in games:
+            enumerate_mixed_equilibria(game)
+    return seen[0], seen[1]
+
+
+def test_label_index_pairs_as_the_scan_on_all_2x2_games_in_minus_one_to_one():
+    games = (
+        BimatrixGame([list(e[0:2]), list(e[2:4])], [list(e[4:6]), list(e[6:8])])
+        for e in product((-1, 0, 1), repeat=8)
+    )
+    walked, wide = _assert_pairs_match_scan(games)
+    # 6561 - 2592 games lose no line, and ties give many wide vertices.
+    assert walked == 3969 and wide > 0
+
+
+def test_label_index_pairs_as_the_scan_on_tie_heavy_games_up_to_6x6():
+    rng = random.Random(1973)
+    games = [
+        BimatrixGame(
+            [[draw() for _ in range(cols)] for _ in range(rows)],
+            [[draw() for _ in range(cols)] for _ in range(rows)],
+        )
+        for draw in (lambda: rng.randint(0, 1), lambda: rng.randint(-2, 2))
+        for rows in range(2, 7)
+        for cols in range(2, 7)
+        for _ in range(4)
+    ]
+    walked, wide = _assert_pairs_match_scan(games)
+    assert walked > 100 and wide > 0
+
+
+def test_label_index_pairs_as_the_scan_on_identity_and_all_zero_games():
+    games = []
+    for n in range(2, 7):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        games.append(BimatrixGame(identity, [[1] * n] * n))
+        games.append(BimatrixGame([[0] * n] * n, [[0] * n] * n))
+    walked, wide = _assert_pairs_match_scan(games)
+    assert walked == len(games) and wide > 0
+
+
+def test_label_index_pairs_as_the_scan_on_generic_7x7_and_8x8_games():
+    rng = random.Random(1974)
+    games = [_generic_game(rng, n, n) for n in (7, 7, 8)]
+    assert _assert_pairs_match_scan(games) == (3, 0)
