@@ -11,8 +11,11 @@ strict only: a weakly dominated strategy is kept, since it may be played
 in an equilibrium. A game left with one line on a side is not walked:
 the other side's survivors all tie against that line, so its extreme
 equilibria are the pure profiles of the surviving cells. Only a subgame
-that is walked has its payoffs shifted to positive entries; elimination
-and the equilibrium payoffs use the payoffs scaled to integers alone.
+that is walked has its payoffs shifted to positive entries, inside its
+walk; elimination uses the payoffs scaled to integers alone. Each
+equilibrium's payoffs are read off its two vertices: on a normalised
+best-response polytope, a nonzero vertex whose coordinates sum to t is
+paid 1/t by every best response to it (von Stengel 2002).
 """
 
 from __future__ import annotations
@@ -297,19 +300,6 @@ def _integers(matrix: PayoffMatrix) -> tuple[list[list[int]], int]:
     return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
 
 
-def _shifted(matrix: list[list[int]], rows: list[int], cols: list[int]) -> list[list[int]]:
-    """The integer matrix's rows and cols with one constant added so the least entry is 1.
-
-    Entries >= 1 make the best-response polytope built from the matrix
-    bounded. Adding a constant to one player's payoffs leaves the Nash
-    equilibria, and so the normalised vertex pairs and their labels,
-    unchanged.
-    """
-    sub = [[matrix[i][j] for j in cols] for i in rows]
-    shift = 1 - min(min(row) for row in sub)
-    return [[v + shift for v in row] for row in sub]
-
-
 def _survivors(lines: list[list[int]], keep: list[int], against: list[int]) -> list[int]:
     """The lines in keep that no other line in keep beats at every position in against."""
     survivors = []
@@ -384,18 +374,22 @@ def _lex_cross(
     return 0
 
 
-def _vertices(coeffs: list[list[int]]) -> dict[int, tuple[list[int], list[int]]]:
-    """Every vertex of {z >= 0 : coeffs z <= 1}, keyed by its label bitmask.
+def _vertices(
+    lines: list[list[int]], keep: list[int], against: list[int]
+) -> tuple[dict[int, tuple[list[int], list[int], int]], int]:
+    """Every vertex of {z >= 0 : coeffs z <= 1}, keyed by its label bitmask, and the shift.
 
-    coeffs is r x d with positive integer entries. Variable t < d is z_t
-    and variable d + k is the slack of constraint k; a vertex carries the
-    label bit of every variable that is zero there, that is, of every
-    constraint tight at it. The label set identifies the vertex: the
-    constraints tight at a vertex have rank d, so they meet in that point
-    alone. Each vertex maps to (basis, rhs) of the first basis found for
-    it, rhs[k] being the value of basic variable basis[k] times det; the
-    values of the basic z_t are the vertex's coordinates up to that common
-    factor. A basis whose right-hand side holds no zero carries exactly
+    coeffs[k][t] is lines[keep[k]][against[t]] + shift, the one shift
+    that makes the least such entry 1: entries >= 1 make the polytope
+    bounded, and adding a constant to one player's payoffs moves no Nash
+    equilibrium. Variable t < d = len(against) is z_t and variable d + k
+    is the slack of constraint k; a vertex carries the label bit of every
+    variable that is zero there, that is, of every constraint tight at
+    it. The label set identifies the vertex: the constraints tight at a
+    vertex have rank d, so they meet in that point alone. Each vertex
+    maps to (basis, rhs, det) of the first basis found for it, rhs[k]
+    being det times the value of basic variable basis[k], det the last
+    pivot. A basis whose right-hand side holds no zero carries exactly
     the labels of its nonbasic variables, and each zero in it adds the
     label of its basic variable.
 
@@ -426,13 +420,14 @@ def _vertices(coeffs: list[list[int]]) -> dict[int, tuple[list[int], list[int]]]
     a pivot from B' brings e in and takes l out to reach B, then l entering
     at B takes e out and returns to B'; such a pivot sets bit l of known[B].
     """
-    rows, d = len(coeffs), len(coeffs[0])
+    rows, d = len(keep), len(against)
+    shift = 1 - min(lines[k][j] for k in keep for j in against)
     full = (1 << (d + rows)) - 1
     basic = full ^ ((1 << d) - 1)
     known = {basic: 0}
-    start = [list(coeff) + [1] for coeff in coeffs]
+    start = [[lines[k][j] + shift for j in against] + [1] for k in keep]
     stack = [(start, list(range(d, d + rows)), list(range(d)), basic, 1)]
-    found: dict[int, tuple[list[int], list[int]]] = {}
+    found: dict[int, tuple[list[int], list[int], int]] = {}
     while stack:
         tableau, basis, nonbasic, basic, det = stack.pop()
         rhs = [row[d] for row in tableau]
@@ -442,7 +437,7 @@ def _vertices(coeffs: list[list[int]]) -> dict[int, tuple[list[int], list[int]]]
                 if not value:
                     labels |= 1 << var
         if labels not in found:
-            found[labels] = (basis, rhs)
+            found[labels] = (basis, rhs, det)
 
         tested = known[basic]
         for s, entering in enumerate(nonbasic):
@@ -483,26 +478,31 @@ def _vertices(coeffs: list[list[int]]) -> dict[int, tuple[list[int], list[int]]]
             nonbasic_next = nonbasic[:]
             nonbasic_next[s] = leaving
             stack.append((pivoted, basis_next, nonbasic_next, key, piv))
-    return found
+    return found, shift
 
 
 def _widen(
-    vertex: tuple[list[int], list[int]], keep: list[int], size: int
-) -> tuple[tuple[int, ...], int, MixedStrategy, list[int]]:
-    """Support, sum, normalised strategy and coordinates of a vertex widened by zeros.
+    vertex: tuple[list[int], list[int], int], keep: list[int], size: int, shift: int, scale: int
+) -> tuple[tuple[int, ...], MixedStrategy, Fraction]:
+    """Support, normalised strategy and the opponent's best-response payoff of a vertex.
 
-    vertex is a (basis, rhs) pair from _vertices over len(keep)
-    variables, keep their indices among size. The coordinates are the
-    basic variables' values, a positive multiple of the vertex's.
+    vertex is a nonzero (basis, rhs, det) from _vertices over len(keep)
+    variables, keep their indices among size; shift and scale are those of
+    the opponent's integer payoffs. The coordinates, the basic values over
+    det, sum to t. Every constraint tight at the vertex equals 1 there, and
+    a nonzero vertex has one, so a best response pays 1/t on the shifted
+    payoffs and (1/t - shift) / scale on the game's.
     """
+    basis, rhs, det = vertex
     d = len(keep)
     wide = [0] * size
-    for var, value in zip(*vertex):
+    for var, value in zip(basis, rhs):
         if var < d:
             wide[keep[var]] = value
     total = sum(wide)
     mix = MixedStrategy._checked(tuple([Fraction(c, total) for c in wide]))
-    return tuple([i for i, c in enumerate(wide) if c]), total, mix, wide
+    support = tuple([i for i, c in enumerate(wide) if c])
+    return support, mix, Fraction(det - shift * total, scale * total)
 
 
 def _pairs(p: dict[int, object], index: dict[int, object], m: int, n: int) -> list[tuple[int, int]]:
@@ -540,19 +540,19 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     against it and drops every line that pays less there, so the other
     side's survivors tie: the surviving cells are then the extreme
     equilibria, pure, in row-major order and degenerate when two or more.
-    Otherwise only the surviving subgame is shifted: a constant is added
-    to each player's integer payoffs so that the least is 1, which moves
-    no equilibrium. Every vertex of its two best-response polytopes
-    P = {x >= 0 : B^T x <= 1} and Q = {y >= 0 : A y <= 1}, with A and B
-    the shifted matrices, is then found by integer pivoting; m and n
-    count the surviving rows and columns, and a game that loses no
-    strategy is walked whole. Label i < m is
-    "row i unplayed" on P and "row i a best response" on Q; label m + j
-    is "column j a best response" on P and "column j unplayed" on Q. The
-    extreme equilibria are the nonzero vertex pairs that carry all m + n
-    labels between them, each widened to the full game and normalised to
-    sum 1. This is complete for degenerate games as well as
-    nondegenerate ones. Each polytope's vertices are walked by the
+    Otherwise only the surviving subgame is shifted, inside its walk: a
+    constant is added to each player's integer payoffs so that the least
+    is 1, which moves no equilibrium. Every vertex of its two
+    best-response polytopes P = {x >= 0 : B^T x <= 1} and
+    Q = {y >= 0 : A y <= 1}, with A and B the shifted matrices, is then
+    found by integer pivoting; m and n count the surviving rows and
+    columns, and a game that loses no strategy is walked whole. Label
+    i < m is "row i unplayed" on P and "row i a best response" on Q;
+    label m + j is "column j a best response" on P and "column j
+    unplayed" on Q. The extreme equilibria are the nonzero vertex pairs
+    that carry all m + n labels between them, each widened to the full
+    game and normalised to sum 1. This is complete for degenerate games
+    as well as nondegenerate ones. Each polytope's vertices are walked by the
     lexicographic ratio test, so the work follows the vertices rather
     than every basis of a degenerate vertex.
 
@@ -561,11 +561,11 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     label set (see _pairs): a vertex with one label per dimension looks up
     the labels it lacks, and only vertices with more labels than their
     dimension, which a generic game lacks, are matched by a scan. Only the
-    vertices that pair have their coordinates read.
-    Every row in supp(x) is a best response to y, and every column in
-    supp(y) to x, so player 1's payoff is read from one such row and
-    player 2's from one column, each as one Fraction of the scaled,
-    unshifted integer entries and the vertex's integer coordinates.
+    vertices that pair are widened, each once, and each carries its
+    opponent's payoff (see _widen): every column in supp(y) is a best
+    response to x, so player 2 is paid what x's vertex pays a best
+    response, and player 1 likewise what y's pays. Joining two widened
+    vertices builds no number.
 
     Results are ordered by row support size, row support, column support
     size, column support, then the strategies themselves, so pure
@@ -584,8 +584,8 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
         return [_pure_result(game, i, j, len(rows) * len(cols) > 1) for i in rows for j in cols]
     m, n = len(rows), len(cols)
     low = (1 << n) - 1
-    p = _vertices(_shifted(bt, cols, rows))
-    q = _vertices(_shifted(a, rows, cols))
+    p, shift_b = _vertices(bt, cols, rows)
+    q, shift_a = _vertices(a, rows, cols)
     # The zero vertices, labelled by all of their own coordinates, pair
     # only with each other.
     del p[(1 << m) - 1], q[low]
@@ -594,17 +594,14 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     pairs = _pairs(p, index, m, n)
     # Each paired vertex is widened once: many equilibria share a vertex,
     # and most vertices of a generic game are never paired.
-    wide_x = {lx: _widen(p[lx], rows, game.rows) for lx in {lx for lx, _ in pairs}}
-    wide_y = {ly: _widen(index[ly], cols, game.cols) for ly in {ly for _, ly in pairs}}
+    paired_x, paired_y = {lx for lx, _ in pairs}, {ly for _, ly in pairs}
+    wide_x = {lx: _widen(p[lx], rows, game.rows, shift_b, scale_b) for lx in paired_x}
+    wide_y = {ly: _widen(index[ly], cols, game.cols, shift_a, scale_a) for ly in paired_y}
     degenerate = len(wide_x) < len(pairs) or len(wide_y) < len(pairs)
     found = []
     for lx, ly in pairs:
-        sx, tx, mx, x = wide_x[lx]
-        sy, ty, my, y = wide_y[ly]
-        # Undo the integer scaling of the unshifted matrices: payoff = entry / scale.
-        row, col = a[sx[0]], sy[0]
-        u1 = Fraction(sum(row[j] * y[j] for j in sy), scale_a * ty)
-        u2 = Fraction(sum(bt[col][i] * x[i] for i in sx), scale_b * tx)
+        sx, mx, u2 = wide_x[lx]
+        sy, my, u1 = wide_y[ly]
         kind = EquilibriumKind.PURE if len(sx) == len(sy) == 1 else EquilibriumKind.MIXED
         result = EquilibriumResult(StrategyProfile(mx, my), (u1, u2), kind, degenerate)
         found.append(((len(sx), sx, len(sy), sy, mx.probs, my.probs), result))

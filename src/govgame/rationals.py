@@ -150,10 +150,10 @@ def _json_array(items: list[str], newline: str) -> str:
 def _json_fields(fields: list[tuple[str, str]], newline: str) -> str:
     """A JSON object of (key, value as JSON text) pairs, as json.dumps(..., indent=2) lays it out.
 
-    Each key is a plain name, written between quotes without escaping.
+    fields must not be empty: every caller writes a fixed, non-empty list
+    of keys. Each key is a plain name, written between quotes without
+    escaping.
     """
-    if not fields:
-        return "{}"
     inner = newline + "  "
     members = ("," + inner).join([f'"{key}": {value}' for key, value in fields])
     return f"{{{inner}{members}{newline}}}"

@@ -20,8 +20,9 @@ None of these shares a code path with govgame's solver:
   column of every basis and keys each vertex by its coordinates over
   their gcd. It is not independent of govgame's walk; it pins the
   walk's vertices and labels, in the order found, to what the full walk
-  gives, once each label-keyed entry of _vertices is read back as a
-  point.
+  gives on the coefficients shifted by the shift _vertices returns, once
+  each label-keyed (basis, rhs, det) entry of _vertices is read back as
+  a point.
 - scan_pairs: the completely labelled vertex pairs by testing every
   pair of label sets, as the solver found them before it paired
   through a label index.

@@ -91,6 +91,23 @@ def _games_identity_zero() -> list[BimatrixGame]:
     return games
 
 
+def _games_large() -> list[BimatrixGame]:
+    """Two seeded generic games per size from 7x7 to 10x10, and identity against all-ones at 7 and 8.
+
+    Walks of this size pivot to the largest integer determinants.
+    """
+    rng = random.Random(2027)
+
+    def draw(n: int) -> list[list[Fraction]]:
+        return [[F(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n)] for _ in range(n)]
+
+    games = [BimatrixGame(draw(n), draw(n)) for n in range(7, 11) for _ in range(2)]
+    for n in (7, 8):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        games.append(BimatrixGame(identity, [[1] * n] * n))
+    return games
+
+
 def _games_vote() -> list[BimatrixGame]:
     """The vote games of the W1 grid, beta = b/60 and gamma = g/60, at two k/n pairs."""
     return [
@@ -179,6 +196,7 @@ FAMILIES = {
     "mixed_2x2_minus_one_to_one": lambda: _solved(_games_2x2()),
     "mixed_random_1x1_to_6x6": lambda: _solved(_games_random()),
     "mixed_identity_and_zero_2_to_6": lambda: _solved(_games_identity_zero()),
+    "mixed_large_7x7_to_10x10": lambda: _solved(_games_large()),
     "mixed_vote_games_w1": lambda: _solved(_games_vote()),
     "run_scenario_w1_seed_11": lambda: _sweep(11),
     "run_scenario_w1_seed_12": lambda: _sweep(12),

@@ -15,7 +15,6 @@ from govgame.game_core import (
     EquilibriumKind,
     EquilibriumResult,
     MixedStrategy,
-    _shifted,
     _vertices,
     enumerate_mixed_equilibria,
     pure_profile,
@@ -350,14 +349,26 @@ def test_vote_games_with_a_half_share_match_the_vertex_oracle():
 # with the same labels, in the same order.
 
 
-def _as_points(vertices: dict, d: int) -> dict:
-    """_vertices' {labels: (basis, rhs)} as {coordinates over their gcd: labels}, in order."""
+def _as_points(vertices: dict, coeffs: list[list[int]]) -> dict:
+    """_vertices' {labels: (basis, rhs, det)} as {coordinates over their gcd: labels}, in order.
+
+    Each vertex's labels and det are checked against its point z, the
+    coordinates times det: z_t is 0 exactly where variable t's label is
+    set, coeffs[k]·z equals det exactly where slack k's label is set, and
+    is less than det elsewhere.
+    """
+    d = len(coeffs[0])
     points = {}
-    for labels, (basis, rhs) in vertices.items():
+    for labels, (basis, rhs, det) in vertices.items():
         point = [0] * d
         for var, value in zip(basis, rhs):
             if var < d:
                 point[var] = value
+        for t, value in enumerate(point):
+            assert (value == 0) == bool(labels >> t & 1)
+        for k, coeff in enumerate(coeffs):
+            dot = sum(c * v for c, v in zip(coeff, point))
+            assert dot == det if labels >> (d + k) & 1 else dot < det
         divisor = gcd(*point)
         key = tuple(v // divisor for v in point) if divisor else tuple(point)
         assert key not in points, "two label sets give the same point"
@@ -366,9 +377,10 @@ def _as_points(vertices: dict, d: int) -> dict:
 
 
 def _assert_walk_matches_reference(matrix) -> None:
-    coeffs = _shifted(matrix, list(range(len(matrix))), list(range(len(matrix[0]))))
-    points = _as_points(_vertices(coeffs), len(coeffs[0]))
-    assert list(points.items()) == list(walk_reference(coeffs).items())
+    vertices, shift = _vertices(matrix, list(range(len(matrix))), list(range(len(matrix[0]))))
+    coeffs = [[v + shift for v in line] for line in matrix]
+    assert min(min(line) for line in coeffs) == 1
+    assert list(_as_points(vertices, coeffs).items()) == list(walk_reference(coeffs).items())
 
 
 def test_walk_matches_the_full_walk_on_all_2x2_matrices_in_minus_one_to_one():
