@@ -414,11 +414,20 @@ def _vertices(
     the slack basis is lexicographically positive and lexicographic
     pivots keep every basis so; the perturbed polytope is bounded, so its
     edge graph is connected; and every vertex of the polytope has a
-    lexicographically positive basis. Each edge is ratio-tested once:
-    known maps each basis found to the bitmask of its nonbasic variables
-    whose edge is already crossed. The perturbed polytope is simple, so if
-    a pivot from B' brings e in and takes l out to reach B, then l entering
-    at B takes e out and returns to B'; such a pivot sets bit l of known[B].
+    lexicographically positive basis. Each edge is crossed once, and an
+    edge whose far end is already known is found by lookup, not by a ratio
+    test: known maps each basis found to the bitmask of its nonbasic
+    variables whose edge is already crossed. The perturbed polytope is
+    simple, so from a basis B exactly one swap B - l + e that brings e in
+    is lexicographically positive, the one at e's lexicographic minimum
+    ratio row; every basis in known was reached by lexicographic pivots,
+    so is one. If some B - l + e is in known it is therefore the far end
+    of e's edge, and bit l of its entry is set. A basis is pivoted only
+    when it is popped: the stack holds its parent's tableau with the pivot
+    row and column and the parent's det. A basis whose every uncrossed
+    edge is found by lookup leads nowhere new, so only its right-hand side
+    is computed, one entry per row; any other basis is pivoted whole and
+    ratio-tests the edges whose lookup missed.
     """
     rows, d = len(keep), len(against)
     shift = 1 - min(lines[k][j] for k in keep for j in against)
@@ -426,11 +435,48 @@ def _vertices(
     basic = full ^ ((1 << d) - 1)
     known = {basic: 0}
     start = [[lines[k][j] + shift for j in against] + [1] for k in keep]
-    stack = [(start, list(range(d, d + rows)), list(range(d)), basic, 1)]
+    # The slack basis's own tableau needs no pivot: its pivot row is -1.
+    stack = [(start, -1, 0, 1, list(range(d, d + rows)), list(range(d)), basic, 1)]
     found: dict[int, tuple[list[int], list[int], int]] = {}
     while stack:
-        tableau, basis, nonbasic, basic, det = stack.pop()
-        rhs = [row[d] for row in tableau]
+        # old is the parent's det and det this basis's, the entry pivoted on.
+        parent, r, s, old, basis, nonbasic, basic, det = stack.pop()
+        tested = known[basic]
+        bits = [1 << var for var in basis]
+        missed = []
+        for c, entering in enumerate(nonbasic):
+            if tested >> entering & 1:
+                continue
+            across = basic ^ 1 << entering
+            for bit in bits:
+                key = across ^ bit
+                if key in known:
+                    known[key] |= bit
+                    break
+            else:
+                missed.append(c)
+
+        if missed:
+            tableau = parent
+            if r >= 0:
+                best = parent[r]
+                tableau = []
+                for k, row in enumerate(parent):
+                    f = row[s]
+                    if k == r:
+                        row = row[:]
+                        row[s] = old
+                    else:
+                        row = [(a * det - f * b) // old for a, b in zip(row, best)]
+                        row[s] = -f
+                    tableau.append(row)
+            rhs = [row[d] for row in tableau]
+        else:
+            # Every uncrossed edge leads to a known basis (never so at the
+            # slack basis): the labels need only the right-hand side.
+            b = parent[r][d]
+            rhs = [(row[d] * det - row[s] * b) // old for row in parent]
+            rhs[r] = b
         labels = full ^ basic
         if 0 in rhs:
             for var, value in zip(basis, rhs):
@@ -439,10 +485,7 @@ def _vertices(
         if labels not in found:
             found[labels] = (basis, rhs, det)
 
-        tested = known[basic]
-        for s, entering in enumerate(nonbasic):
-            if tested >> entering & 1:
-                continue
+        for s in missed:
             # The polytope is bounded, so every column has a positive entry.
             r = -1
             for k, row in enumerate(tableau):
@@ -456,28 +499,14 @@ def _vertices(
                     if cross > 0:
                         continue
                 r, best = k, row
-            leaving = basis[r]
+            entering, leaving = nonbasic[s], basis[r]
             key = basic ^ (1 << leaving) ^ (1 << entering)
-            if key in known:
-                known[key] |= 1 << leaving
-                continue
             known[key] = 1 << leaving
-            piv = best[s]
-            pivoted = []
-            for k, row in enumerate(tableau):
-                f = row[s]
-                if k == r:
-                    row = row[:]
-                    row[s] = det
-                else:
-                    row = [(a * piv - f * b) // det for a, b in zip(row, best)]
-                    row[s] = -f
-                pivoted.append(row)
             basis_next = basis[:]
             basis_next[r] = entering
             nonbasic_next = nonbasic[:]
             nonbasic_next[s] = leaving
-            stack.append((pivoted, basis_next, nonbasic_next, key, piv))
+            stack.append((tableau, r, s, det, basis_next, nonbasic_next, key, best[s]))
     return found, shift
 
 
@@ -554,7 +583,10 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     game and normalised to sum 1. This is complete for degenerate games
     as well as nondegenerate ones. Each polytope's vertices are walked by the
     lexicographic ratio test, so the work follows the vertices rather
-    than every basis of a degenerate vertex.
+    than every basis of a degenerate vertex. An edge whose far end the
+    walk has already reached is found by lookup, not by a ratio test, and
+    a basis is pivoted whole only when one of its edges leads somewhere
+    new; any other needs just its right-hand side (see _vertices).
 
     The walk keys each vertex by its label set, which identifies it (see
     _vertices). The pairs are found through an index of Q's vertices by

@@ -108,6 +108,24 @@ def _games_large() -> list[BimatrixGame]:
     return games
 
 
+def _games_ties() -> list[BimatrixGame]:
+    """Four seeded games per size from 7x7 to 9x9 over {0, 1} and over {-2..2}, and identity against all-ones at 9.
+
+    Ties put many bases on one vertex, so most of these walks end at
+    bases whose every edge leads back to one already found.
+    """
+    rng = random.Random(2028)
+    games = []
+    for n, (low, high) in product(range(7, 10), ((0, 1), (-2, 2))):
+        for _ in range(4):
+            a = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+            b = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+            games.append(BimatrixGame(a, b))
+    identity = [[int(i == j) for j in range(9)] for i in range(9)]
+    games.append(BimatrixGame(identity, [[1] * 9] * 9))
+    return games
+
+
 def _games_vote() -> list[BimatrixGame]:
     """The vote games of the W1 grid, beta = b/60 and gamma = g/60, at two k/n pairs."""
     return [
@@ -197,6 +215,7 @@ FAMILIES = {
     "mixed_random_1x1_to_6x6": lambda: _solved(_games_random()),
     "mixed_identity_and_zero_2_to_6": lambda: _solved(_games_identity_zero()),
     "mixed_large_7x7_to_10x10": lambda: _solved(_games_large()),
+    "mixed_ties_7x7_to_9x9": lambda: _solved(_games_ties()),
     "mixed_vote_games_w1": lambda: _solved(_games_vote()),
     "run_scenario_w1_seed_11": lambda: _sweep(11),
     "run_scenario_w1_seed_12": lambda: _sweep(12),

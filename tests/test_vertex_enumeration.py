@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import random
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from unittest import mock
 
@@ -29,6 +30,136 @@ from reference_solvers import (
 )
 
 F = Fraction
+
+
+# The walk finds the far end of an edge by looking up each swap B - l + e
+# among the bases it has reached. That rests on a fact about the
+# lexicographically perturbed polytope: from a lexicographically feasible
+# basis, each entering variable e has exactly one leaving l that gives a
+# lexicographically feasible basis, the row of the lexicographic minimum
+# ratio. The first test below checks the fact on its own, by Fraction
+# elimination with no code from govgame; the second counts the bases the
+# walk pops. They come first in this file: a walk whose lookup misses a
+# basis it has reached walks that basis again and never ends, and the
+# pop count fails at once instead.
+
+
+def _inverse(m: list[list[int]]) -> list[list[Fraction]] | None:
+    """The inverse of a square integer matrix by Gauss-Jordan over Fraction, or None if singular."""
+    n = len(m)
+    rows = [[F(v) for v in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next((k for k in range(c, n) if rows[k][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for k in range(n):
+            if k != c and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _bases(coeffs: list[list[int]]) -> tuple[list[list[int]], dict, set]:
+    """The columns of {z >= 0 : coeffs z <= 1}, its lexicographically feasible bases and its feasible ones.
+
+    Variable t < d is z_t and d + k is slack k, so the system is
+    [coeffs | I] (z, s) = 1. A basis with columns M is feasible when
+    M^-1 1 >= 0, and lexicographically feasible when every row of
+    M^-1 [1 | I] is lexicographically positive, which is feasibility of
+    the right-hand side 1 + (e, e^2, ...) for every small enough e > 0.
+    Bases are keyed by their set of variables; a lexicographically
+    feasible one maps to its variables in row order, M^-1 and the rows of
+    M^-1 [1 | I].
+    """
+    rows, d = len(coeffs), len(coeffs[0])
+    columns = [[coeffs[k][t] for k in range(rows)] for t in range(d)]
+    columns += [[int(k == i) for k in range(rows)] for i in range(rows)]
+    lexical, plain = {}, set()
+    for basis in combinations(range(d + rows), rows):
+        inverse = _inverse([[columns[var][k] for var in basis] for k in range(rows)])
+        if inverse is None:
+            continue
+        lex = [[sum(row)] + row for row in inverse]
+        if all(v >= 0 for v, *_ in lex):
+            plain.add(frozenset(basis))
+        if all(next(v for v in row if v) > 0 for row in lex):
+            lexical[frozenset(basis)] = (basis, inverse, lex)
+    return columns, lexical, plain
+
+
+def _assert_one_lex_feasible_swap_per_entering_variable(coeffs: list[list[int]]) -> int:
+    """Check the fact on {z >= 0 : coeffs z <= 1}; return how many plain ratio ties it decided."""
+    columns, lexical, plain = _bases(coeffs)
+    ties = 0
+    for key, (basis, inverse, lex) in lexical.items():
+        for entering in range(len(columns)):
+            if entering in key:
+                continue
+            column = [sum(a * b for a, b in zip(row, columns[entering])) for row in inverse]
+            ratios = sorted(
+                ([v / column[i] for v in lex[i]], basis[i]) for i in range(len(basis)) if column[i] > 0
+            )
+            assert ratios, "the polytope is bounded"
+            assert len(ratios) == 1 or ratios[0][0] < ratios[1][0]
+            swaps = {l for l in basis if key - {l} | {entering} in lexical}
+            assert swaps == {ratios[0][1]}
+            ties += sum(key - {l} | {entering} in plain for l in basis) > 1
+    return ties
+
+
+def _small_polytopes() -> list[list[list[int]]]:
+    """147 polytopes, as coefficient matrices shifted to a least entry of 1.
+
+    They come from every 2x2 matrix over {-1, 0, 1}, the identity and
+    all-zero matrices at 2 to 4, and 20 seeded matrices over {0..3} of
+    each of 3x3, 3x4 and 4x3.
+    """
+    matrices = [[list(entries[0:2]), list(entries[2:4])] for entries in product((-1, 0, 1), repeat=4)]
+    for n in range(2, 5):
+        matrices += [[[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)]]
+    rng = random.Random(2010)
+    for rows, cols in ((3, 3), (3, 4), (4, 3)):
+        matrices += [[[rng.randint(0, 3) for _ in range(cols)] for _ in range(rows)] for _ in range(20)]
+    shifts = [1 - min(map(min, matrix)) for matrix in matrices]
+    return [[[v + shift for v in line] for line in matrix] for matrix, shift in zip(matrices, shifts)]
+
+
+def test_one_lexicographically_feasible_swap_per_entering_variable():
+    ties = sum(_assert_one_lex_feasible_swap_per_entering_variable(coeffs) for coeffs in _small_polytopes())
+    # Degenerate vertices are reached: on 844 edges of the 147 polytopes a
+    # plain ratio tie leaves two or more swaps feasible, and the
+    # perturbation keeps one of them.
+    assert ties == 844
+
+
+def _walk_pops(coeffs: list[list[int]], limit: int) -> int:
+    """How many bases _vertices pops from its stack on coeffs; fails once that passes limit."""
+    pops = 0
+
+    def count(frame, event, arg):
+        nonlocal pops
+        if event == "c_call" and frame.f_code is _vertices.__code__ and arg.__name__ == "pop":
+            pops += 1
+            assert pops <= limit, f"more than {limit} bases popped"
+
+    sys.setprofile(count)
+    try:
+        _vertices(coeffs, list(range(len(coeffs))), list(range(len(coeffs[0]))))
+    finally:
+        sys.setprofile(None)
+    return pops
+
+
+def test_walk_pops_each_lexicographically_feasible_basis_once():
+    # A swap found by lookup is never walked again, and every
+    # lexicographically feasible basis is reached, so the walk pops
+    # exactly those bases; a lookup that misses a known basis walks it
+    # again and again.
+    for coeffs in _small_polytopes():
+        lexical = _bases(coeffs)[1]
+        assert _walk_pops(coeffs, len(lexical)) == len(lexical)
 
 
 def _profiles(results) -> list:
@@ -400,7 +531,7 @@ def test_walk_matches_the_full_walk_on_random_matrices_up_to_6x6():
 
 def test_walk_matches_the_full_walk_on_identity_and_constant_matrices():
     # An all-zero and an all-one matrix both shift to the all-one polytope.
-    for n in range(2, 7):
+    for n in range(2, 9):
         _assert_walk_matches_reference([[int(i == j) for j in range(n)] for i in range(n)])
         _assert_walk_matches_reference([[0] * n for _ in range(n)])
 
@@ -409,6 +540,16 @@ def test_walk_matches_the_full_walk_on_generic_7x7_and_8x8_matrices():
     rng = random.Random(1964)
     for n in (7, 7, 8):
         _assert_walk_matches_reference([[rng.randint(-999, 999) for _ in range(n)] for _ in range(n)])
+
+
+def test_walk_matches_the_full_walk_on_wide_and_tall_matrices_of_ties():
+    # Most bases of these walks lead only to bases already found, many of
+    # them on one degenerate vertex.
+    rng = random.Random(2000)
+    for rows, cols in ((2, 8), (8, 2), (4, 7), (7, 4)):
+        for high in (1, 2):
+            for _ in range(6):
+                _assert_walk_matches_reference([[rng.randint(0, high) for _ in range(cols)] for _ in range(rows)])
 
 
 # The solver pairs the vertices through an index of Q's vertices by label
