@@ -201,16 +201,10 @@ class MixedStrategy(_Record):
     def __init__(self, probs: object) -> None:
         if not isinstance(probs, (list, tuple)) or not probs:
             raise ValidationError("probs must be a non-empty sequence")
-        probs = tuple(
-            p if isinstance(p, Fraction) else parse_rational(p, f"probs[{i}]")
-            for i, p in enumerate(probs)
-        )
-        if any(p.numerator < 0 for p in probs):
+        probs = tuple(parse_rational(p, f"probs[{i}]") for i, p in enumerate(probs))
+        if any(p < 0 for p in probs):
             raise ValidationError("probabilities must be non-negative")
-        # Exact sum in integers: over the common denominator L, the
-        # numerators must add up to L.
-        common = lcm(*(p.denominator for p in probs))
-        if sum(p.numerator * (common // p.denominator) for p in probs) != common:
+        if sum(probs) != 1:
             raise ValidationError("probabilities must sum to exactly 1")
         self._store(probs)
 
@@ -414,26 +408,25 @@ def _vertices(
     the slack basis is lexicographically positive and lexicographic
     pivots keep every basis so; the perturbed polytope is bounded, so its
     edge graph is connected; and every vertex of the polytope has a
-    lexicographically positive basis. Each edge is crossed once, and an
-    edge whose far end is already known is found by lookup, not by a ratio
-    test: known maps each basis found to the bitmask of its nonbasic
-    variables whose edge is already crossed. The perturbed polytope is
-    simple, so from a basis B exactly one swap B - l + e that brings e in
-    is lexicographically positive, the one at e's lexicographic minimum
-    ratio row; every basis in known was reached by lexicographic pivots,
-    so is one. If some B - l + e is in known it is therefore the far end
-    of e's edge, and bit l of its entry is set. A basis is pivoted only
-    when it is popped: the stack holds its parent's tableau with the pivot
-    row and column and the parent's det. A basis whose every uncrossed
-    edge is found by lookup leads nowhere new, so only its right-hand side
-    is computed, one entry per row; any other basis is pivoted whole and
-    ratio-tests the edges whose lookup missed.
+    lexicographically positive basis. known holds every basis reached, and
+    an edge whose far end is in known is found by lookup, not by a ratio
+    test. The perturbed polytope is simple, so from a basis B exactly one
+    swap B - l + e that brings e in is lexicographically positive, the one
+    at e's lexicographic minimum ratio row; every basis in known was
+    reached by lexicographic pivots, so is one. If some B - l + e is in
+    known it is therefore the far end of e's edge, so an edge is
+    ratio-tested only when it leads to a basis not yet reached, one edge
+    per basis. A basis is pivoted only when it is popped: the stack holds
+    its parent's tableau with the pivot row and column and the parent's
+    det. A basis whose every edge is found by lookup leads nowhere new, so
+    only its right-hand side is computed, one entry per row; any other
+    basis is pivoted whole and ratio-tests the edges whose lookup missed.
     """
     rows, d = len(keep), len(against)
     shift = 1 - min(lines[k][j] for k in keep for j in against)
     full = (1 << (d + rows)) - 1
     basic = full ^ ((1 << d) - 1)
-    known = {basic: 0}
+    known = {basic}
     start = [[lines[k][j] + shift for j in against] + [1] for k in keep]
     # The slack basis's own tableau needs no pivot: its pivot row is -1.
     stack = [(start, -1, 0, 1, list(range(d, d + rows)), list(range(d)), basic, 1)]
@@ -441,17 +434,12 @@ def _vertices(
     while stack:
         # old is the parent's det and det this basis's, the entry pivoted on.
         parent, r, s, old, basis, nonbasic, basic, det = stack.pop()
-        tested = known[basic]
         bits = [1 << var for var in basis]
         missed = []
         for c, entering in enumerate(nonbasic):
-            if tested >> entering & 1:
-                continue
             across = basic ^ 1 << entering
             for bit in bits:
-                key = across ^ bit
-                if key in known:
-                    known[key] |= bit
+                if across ^ bit in known:
                     break
             else:
                 missed.append(c)
@@ -472,7 +460,7 @@ def _vertices(
                     tableau.append(row)
             rhs = [row[d] for row in tableau]
         else:
-            # Every uncrossed edge leads to a known basis (never so at the
+            # Every edge leads to a known basis (never so at the
             # slack basis): the labels need only the right-hand side.
             b = parent[r][d]
             rhs = [(row[d] * det - row[s] * b) // old for row in parent]
@@ -501,7 +489,7 @@ def _vertices(
                 r, best = k, row
             entering, leaving = nonbasic[s], basis[r]
             key = basic ^ (1 << leaving) ^ (1 << entering)
-            known[key] = 1 << leaving
+            known.add(key)
             basis_next = basis[:]
             basis_next[r] = entering
             nonbasic_next = nonbasic[:]
@@ -581,12 +569,7 @@ def enumerate_mixed_equilibria(game: BimatrixGame) -> list[EquilibriumResult]:
     unplayed" on Q. The extreme equilibria are the nonzero vertex pairs
     that carry all m + n labels between them, each widened to the full
     game and normalised to sum 1. This is complete for degenerate games
-    as well as nondegenerate ones. Each polytope's vertices are walked by the
-    lexicographic ratio test, so the work follows the vertices rather
-    than every basis of a degenerate vertex. An edge whose far end the
-    walk has already reached is found by lookup, not by a ratio test, and
-    a basis is pivoted whole only when one of its edges leads somewhere
-    new; any other needs just its right-hand side (see _vertices).
+    as well as nondegenerate ones (see _vertices).
 
     The walk keys each vertex by its label set, which identifies it (see
     _vertices). The pairs are found through an index of Q's vertices by

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,23 @@ class TestMixedStrategy:
         tiny = F(1, 2**107 - 1)
         with pytest.raises(ValidationError, match="probabilities must be non-negative"):
             MixedStrategy((-tiny, F(1) + tiny))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            (("1/2", "x"), "probs[1]: cannot parse 'x'"),
+            ((F(1, 2), 0.5), "probs[1] must be given as text or an integer"),
+            ((True, 0), "probs[0] must be a number or 'p/q' string, got a boolean"),
+        ],
+    )
+    def test_entries_parsed_by_index(self, probs, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            MixedStrategy(probs)
+
+    def test_text_entries_stored_as_fractions(self):
+        s = MixedStrategy(("1/3", "2/3"))
+        assert s.probs == (F(1, 3), F(2, 3))
+        assert all(type(p) is F for p in s.probs)
 
 
 class TestEnumeratePure:
