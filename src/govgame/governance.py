@@ -196,7 +196,14 @@ _VOTE_COLS = ("Upgraded", "Original")
 
 
 def _split(part: Fraction, count: int, unit: Fraction) -> tuple[Fraction, Fraction]:
-    """part and 1 - part of count * unit, each as one Fraction of integer products."""
+    """part and 1 - part of count * unit, each as one Fraction of integer products.
+
+    With part = p/q and unit = a/b they are p*count*a / (q*b) and
+    (q - p)*count*a / (q*b), the values of part * (count * unit) and its
+    rest, built without the type dispatch each Fraction operator does first
+    (an int operand goes through the numbers.Rational check), which made
+    the masses one of a sweep scenario's larger costs outside the solver.
+    """
     mass = count * unit.numerator
     den = part.denominator * unit.denominator
     return (
@@ -205,32 +212,18 @@ def _split(part: Fraction, count: int, unit: Fraction) -> tuple[Fraction, Fracti
     )
 
 
-def _masses(
-    params: GovernanceParams, share: Fraction
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """s_yes, s_no, s_u, s_o: beta splits k*s_v, share splits n*s_c.
-
-    Each mass is one Fraction built from integers: with beta = p/q and
-    s_v = a/b, s_yes = p*k*a / (q*b) and s_no = (q - p)*k*a / (q*b), and
-    the same for share, n and s_c. The values are those of the Fraction
-    formula beta * (k * s_v) and k * s_v - s_yes, but this skips the type
-    dispatch that each Fraction operator does first (an int operand goes
-    through the numbers.Rational check) and that made _masses one of the
-    larger costs of a sweep scenario outside the solver.
-    """
-    return (*_split(params.beta, params.k, params.s_v), *_split(share, params.n, params.s_c))
-
-
 def build_governance_game(params: GovernanceParams) -> BimatrixGame:
     """Build the 2x2 voting game between voters and community.
 
     Rows are the voter strategies (Yes, No), columns the community
     strategies (Upgraded, Original). The voter side earns s_yes on Yes
-    and s_no on No regardless of the column; the community side earns
-    s_u on Upgraded and s_o on Original regardless of the row. These are
-    SurplusReport's masses with the community split by gamma.
+    and s_no on No regardless of the column, beta's split of k*s_v; the
+    community side earns s_u on Upgraded and s_o on Original regardless
+    of the row, gamma's split of n*s_c. The predictor reads
+    SurplusReport's masses off this game.
     """
-    s_yes, s_no, s_u, s_o = _masses(params, params.gamma)
+    s_yes, s_no = _split(params.beta, params.k, params.s_v)
+    s_u, s_o = _split(params.gamma, params.n, params.s_c)
     return BimatrixGame._checked(
         ((s_yes, s_yes), (s_no, s_no)), ((s_u, s_o), (s_u, s_o)), _VOTE_ROWS, _VOTE_COLS
     )
@@ -252,21 +245,18 @@ def classify_regime(params: GovernanceParams) -> Regime:
     return _REGIME_BY_SIGN[_half_sign(params.beta)]
 
 
-def _report(
-    params: GovernanceParams,
-    regime: Regime,
-    masses: tuple[Fraction, Fraction, Fraction, Fraction],
-) -> SurplusReport:
+def _report(params: GovernanceParams, regime: Regime, game: BimatrixGame) -> SurplusReport:
     """The SurplusReport, its surpluses each one Fraction of integer products.
 
-    masses are s_yes, s_no, s_u, s_o with the community split by gamma,
-    as the vote game holds them; the report computes its own only after
-    an on-chain rejection, which splits the community by gamma_prime.
+    The masses are the vote game's, whose community is split by gamma;
+    after an on-chain rejection the community is re-split by gamma_prime.
     With beta = p/q, s_v = a/b and the share r/t, s_c = c/d:
     s_yes - s_no = (2p - q)*k*a / (q*b), s_u - s_o = (2r - t)*n*c / (t*d),
     and the total is their sum over the product of the two denominators.
     The orientation -1 negates the numerators.
     """
+    voters = (game.payoff1[0][0], game.payoff1[1][0])  # s_yes, s_no
+    community = game.payoff2[0]  # s_u, s_o
     rejects = regime is Regime.MAJORITY_REJECT
     on_chain = params.mode is Mode.ON_CHAIN
     share = params.gamma
@@ -276,7 +266,7 @@ def _report(
                 "gamma_prime is required in on_chain mode when the vote rejects"
             )
         share = params.gamma_prime
-        masses = _masses(params, share)
+        community = _split(share, params.n, params.s_c)
     beta, s_v, s_c = params.beta, params.s_v, params.s_c
     num_v = (2 * beta.numerator - beta.denominator) * params.k * s_v.numerator
     num_c = (2 * share.numerator - share.denominator) * params.n * s_c.numerator
@@ -285,7 +275,8 @@ def _report(
     den_v = beta.denominator * s_v.denominator
     den_c = share.denominator * s_c.denominator
     return SurplusReport(
-        *masses,
+        *voters,
+        *community,
         Fraction(num_v, den_v),
         Fraction(num_c, den_c),
         Fraction(num_v * den_c + num_c * den_v, den_v * den_c),
@@ -334,15 +325,13 @@ def predict_outcome(
       - orientation: one sign orients both surpluses, -1 for a
         rejection outside on_chain mode and +1 otherwise (SurplusReport).
     """
-    return _predict(params, tie_break, _masses(params, params.gamma))
+    return _predict(params, tie_break, build_governance_game(params))
 
 
 def _predict(
-    params: GovernanceParams,
-    tie_break: str | None,
-    masses: tuple[Fraction, Fraction, Fraction, Fraction],
+    params: GovernanceParams, tie_break: str | None, game: BimatrixGame
 ) -> PredictionResult:
-    """predict_outcome, given the vote game's masses (see _report)."""
+    """predict_outcome, reading the masses off params' vote game (see _report)."""
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
     regime = classify_regime(params)
@@ -363,7 +352,7 @@ def _predict(
     else:
         notes.append("tie_break ignored: the vote is not tied")
 
-    surplus = _report(params, effective, masses)
+    surplus = _report(params, effective, game)
     if unanimous:
         chain = Chain.UPGRADED
     elif not governed:

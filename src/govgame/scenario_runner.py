@@ -178,16 +178,14 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     Builds the 2x2 game from the parameters, enumerates all equilibria
     (pure and mixed) exactly, runs the outcome predictor, and compares
     against the expectation when one is given. Equilibria are compared
-    in the solver's canonical row-major order. The predictor reuses the
-    game's payoff masses, so the result equals predict_outcome(params).
+    in the solver's canonical row-major order. The predictor reads the
+    solved game's masses, so the result equals predict_outcome(params).
     """
     params = scenario.params
     try:
         game = build_governance_game(params)
         equilibria = tuple(enumerate_mixed_equilibria(game))
-        (s_yes, _), (s_no, _) = game.payoff1
-        (s_u, s_o), _ = game.payoff2
-        prediction = _predict(params, None, (s_yes, s_no, s_u, s_o))
+        prediction = _predict(params, None, game)
         mismatches = _check_expectation(scenario, equilibria, prediction)
     except ValidationError as exc:
         raise ValidationError(f"scenario {scenario.name!r}: {exc}") from None

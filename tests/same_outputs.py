@@ -13,8 +13,10 @@ results_to_json and results_to_csv. Nothing is hashed through repr, so
 the hashes do not depend on the Python version. --check prints one line
 per family and exits 1 if any family differs from FILE.
 
-tests/golden/same_outputs.json holds the hashes of the current outputs.
-A change that alters an output on purpose rewrites it and says why.
+tests/golden/same_outputs.json holds the hashes of the current outputs,
+and tests/test_same_outputs.py checks each family against it in the
+tier-1 suite. A change that alters an output on purpose rewrites it and
+says why.
 Only the standard library and govgame's public functions are used.
 """
 
@@ -223,14 +225,16 @@ FAMILIES = {
 }
 
 
+def digest(name: str) -> dict[str, object]:
+    """The family's item count and the SHA-256 of its texts in order."""
+    items = FAMILIES[name]()
+    sha256 = hashlib.sha256("".join(items).encode("utf-8")).hexdigest()
+    return {"items": len(items), "sha256": sha256}
+
+
 def digests() -> dict[str, dict[str, object]]:
-    """Each family's item count and the SHA-256 of its texts in order."""
-    out = {}
-    for name, texts in FAMILIES.items():
-        items = texts()
-        digest = hashlib.sha256("".join(items).encode("utf-8")).hexdigest()
-        out[name] = {"items": len(items), "sha256": digest}
-    return out
+    """digest of every family, by name."""
+    return {name: digest(name) for name in FAMILIES}
 
 
 def main(argv: list[str]) -> int:

@@ -373,8 +373,8 @@ def test_prediction_matches_the_operator_reference(params, tie_break):
     assert repr(predict_outcome(params, tie_break)) == repr(_operator_prediction(params, tie_break))
 
 
-# On-chain rejections, whose report splits the community by gamma_prime and
-# so cannot reuse the vote game's masses.
+# On-chain rejections, whose report re-splits the community by gamma_prime and
+# so cannot reuse the vote game's community masses.
 on_chain_rejections = governance_params(
     betas=st.one_of(st.just(F(0)), st.fractions(min_value=F(0), max_value=F(49, 100))),
     shares=wide_shares,
@@ -386,11 +386,14 @@ on_chain_rejections = governance_params(
 @settings(max_examples=300)
 @given(st.one_of(wide_params, on_chain_rejections))
 def test_run_scenario_predicts_as_predict_outcome(params):
-    # run_scenario hands the vote game's masses to the predictor.
+    # run_scenario hands the solved vote game to the predictor, and
+    # predict_outcome builds the same game, so both share one code path; the
+    # operator reference, which uses only Fraction operators, is independent.
     prediction = run_scenario(Scenario("s", params)).prediction
     expected = predict_outcome(params)
     assert prediction == expected
     assert repr(prediction) == repr(expected)
+    assert repr(prediction) == repr(_operator_prediction(params, None))
 
 
 @settings(max_examples=100)
