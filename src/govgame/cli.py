@@ -32,7 +32,7 @@ from .governance import (
     SurplusReport,
     predict_outcome,
 )
-from .rationals import _json_array, _json_fields, _quote, approx, format_rational
+from .rationals import _RAW, _fill, _json_array, _quote, _template, approx, format_rational
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
     ScenarioResult,
@@ -195,6 +195,15 @@ def _strategy_text(labels: tuple[str, ...], mix: MixedStrategy) -> str:
     )
 
 
+# solve --format json, and each equilibrium at its depth; arrays come from _json_array.
+_SOLVE_JSON = _template(
+    dict.fromkeys(("row_labels", "col_labels", "degenerate_game", "equilibria"), _RAW)
+)
+_SOLVED_EQUILIBRIUM_JSON = _template(
+    {"kind": "%s", "row_strategy": _RAW, "col_strategy": _RAW, "payoff1": "%s", "payoff2": "%s"}, 2
+)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     game = _load(args.game_file, load_game)
     if args.pure_only:
@@ -214,23 +223,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # Only the labels are escaped: enum values and exact text never need it.
         entries = []
         for eq in equilibria:
-            row_strategy, col_strategy, payoff1, payoff2 = _equilibrium_text(eq)
-            fields = [
-                ("kind", f'"{eq.kind.value}"'),
-                ("row_strategy", _json_array([f'"{p}"' for p in row_strategy], "\n      ")),
-                ("col_strategy", _json_array([f'"{p}"' for p in col_strategy], "\n      ")),
-                ("payoff1", f'"{payoff1}"'),
-                ("payoff2", f'"{payoff2}"'),
-            ]
-            entries.append(_json_fields(fields, "\n    "))
+            row, col, *payoffs = _equilibrium_text(eq)
+            mixes = [_json_array([f'"{p}"' for p in mix], "\n      ") for mix in (row, col)]
+            entries.append(_fill(_SOLVED_EQUILIBRIUM_JSON, (eq.kind.value, *mixes, *payoffs)))
         flag = "null" if degenerate is None else "true" if degenerate else "false"
-        payload = [
-            ("row_labels", _json_array([_quote(label) for label in game.row_labels], "\n  ")),
-            ("col_labels", _json_array([_quote(label) for label in game.col_labels], "\n  ")),
-            ("degenerate_game", flag),
-            ("equilibria", _json_array(entries, "\n  ")),
-        ]
-        text = _json_fields(payload, "\n") + "\n"
+        sides = (game.row_labels, game.col_labels)
+        labels = [_json_array([_quote(label) for label in side], "\n  ") for side in sides]
+        text = _fill(_SOLVE_JSON, (*labels, flag, _json_array(entries, "\n  "))) + "\n"
     elif args.format == "csv":
         labels = [*game.row_labels, *game.col_labels]
         rows = [["equilibrium_index", "kind", *labels, "payoff1", "payoff2"]]
@@ -272,7 +271,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _diag(args, f"warning: {warning}")
     prediction = predict_outcome(params, tie_break=args.tie_break)
     if args.format == "json":
-        text = _prediction_json(prediction, "\n") + "\n"
+        text = _prediction_json(prediction) + "\n"
     elif args.format == "csv":
         members = (prediction.regime, prediction.majority_chain, prediction.fork_risk)
         surplus = prediction.surplus

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .game_core import BimatrixGame, _Record, _check_positive_int
-from .rationals import _json_array, _json_fields, _quote, format_rational, parse_rational
+from .rationals import _RAW, _fill, _json_array, _quote, _template, parse_rational
 
 
 class Mode(Enum):
@@ -374,31 +374,25 @@ def _predict(
     return PredictionResult(regime, chain, risk, surplus, tuple(notes))
 
 
-def _prediction_json(prediction: PredictionResult, newline: str) -> str:
-    """The prediction as JSON text, laid out at newline as json.dumps(..., indent=2) lays it out.
+# A prediction as JSON: a slot per _prediction_values value, then the notes.
+_PREDICTION_SKELETON = {
+    **dict.fromkeys(("regime", "majority_chain", "fork_risk"), "%s"),
+    "surplus": dict.fromkeys(SURPLUS_FIELDS, "%s"),
+    "notes": _RAW,
+}
+_PREDICTION_JSON = _template(_PREDICTION_SKELETON)
 
-    The enums are written as their values, each surplus field as exact
-    text and the notes as a list of strings; only the notes are escaped,
-    as enum values and exact text never need it.
+
+def _prediction_values(prediction: PredictionResult) -> tuple:
+    """The enum values, then the surplus fields in SURPLUS_FIELDS order."""
+    members = (prediction.regime, prediction.majority_chain, prediction.fork_risk)
+    return (*[member.value for member in members], *prediction.surplus._values())
+
+
+def _prediction_json(prediction: PredictionResult) -> str:
+    """The prediction as JSON text at depth 0: _PREDICTION_JSON filled by _fill.
+
+    Only the notes, written by _json_array, are escaped: enum values and exact text never need it.
     """
-    inner = newline + "  "
-    surplus = prediction.surplus
-    return _json_fields(
-        [
-            ("regime", f'"{prediction.regime.value}"'),
-            ("majority_chain", f'"{prediction.majority_chain.value}"'),
-            ("fork_risk", f'"{prediction.fork_risk.value}"'),
-            (
-                "surplus",
-                _json_fields(
-                    [
-                        (name, f'"{format_rational(getattr(surplus, name))}"')
-                        for name in SURPLUS_FIELDS
-                    ],
-                    inner,
-                ),
-            ),
-            ("notes", _json_array([_quote(note) for note in prediction.notes], inner)),
-        ],
-        newline,
-    )
+    notes = _json_array([_quote(note) for note in prediction.notes], "\n  ")
+    return _fill(_PREDICTION_JSON, (*_prediction_values(prediction), notes))

@@ -6,9 +6,10 @@ exact arithmetic. These helpers convert the external representations
 ("p/q" strings, decimal strings, JSON numbers) to and from that type
 without ever rounding: a decimal literal is read as the rational it
 denotes, not as the nearest binary float. The JSON the package reads
-goes through `parse_json`, and each object in it through `json_object`;
-the JSON it writes is built from its records with `_json_array`,
-`_json_fields` and `_quote`, laid out as json.dumps(..., indent=2) lays it out.
+goes through `parse_json`, and each object in it through `json_object`.
+The JSON it writes, laid out as json.dumps(..., indent=2) lays it out, fills
+each fixed-key object's `_template` with `_fill`, which like `format_rational`
+refuses a value too long to print, and writes each array with `_json_array`.
 `reject_lone_surrogates` refuses text that UTF-8 cannot encode.
 """
 
@@ -147,16 +148,22 @@ def _json_array(items: list[str], newline: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}{newline}]"
 
 
-def _json_fields(fields: list[tuple[str, str]], newline: str) -> str:
-    """A JSON object of (key, value as JSON text) pairs, as json.dumps(..., indent=2) lays it out.
+_RAW = "<json>"
+_TOO_LONG = "cannot print a value of more than %d digits"
 
-    fields must not be empty: every caller writes a fixed, non-empty list
-    of keys. Each key is a plain name, written between quotes without
-    escaping.
-    """
-    inner = newline + "  "
-    members = ("," + inner).join([f'"{key}": {value}' for key, value in fields])
-    return f"{{{inner}{members}{newline}}}"
+
+def _template(skeleton: object, depth: int = 0) -> str:
+    """The skeleton laid out at depth for _fill: "%s" is a quoted slot, _RAW a bare one."""
+    text = json.dumps(skeleton, indent=2).replace(f'"{_RAW}"', "%s")
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _fill(template: str, values: tuple) -> str:
+    """template % values; a value too long to print raises ValidationError, as format_rational."""
+    try:
+        return template % values
+    except ValueError:
+        raise ValidationError(_TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -169,8 +176,7 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValidationError(f"cannot print a value of more than {limit} digits") from None
+        raise ValidationError(_TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
 def approx(value: Fraction) -> str:

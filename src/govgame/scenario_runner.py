@@ -20,8 +20,9 @@ from .errors import ValidationError
 from .game_core import EquilibriumResult, _Record, enumerate_mixed_equilibria
 from .governance import (
     _PARAM_KEYS,
+    _PREDICTION_SKELETON,
     _predict,
-    _prediction_json,
+    _prediction_values,
     Chain,
     ForkRisk,
     GovernanceParams,
@@ -30,9 +31,11 @@ from .governance import (
     build_governance_game,
 )
 from .rationals import (
+    _RAW,
+    _fill,
     _json_array,
-    _json_fields,
     _quote,
+    _template,
     format_rational,
     json_object,
     parse_json,
@@ -351,56 +354,74 @@ def load_scenarios(text: str) -> list[Scenario]:
     return [_parse_scenario(i, entry) for i, entry in enumerate(data["scenarios"])]
 
 
-def _result_json(result: ScenarioResult, newline: str) -> str:
-    """One result as JSON text, laid out at newline as json.dumps(..., indent=2) lays it out.
+# A result's equilibrium (two slots per strategy of the 2x2 vote game) and a result, as JSON at
+# their depths in results_to_json; k and n are bare, and gamma_prime's slot holds its line or "".
+_EQUILIBRIUM_JSON = _template(
+    {
+        "kind": "%s",
+        "degenerate_game": _RAW,
+        "row_strategy": ["%s", "%s"],
+        "col_strategy": ["%s", "%s"],
+        "payoff_v": "%s",
+        "payoff_c": "%s",
+    },
+    3,
+)
+_RESULT_JSON = _template(
+    {
+        "name": _RAW,
+        "params": {"mode": "%s", **dict.fromkeys(_PARAM_KEYS, "%s"), "k": _RAW, "n": _RAW},
+        "equilibria": _RAW,
+        "prediction": _PREDICTION_SKELETON,
+        "expectation_check": {"status": "%s", "details": _RAW},
+        "notes": _RAW,
+    },
+    1,
+).replace('\n      "gamma_prime": "%s",', "%s")
 
-    The params give the mode and each set field in _PARAM_KEYS order,
-    counts as ints and rationals as exact text; the prediction is
-    governance's _prediction_json. Only the name, the mismatch lines and
-    the notes are escaped: enum values and exact text never need it.
+
+def _result_json(result: ScenarioResult) -> str:
+    """One result as JSON text: a fill of _RESULT_JSON, and of _EQUILIBRIUM_JSON per equilibrium.
+
+    Arrays come from _json_array, and _fill refuses a value too long to
+    print. Only the name, the mismatch lines and the notes are escaped:
+    enum values and exact text never need it.
     """
-    inner = newline + "  "
-    nested = inner + "  "
-    deeper = nested + "  "
-    params = result.params
-    entries = [("mode", f'"{params.mode.value}"')]
-    for key in _PARAM_KEYS:
-        value = getattr(params, key)
-        if value is not None:
-            text = str(value) if isinstance(value, int) else f'"{format_rational(value)}"'
-            entries.append((key, text))
+    params, prediction, gamma_prime = result.params, result.prediction, ""
     equilibria = []
     for eq in result.equilibria:
-        row_strategy, col_strategy, payoff_v, payoff_c = _equilibrium_text(eq)
-        fields = [
-            ("kind", f'"{eq.kind.value}"'),
-            ("degenerate_game", "true" if eq.degenerate_game else "false"),
-            ("row_strategy", _json_array([f'"{p}"' for p in row_strategy], deeper)),
-            ("col_strategy", _json_array([f'"{p}"' for p in col_strategy], deeper)),
-            ("payoff_v", f'"{payoff_v}"'),
-            ("payoff_c", f'"{payoff_c}"'),
-        ]
-        equilibria.append(_json_fields(fields, nested))
-    check = [
-        ("status", f'"{result.status.value}"'),
-        ("details", _json_array([_quote(line) for line in result.mismatches or ()], nested)),
-    ]
-    return _json_fields(
-        [
-            ("name", _quote(result.name)),
-            ("params", _json_fields(entries, inner)),
-            ("equilibria", _json_array(equilibria, inner)),
-            ("prediction", _prediction_json(result.prediction, inner)),
-            ("expectation_check", _json_fields(check, inner)),
-            ("notes", _json_array([_quote(note) for note in result.notes], inner)),
-        ],
-        newline,
+        row, col = eq.profile.sigma1.probs, eq.profile.sigma2.probs
+        if len(row) != 2 or len(col) != 2:
+            raise ValidationError(f"scenario {result.name!r}: equilibrium not of a 2x2 game")
+        flag = "true" if eq.degenerate_game else "false"
+        equilibria.append(_fill(_EQUILIBRIUM_JSON, (eq.kind.value, flag, *row, *col, *eq.payoffs)))
+    if params.gamma_prime is not None:
+        gamma_prime = f'\n      "gamma_prime": "{format_rational(params.gamma_prime)}",'
+    return _fill(
+        _RESULT_JSON,
+        (
+            _quote(result.name),
+            params.mode.value,
+            params.beta,
+            params.gamma,
+            gamma_prime,
+            params.k,
+            params.n,
+            params.s_v,
+            params.s_c,
+            _json_array(equilibria, "\n    "),
+            *_prediction_values(prediction),
+            _json_array([_quote(note) for note in prediction.notes], "\n      "),
+            result.status.value,
+            _json_array([_quote(line) for line in result.mismatches or ()], "\n      "),
+            _json_array([_quote(note) for note in result.notes], "\n    "),
+        ),
     )
 
 
 def results_to_json(results: list[ScenarioResult]) -> str:
     """Full-fidelity JSON array of scenario results, as json.dumps(..., indent=2) lays it out."""
-    return _json_array([_result_json(r, "\n  ") for r in results], "\n")
+    return _json_array([_result_json(r) for r in results], "\n")
 
 
 RESULT_CSV_COLUMNS = (

@@ -462,7 +462,7 @@ class TestPredictionToDict:
 
     def test_exact_strings(self):
         prediction = predict_outcome(params("27/50", "7/10"))
-        text = _prediction_json(prediction, "\n")
+        text = _prediction_json(prediction)
         assert text == json.dumps(prediction_dict(prediction), indent=2)
         data = json.loads(text)
         assert data["regime"] == "majority_accept"
@@ -470,3 +470,9 @@ class TestPredictionToDict:
         assert data["fork_risk"] == "present"
         assert data["surplus"]["surplus_v"] == "2/25"
         assert data["surplus"]["total"] == "12/25"
+
+    def test_refuses_a_value_too_long_to_print(self):
+        # s_yes = (3/5) * 10**4301 has 4301 digits; the parameters themselves are not written.
+        prediction = predict_outcome(params("3/5", "7/10", s_v=10**4301))
+        with pytest.raises(ValidationError, match="more than 4300 digits"):
+            _prediction_json(prediction)

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from govgame.errors import ValidationError
+from govgame.game_core import BimatrixGame, enumerate_mixed_equilibria
 from govgame.governance import Chain, ForkRisk, GovernanceParams, Mode, Regime
 from govgame.scenario_runner import (
     ASSUMED_GAMMA,
@@ -17,6 +18,7 @@ from govgame.scenario_runner import (
     RESULT_CSV_COLUMNS,
     CheckStatus,
     Scenario,
+    ScenarioResult,
     builtin_table1_scenarios,
     load_scenarios,
     results_to_csv,
@@ -663,3 +665,32 @@ def test_results_json_refuses_a_value_too_long_to_print():
     result = run_scenario(Scenario("long", GovernanceParams("1/2", "1/3", s_v=10**4300)))
     with pytest.raises(ValidationError, match="more than 4300 digits"):
         results_to_json([result])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"gamma_prime": F(1, 10**4300), "mode": Mode.ON_CHAIN},
+        # Counts are written bare; the small units keep every payoff printable.
+        {"k": 10**4300, "n": 10**4300, "s_v": F(1, 10**10), "s_c": F(1, 10**10)},
+    ],
+    ids=["gamma_prime", "count"],
+)
+def test_results_json_refuses_any_param_too_long_to_print(fields):
+    result = run_scenario(Scenario("long", GovernanceParams("3/5", "1/3", **fields)))
+    with pytest.raises(ValidationError, match="more than 4300 digits"):
+        results_to_json([result])
+
+
+@pytest.mark.parametrize(
+    "payoffs",
+    # 1x3 has four strategy entries in all, as many as a 2x2 game has.
+    [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    ids=["1x3", "3x3"],
+)
+def test_results_json_refuses_an_equilibrium_not_of_a_2x2_game(payoffs):
+    result = run_scenario(Scenario("square", GovernanceParams("3/5", "1/3")))
+    equilibria = tuple(enumerate_mixed_equilibria(BimatrixGame(payoffs, payoffs)))
+    foreign = ScenarioResult(result.name, result.params, equilibria, result.prediction, None)
+    with pytest.raises(ValidationError, match="not of a 2x2 game"):
+        results_to_json([foreign])
