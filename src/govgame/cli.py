@@ -25,7 +25,6 @@ from .game_core import (
 from .governance import (
     SURPLUS_FIELDS,
     _PARAM_KEYS,
-    _prediction_json,
     GovernanceParams,
     Mode,
     PredictionResult,
@@ -35,8 +34,11 @@ from .governance import (
 from .rationals import _RAW, _fill, _json_array, _quote, _template, approx, format_rational
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
+    _PREDICTION_COLUMNS,
     ScenarioResult,
     _equilibrium_text,
+    _prediction_json,
+    _prediction_values,
     csv_text,
     load_scenarios,
     result_rows,
@@ -273,13 +275,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = _prediction_json(prediction) + "\n"
     elif args.format == "csv":
-        members = (prediction.regime, prediction.majority_chain, prediction.fork_risk)
-        surplus = prediction.surplus
-        row = [
-            *(member.value for member in members),
-            *(format_rational(getattr(surplus, name)) for name in SURPLUS_FIELDS),
-        ]
-        text = csv_text([["regime", "majority_chain", "fork_risk", *SURPLUS_FIELDS], row])
+        values = _prediction_values(prediction)
+        text = csv_text([_PREDICTION_COLUMNS, [*values[:3], *map(format_rational, values[3:])]])
     else:
         text = _text(
             [
@@ -294,8 +291,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _headline(prediction: PredictionResult) -> str:
     """'MajorityAccept / Upgraded / Present': each enum value in CamelCase."""
-    members = (prediction.regime, prediction.majority_chain, prediction.fork_risk)
-    return " / ".join(member.value.title().replace("_", "") for member in members)
+    return " / ".join(v.title().replace("_", "") for v in _prediction_values(prediction)[:3])
 
 
 def _surplus_lines(surplus: SurplusReport, names: tuple[str, ...], indent: str = "") -> list[str]:
@@ -357,7 +353,7 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
                 _headline(result.prediction),
                 f"beta  = {_payoff_text(result.params.beta)}",
                 f"gamma = {_payoff_text(result.params.gamma)}{suffix}",
-                *_surplus_lines(result.prediction.surplus, ("surplus_v", "surplus_c", "total")),
+                *_surplus_lines(result.prediction.surplus, SURPLUS_FIELDS[4:]),
                 f"historical comparison: {result.status.value}",
                 *(f"note: {note}" for note in result.notes),
             ]

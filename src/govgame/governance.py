@@ -5,7 +5,7 @@ surrounding community of n members then splits, a share gamma moving to
 the upgraded chain. The voting game over these shares is built here,
 together with the surplus quantities whose signs predict where the
 community majority ends up and how likely a lasting chain split is
-under each governance mode.
+under each governance mode. scenario_runner and cli write the records.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .game_core import BimatrixGame, _Record, _check_positive_int
-from .rationals import _RAW, _fill, _json_array, _quote, _template, parse_rational
+from .rationals import parse_rational
 
 
 class Mode(Enum):
@@ -372,27 +372,3 @@ def _predict(
             notes.append("total surplus is exactly zero: the community splits evenly")
     risk = ForkRisk.NONE if unanimous else _FORK_RISK[params.mode]
     return PredictionResult(regime, chain, risk, surplus, tuple(notes))
-
-
-# A prediction as JSON: a slot per _prediction_values value, then the notes.
-_PREDICTION_SKELETON = {
-    **dict.fromkeys(("regime", "majority_chain", "fork_risk"), "%s"),
-    "surplus": dict.fromkeys(SURPLUS_FIELDS, "%s"),
-    "notes": _RAW,
-}
-_PREDICTION_JSON = _template(_PREDICTION_SKELETON)
-
-
-def _prediction_values(prediction: PredictionResult) -> tuple:
-    """The enum values, then the surplus fields in SURPLUS_FIELDS order."""
-    members = (prediction.regime, prediction.majority_chain, prediction.fork_risk)
-    return (*[member.value for member in members], *prediction.surplus._values())
-
-
-def _prediction_json(prediction: PredictionResult) -> str:
-    """The prediction as JSON text at depth 0: _PREDICTION_JSON filled by _fill.
-
-    Only the notes, written by _json_array, are escaped: enum values and exact text never need it.
-    """
-    notes = _json_array([_quote(note) for note in prediction.notes], "\n  ")
-    return _fill(_PREDICTION_JSON, (*_prediction_values(prediction), notes))

@@ -4,8 +4,8 @@ A scenario bundles governance parameters with an optional expected
 outcome. Running one builds the voting game, enumerates its equilibria
 exactly, predicts the fork outcome, and compares against the
 expectation. The nine built-in simulations and the Ethereum DAO-fork
-case study live here, as do the scenario file parser and the JSON/CSV
-result serializers.
+case study live here, as do the scenario file parser and the layouts
+that write results and predictions as JSON and CSV.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from fractions import Fraction
 from .errors import ValidationError
 from .game_core import EquilibriumResult, _Record, enumerate_mixed_equilibria
 from .governance import (
+    SURPLUS_FIELDS,
     _PARAM_KEYS,
-    _PREDICTION_SKELETON,
     _predict,
-    _prediction_values,
     Chain,
     ForkRisk,
     GovernanceParams,
@@ -107,9 +106,10 @@ class CheckStatus(Enum):
 class ScenarioResult(_Record):
     """Everything computed for one scenario.
 
-    mismatches is None when the scenario carries no expectation, and
-    otherwise holds one line per difference from it; status is derived
-    from it, so a match never carries a mismatch line.
+    equilibria are the 2x2 vote game's, and every result writer refuses
+    any other. mismatches is None without an expectation, and otherwise
+    holds one line per difference from it; status is derived from it, so
+    a match never carries a mismatch line.
     """
 
     _fields = ("name", "params", "equilibria", "prediction", "mismatches", "notes")
@@ -354,6 +354,36 @@ def load_scenarios(text: str) -> list[Scenario]:
     return [_parse_scenario(i, entry) for i, entry in enumerate(data["scenarios"])]
 
 
+# A prediction's columns, and its JSON: a slot per _prediction_values value, then the notes.
+_PREDICTION_COLUMNS = (*PredictionResult._fields[:3], *SURPLUS_FIELDS)
+_PREDICTION_SKELETON = {
+    **dict.fromkeys(_PREDICTION_COLUMNS[:3], "%s"),
+    "surplus": dict.fromkeys(SURPLUS_FIELDS, "%s"),
+    "notes": _RAW,
+}
+_PREDICTION_JSON = _template(_PREDICTION_SKELETON)
+
+
+def _prediction_values(prediction: PredictionResult) -> tuple:
+    """The _PREDICTION_COLUMNS values: each enum's value, then the surplus Fractions."""
+    regime, chain, risk, surplus, _ = prediction._values()
+    return (regime.value, chain.value, risk.value, *surplus._values())
+
+
+def _prediction_json(prediction: PredictionResult) -> str:
+    """The prediction as JSON at depth 0; only its notes are escaped, as no other value needs it."""
+    notes = _json_array([_quote(note) for note in prediction.notes], "\n  ")
+    return _fill(_PREDICTION_JSON, (*_prediction_values(prediction), notes))
+
+
+def _vote_equilibria(result: ScenarioResult) -> tuple[EquilibriumResult, ...]:
+    """The result's equilibria; ValidationError unless each is of a 2x2 game."""
+    for eq in result.equilibria:
+        if len(eq.profile.sigma1.probs) != 2 or len(eq.profile.sigma2.probs) != 2:
+            raise ValidationError(f"scenario {result.name!r}: equilibrium not of a 2x2 game")
+    return result.equilibria
+
+
 # A result's equilibrium (two slots per strategy of the 2x2 vote game) and a result, as JSON at
 # their depths in results_to_json; k and n are bare, and gamma_prime's slot holds its line or "".
 _EQUILIBRIUM_JSON = _template(
@@ -389,10 +419,8 @@ def _result_json(result: ScenarioResult) -> str:
     """
     params, prediction, gamma_prime = result.params, result.prediction, ""
     equilibria = []
-    for eq in result.equilibria:
+    for eq in _vote_equilibria(result):
         row, col = eq.profile.sigma1.probs, eq.profile.sigma2.probs
-        if len(row) != 2 or len(col) != 2:
-            raise ValidationError(f"scenario {result.name!r}: equilibrium not of a 2x2 game")
         flag = "true" if eq.degenerate_game else "false"
         equilibria.append(_fill(_EQUILIBRIUM_JSON, (eq.kind.value, flag, *row, *col, *eq.payoffs)))
     if params.gamma_prime is not None:
@@ -431,9 +459,8 @@ RESULT_CSV_COLUMNS = (
 
 def result_rows(result: ScenarioResult) -> Iterator[list[str]]:
     """Yield one row of RESULT_CSV_COLUMNS strings per equilibrium, in order."""
-    beta = format_rational(result.params.beta)
-    gamma = format_rational(result.params.gamma)
-    for idx, eq in enumerate(result.equilibria, start=1):
+    beta, gamma = format_rational(result.params.beta), format_rational(result.params.gamma)
+    for idx, eq in enumerate(_vote_equilibria(result), start=1):
         row_strategy, col_strategy, payoff_v, payoff_c = _equilibrium_text(eq)
         yield [result.name, beta, gamma, str(idx), *row_strategy, *col_strategy, payoff_v, payoff_c]
 

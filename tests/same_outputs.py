@@ -9,9 +9,11 @@ commit before it and checks them after it:
 Each family is a fixed, seeded list of inputs. Its hash is the SHA-256
 of the text written for every input in order: equilibria and
 predictions through format_rational, scenario results through
-results_to_json and results_to_csv. Nothing is hashed through repr, so
-the hashes do not depend on the Python version. --check prints one line
-per family and exits 1 if any family differs from FILE.
+results_to_json and results_to_csv, and the predict command's exit
+code, standard output and standard error through govgame.cli.main.
+Nothing is hashed through repr, so the hashes do not depend on the
+Python version. --check prints one line per family and exits 1 if any
+family differs from FILE.
 
 tests/golden/same_outputs.json holds the hashes of the current outputs,
 and tests/test_same_outputs.py checks each family against it in the
@@ -22,7 +24,9 @@ Only the standard library and govgame's public functions are used.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -43,6 +47,7 @@ from govgame import (
     results_to_json,
     run_scenario,
 )
+from govgame.cli import main as cli_main
 
 F = Fraction
 SURPLUS = ("s_yes", "s_no", "s_u", "s_o", "surplus_v", "surplus_c", "total")
@@ -208,6 +213,26 @@ def _predictions() -> list[str]:
     return texts
 
 
+def _predict_cli() -> list[str]:
+    """govgame predict's exit code, stdout and stderr over shares in quarters, in every format."""
+    texts = []
+    shares = ("0", "1/4", "1/2", "3/4", "1")
+    for mode, beta, gamma, gamma_prime, tie_break, fmt in product(
+        Mode, shares, shares, (None, "4/5"), (None, "accept"), ("table", "json", "csv")
+    ):
+        argv = ["predict", "--mode", mode.value, "--beta", beta, "--gamma", gamma, "--format", fmt]
+        argv += ["--k", "3", "--n", "10", "--sv", "2", "--sc", "1/2"]
+        if gamma_prime is not None:
+            argv += ["--gamma-prime", gamma_prime]
+        if tie_break is not None:
+            argv += ["--tie-break", tie_break]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        texts.append(f"{' '.join(argv)}\nexit {code}\n{out.getvalue()}--\n{err.getvalue()}--\n")
+    return texts
+
+
 def _solved(games) -> list[str]:
     return [_equilibria_text(game) for game in games]
 
@@ -222,6 +247,7 @@ FAMILIES = {
     "run_scenario_w1_seed_11": lambda: _sweep(11),
     "run_scenario_w1_seed_12": lambda: _sweep(12),
     "predict_outcome_grid": _predictions,
+    "predict_cli_formats": _predict_cli,
 }
 
 

@@ -17,9 +17,9 @@ from govgame.governance import (
     Regime,
     build_governance_game,
     classify_regime,
-    _prediction_json,
     predict_outcome,
 )
+from govgame.scenario_runner import _prediction_json
 from reference_writers import prediction_dict
 
 F = Fraction

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from govgame import cli
 from govgame.errors import ValidationError
 from govgame.game_core import BimatrixGame, enumerate_mixed_equilibria
 from govgame.governance import Chain, ForkRisk, GovernanceParams, Mode, Regime
@@ -689,8 +690,10 @@ def test_results_json_refuses_any_param_too_long_to_print(fields):
     ids=["1x3", "3x3"],
 )
 def test_results_json_refuses_an_equilibrium_not_of_a_2x2_game(payoffs):
+    # So do the CSV writer and the run/table1 table, rather than write a wrong row.
     result = run_scenario(Scenario("square", GovernanceParams("3/5", "1/3")))
     equilibria = tuple(enumerate_mixed_equilibria(BimatrixGame(payoffs, payoffs)))
     foreign = ScenarioResult(result.name, result.params, equilibria, result.prediction, None)
-    with pytest.raises(ValidationError, match="not of a 2x2 game"):
-        results_to_json([foreign])
+    for write in (results_to_json, results_to_csv, cli._result_table):
+        with pytest.raises(ValidationError, match="not of a 2x2 game"):
+            write([foreign])
