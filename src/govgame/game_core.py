@@ -91,6 +91,7 @@ class _Record:
     __init__. A validating record writes its own constructor instead,
     which checks its arguments and ends in one self._store(...) call;
     _checked builds any record from values that are already valid. The
+    generated _values(self) returns the fields as a tuple, in order. The
     fields drive the repr Name(field=value, ...), the equality, which
     holds only between records of exactly the same class, and the hash.
     Assigning or deleting an attribute raises AttributeError.
@@ -108,11 +109,13 @@ class _Record:
             for name in cls._fields
         )
         body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+        values = "".join(f"self.{name}, " for name in cls._fields)
         namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
         role = "__init__" if cls.__init__ is object.__init__ else "_store"
-        exec(f"def {role}(self{params}):{body}", namespace)
-        cls._store = namespace[role]
+        exec(f"def {role}(self{params}):{body}\ndef _values(self):\n    return ({values})", namespace)
+        cls._store, cls._values = namespace[role], namespace["_values"]
         cls._store.__qualname__ = f"{cls.__qualname__}.{role}"
+        cls._values.__qualname__ = f"{cls.__qualname__}._values"
         if role == "__init__":
             cls.__init__ = cls._store
 
@@ -126,9 +129,6 @@ class _Record:
         record = object.__new__(cls)
         cls._store(record, *values)
         return record
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -76,9 +76,9 @@ _FORK_RISK = {
 
 
 # The checks and sign rules below read a Fraction's numerator p and denominator
-# q > 0, which are in lowest terms: 0 <= p/q <= 1 is 0 <= p <= q, and p/q - 1/2
-# has the sign of 2p - q. Integer comparisons skip the numbers.Rational check
-# that each Fraction comparison makes first.
+# q > 0, which are in lowest terms: 0 <= p/q <= 1 is 0 <= p <= q, and every
+# surplus and sign is one _difference. Integer arithmetic skips the
+# numbers.Rational check that each Fraction operator makes first.
 
 
 def _share(value: object, name: str) -> Fraction:
@@ -95,10 +95,18 @@ def _positive(value: object, name: str) -> Fraction:
     return unit
 
 
-def _half_sign(share: Fraction) -> int:
-    """-1, 0 or 1: the sign of share - 1/2, read as the sign of 2p - q."""
-    excess = 2 * share.numerator - share.denominator
+def _difference(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """a - b as an integer numerator over a positive denominator, not reduced."""
+    return a.numerator * b.denominator - b.numerator * a.denominator, a.denominator * b.denominator
+
+
+def _sign(a: Fraction, b: Fraction) -> int:
+    """-1, 0 or 1: the sign of a - b, read off _difference's numerator."""
+    excess = _difference(a, b)[0]
     return (excess > 0) - (excess < 0)
+
+
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
 # GovernanceParams' arguments other than mode, in order; every reader and writer of a
@@ -155,10 +163,7 @@ class GovernanceParams(_Record):
         if gamma_prime is not None:
             if mode is not Mode.ON_CHAIN:
                 warnings.append("gamma_prime is only used in on_chain mode")
-            elif (
-                gamma_prime.numerator * gamma.denominator
-                <= gamma.numerator * gamma_prime.denominator
-            ):
+            elif _sign(gamma_prime, gamma) <= 0:
                 warnings.append(
                     "gamma_prime does not exceed gamma; the consultation round "
                     "is expected to increase the upgraded-chain share"
@@ -171,10 +176,11 @@ class SurplusReport(_Record):
 
     s_yes and s_no split the voter mass k*s_v by beta; s_u and s_o split
     the community mass n*s_c by gamma, or by gamma_prime after an
-    on-chain rejection's consultation round. One sign sigma orients
-    both surpluses, surplus_v = sigma*(s_yes - s_no) and surplus_c =
-    sigma*(s_u - s_o): -1 for a rejection outside on_chain mode, toward
-    the winning No side, and +1 otherwise. total is their sum.
+    on-chain rejection's consultation round. Each surplus is the
+    difference of one side's two masses, oriented by one sign sigma:
+    surplus_v = sigma*(s_yes - s_no) and surplus_c = sigma*(s_u - s_o),
+    where sigma is -1 for a rejection outside on_chain mode, toward the
+    winning No side, and +1 otherwise. total is their sum.
     """
 
     _fields = ("s_yes", "s_no", "s_u", "s_o", "surplus_v", "surplus_c", "total")
@@ -196,13 +202,11 @@ _VOTE_COLS = ("Upgraded", "Original")
 
 
 def _split(part: Fraction, count: int, unit: Fraction) -> tuple[Fraction, Fraction]:
-    """part and 1 - part of count * unit, each as one Fraction of integer products.
+    """part and 1 - part of count * unit: the payoff masses of one side of the vote.
 
     With part = p/q and unit = a/b they are p*count*a / (q*b) and
-    (q - p)*count*a / (q*b), the values of part * (count * unit) and its
-    rest, built without the type dispatch each Fraction operator does first
-    (an int operand goes through the numbers.Rational check), which made
-    the masses one of a sweep scenario's larger costs outside the solver.
+    (q - p)*count*a / (q*b), each one Fraction of integer products, built
+    without the numbers.Rational check each Fraction operator makes first.
     """
     mass = count * unit.numerator
     den = part.denominator * unit.denominator
@@ -229,7 +233,9 @@ def build_governance_game(params: GovernanceParams) -> BimatrixGame:
     )
 
 
+# The regime by the sign of beta - 1/2, and the chain by the sign that decides it.
 _REGIME_BY_SIGN = {1: Regime.MAJORITY_ACCEPT, 0: Regime.TIE, -1: Regime.MAJORITY_REJECT}
+_CHAIN_BY_SIGN = {1: Chain.UPGRADED, 0: Chain.SPLIT_50_50, -1: Chain.ORIGINAL}
 
 
 def classify_regime(params: GovernanceParams) -> Regime:
@@ -242,58 +248,32 @@ def classify_regime(params: GovernanceParams) -> Regime:
     """
     if params.beta == 1 and params.gamma == 1:
         return Regime.UNANIMOUS_ACCEPT
-    return _REGIME_BY_SIGN[_half_sign(params.beta)]
+    return _REGIME_BY_SIGN[_sign(params.beta, _HALF)]
 
 
 def _report(params: GovernanceParams, regime: Regime, game: BimatrixGame) -> SurplusReport:
-    """The SurplusReport, its surpluses each one Fraction of integer products.
+    """The SurplusReport of the vote game's masses, each surplus one _difference.
 
-    The masses are the vote game's, whose community is split by gamma;
-    after an on-chain rejection the community is re-split by gamma_prime.
-    With beta = p/q, s_v = a/b and the share r/t, s_c = c/d:
-    s_yes - s_no = (2p - q)*k*a / (q*b), s_u - s_o = (2r - t)*n*c / (t*d),
-    and the total is their sum over the product of the two denominators.
-    The orientation -1 negates the numerators.
+    The community is the game's, split by gamma, except after an on-chain
+    rejection, where it is re-split by gamma_prime. The orientation -1
+    negates both numerators, and the total is the sum of the two
+    differences over the product of their denominators.
     """
-    voters = (game.payoff1[0][0], game.payoff1[1][0])  # s_yes, s_no
-    community = game.payoff2[0]  # s_u, s_o
+    (s_yes, _), (s_no, _) = game.payoff1
+    s_u, s_o = game.payoff2[0]
     rejects = regime is Regime.MAJORITY_REJECT
     on_chain = params.mode is Mode.ON_CHAIN
-    share = params.gamma
     if rejects and on_chain:
         if params.gamma_prime is None:
-            raise ValidationError(
-                "gamma_prime is required in on_chain mode when the vote rejects"
-            )
-        share = params.gamma_prime
-        community = _split(share, params.n, params.s_c)
-    beta, s_v, s_c = params.beta, params.s_v, params.s_c
-    num_v = (2 * beta.numerator - beta.denominator) * params.k * s_v.numerator
-    num_c = (2 * share.numerator - share.denominator) * params.n * s_c.numerator
+            raise ValidationError("gamma_prime is required in on_chain mode when the vote rejects")
+        s_u, s_o = _split(params.gamma_prime, params.n, params.s_c)
+    num_v, den_v = _difference(s_yes, s_no)
+    num_c, den_c = _difference(s_u, s_o)
     if rejects and not on_chain:
         num_v, num_c = -num_v, -num_c
-    den_v = beta.denominator * s_v.denominator
-    den_c = share.denominator * s_c.denominator
-    return SurplusReport(
-        *voters,
-        *community,
-        Fraction(num_v, den_v),
-        Fraction(num_c, den_c),
-        Fraction(num_v * den_c + num_c * den_v, den_v * den_c),
-    )
-
-
-def _chain_by_sign(value: int) -> Chain:
-    """UPGRADED for a positive integer, ORIGINAL for a negative one, else a split.
-
-    Callers pass an integer with the sign that decides: a total surplus's
-    numerator, or the _half_sign of gamma.
-    """
-    if value > 0:
-        return Chain.UPGRADED
-    if value < 0:
-        return Chain.ORIGINAL
-    return Chain.SPLIT_50_50
+    surplus_v, surplus_c = Fraction(num_v, den_v), Fraction(num_c, den_c)
+    total = Fraction(num_v * den_c + num_c * den_v, den_v * den_c)
+    return SurplusReport(s_yes, s_no, s_u, s_o, surplus_v, surplus_c, total)
 
 
 def predict_outcome(
@@ -337,9 +317,9 @@ def _predict(
     regime = classify_regime(params)
     unanimous = regime is Regime.UNANIMOUS_ACCEPT
     governed = params.mode is not Mode.NO_GOVERNANCE
-    gamma_sign = _half_sign(params.gamma)
+    gamma_sign = _sign(params.gamma, _HALF)
     notes: list[str] = []
-    if _half_sign(params.beta) * gamma_sign < 0:
+    if _sign(params.beta, _HALF) * gamma_sign < 0:
         notes.append("community majority decided independently of the voter majority")
     effective = regime
     if tie_break is None or unanimous:
@@ -356,7 +336,7 @@ def _predict(
     if unanimous:
         chain = Chain.UPGRADED
     elif not governed:
-        chain = _chain_by_sign(gamma_sign)
+        chain = _CHAIN_BY_SIGN[gamma_sign]
     elif effective is Regime.TIE:
         chain = Chain.SPLIT_50_50
         notes.append("tie vote: no majority side; pass tie_break to force accept or reject")
@@ -367,7 +347,7 @@ def _predict(
     elif params.mode is Mode.OFF_CHAIN:
         chain = Chain.ORIGINAL
     else:
-        chain = _chain_by_sign(surplus.total.numerator)
+        chain = _CHAIN_BY_SIGN[_sign(surplus.total, _ZERO)]
         if chain is Chain.SPLIT_50_50:
             notes.append("total surplus is exactly zero: the community splits evenly")
     risk = ForkRisk.NONE if unanimous else _FORK_RISK[params.mode]

@@ -226,11 +226,34 @@ def _predict_cli() -> list[str]:
             argv += ["--gamma-prime", gamma_prime]
         if tie_break is not None:
             argv += ["--tie-break", tie_break]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
-        texts.append(f"{' '.join(argv)}\nexit {code}\n{out.getvalue()}--\n{err.getvalue()}--\n")
+        texts.append(_cli_text(argv))
     return texts
+
+
+def _predict_extreme_units() -> list[str]:
+    """govgame predict with units far beyond float range, in every mode and format.
+
+    Surpluses and totals of thousands of digits take the large-integer
+    path of the sign and difference rules, and a value of more than 4300
+    digits ends the table, JSON and CSV writers in an error line.
+    """
+    texts = []
+    units = (("1e4000", "1e-4000"), ("3/7", "1e300"), ("1e-300", "5"))
+    for mode, beta, gamma, (s_v, s_c), fmt in product(
+        Mode, ("0", "1/3", "1/2", "2/3", "1"), ("0", "1/2", "0.999", "1"), units, ("table", "json", "csv")
+    ):
+        argv = ["predict", "--mode", mode.value, "--beta", beta, "--gamma", gamma, "--format", fmt]
+        argv += ["--gamma-prime", "9/10", "--k", "7", "--n", "99", "--sv", s_v, "--sc", s_c]
+        texts.append(_cli_text(argv))
+    return texts
+
+
+def _cli_text(argv: list[str]) -> str:
+    """The command line, then govgame.cli.main's exit code, stdout and stderr on it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return f"{' '.join(argv)}\nexit {code}\n{out.getvalue()}--\n{err.getvalue()}--\n"
 
 
 def _solved(games) -> list[str]:
@@ -248,6 +271,7 @@ FAMILIES = {
     "run_scenario_w1_seed_12": lambda: _sweep(12),
     "predict_outcome_grid": _predictions,
     "predict_cli_formats": _predict_cli,
+    "predict_extreme_units": _predict_extreme_units,
 }
 
 

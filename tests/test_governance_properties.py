@@ -23,6 +23,8 @@ from govgame.governance import (
     Regime,
     SurplusReport,
     build_governance_game,
+    _difference,
+    _sign,
     classify_regime,
     predict_outcome,
 )
@@ -413,3 +415,38 @@ def test_fork_risk_by_mode(params, tie_break):
         assert prediction.fork_risk is ForkRisk.NONE
     else:
         assert prediction.fork_risk is RISK_BY_MODE[params.mode]
+
+
+# Signed rationals for the difference rule: zero, small values, and numerators
+# and denominators of up to 300 digits.
+BIG = 10**300
+signed = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=F(-50), max_value=F(50), max_denominator=30),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@settings(max_examples=400)
+@given(signed, st.one_of(signed, st.just(None)))
+def test_difference_is_a_minus_b_over_a_positive_denominator(a, b):
+    b = a if b is None else b  # None draws the equal pair
+    num, den = _difference(a, b)
+    assert type(num) is int and type(den) is int
+    assert den > 0
+    assert F(num, den) == a - b
+    assert (num > 0) - (num < 0) == (a > b) - (a < b) == _sign(a, b)
+
+
+@settings(max_examples=200)
+@given(st.fractions(min_value=F(1, 10**6), max_value=F(1) - F(1, 10**6), max_denominator=10**6))
+def test_gamma_prime_warning_at_its_boundary(gamma):
+    # The consultation round is expected to raise the share: gamma_prime
+    # equal to gamma, or just below it, warns; just above it does not.
+    expected = "gamma_prime does not exceed gamma"
+    for step, warns in ((F(0), True), (F(1, BIG), False), (F(-1, BIG), True)):
+        gamma_prime = gamma + step
+        num, _ = _difference(gamma_prime, gamma)
+        assert (num <= 0) == warns
+        params = GovernanceParams(gamma, gamma, gamma_prime, mode=Mode.ON_CHAIN)
+        assert any(w.startswith(expected) for w in params.warnings) == warns
