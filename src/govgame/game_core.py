@@ -80,24 +80,32 @@ def _check_index(index: object, size: int, what: str) -> None:
         raise ValidationError(f"{what} {index} out of range for size {size}")
 
 
-class _Record:
+class _RecordType(type):
+    """The type of the records: each record class has a slot per field it declares."""
+
+    def __new__(mcls, name: str, bases: tuple, namespace: dict) -> _RecordType:
+        namespace["__slots__"] = namespace.get("_fields", ())
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class _Record(metaclass=_RecordType):
     """Base of govgame's immutable records.
 
-    Each subclass names its fields, in order, in _fields, and gets a
-    generated _store(self, <fields>) that stores each argument past
-    __setattr__; a field named in the class's _defaults mapping takes
-    that value when omitted. A subclass that defines no constructor of
-    its own (nor inherits one from a record) uses _store as its
-    __init__. A validating record writes its own constructor instead,
-    which checks its arguments and ends in one self._store(...) call;
-    _checked builds any record from values that are already valid. The
-    generated _values(self) returns the fields as a tuple, in order. The
-    fields drive the repr Name(field=value, ...), the equality, which
-    holds only between records of exactly the same class, and the hash.
-    Assigning or deleting an attribute raises AttributeError.
+    Each subclass names its fields, in order, in _fields, and gets a slot
+    per field, so a record has no __dict__ or __weakref__, and a generated
+    _store(self, <fields>) that stores each argument through its slot; a
+    field named in the class's _defaults mapping takes that value when
+    omitted. A subclass that defines no constructor of its own (nor
+    inherits one from a record) uses _store as its __init__. A validating
+    record writes its own constructor instead, which checks its arguments
+    and ends in one self._store(...) call; _checked builds any record from
+    values that are already valid, and copy, deepcopy and pickle rebuild
+    one through it (__reduce__). The generated _values(self) returns the
+    fields as a tuple, in order. They drive the repr Name(field=value, ...),
+    the equality, which holds only between records of exactly the same
+    class, and the hash. Assigning or deleting an attribute raises AttributeError.
     """
 
-    __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
 
@@ -108,9 +116,10 @@ class _Record:
             f", {name}=_defaults[{name!r}]" if name in cls._defaults else f", {name}"
             for name in cls._fields
         )
-        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+        body = "".join(f"\n    _set_{name}(self, {name})" for name in cls._fields)
         values = "".join(f"self.{name}, " for name in cls._fields)
-        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in cls._fields}
+        namespace.update(_defaults=cls._defaults)
         role = "__init__" if cls.__init__ is object.__init__ else "_store"
         exec(f"def {role}(self{params}):{body}\ndef _values(self):\n    return ({values})", namespace)
         cls._store, cls._values = namespace[role], namespace["_values"]
@@ -141,6 +150,9 @@ class _Record:
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self)._checked, self._values()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

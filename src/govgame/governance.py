@@ -76,9 +76,9 @@ _FORK_RISK = {
 
 
 # The checks and sign rules below read a Fraction's numerator p and denominator
-# q > 0, which are in lowest terms: 0 <= p/q <= 1 is 0 <= p <= q, and every
-# surplus and sign is one _difference. Integer arithmetic skips the
-# numbers.Rational check that each Fraction operator makes first.
+# q > 0, in lowest terms (_difference and _split each pair once, by as_integer_ratio):
+# 0 <= p/q <= 1 is 0 <= p <= q, and every surplus and sign is one _difference. Integer
+# arithmetic skips the numbers.Rational check that each Fraction operator makes first.
 
 
 def _share(value: object, name: str) -> Fraction:
@@ -97,7 +97,8 @@ def _positive(value: object, name: str) -> Fraction:
 
 def _difference(a: Fraction, b: Fraction) -> tuple[int, int]:
     """a - b as an integer numerator over a positive denominator, not reduced."""
-    return a.numerator * b.denominator - b.numerator * a.denominator, a.denominator * b.denominator
+    (p, q), (r, t) = a.as_integer_ratio(), b.as_integer_ratio()
+    return p * t - r * q, q * t
 
 
 def _sign(a: Fraction, b: Fraction) -> int:
@@ -208,12 +209,9 @@ def _split(part: Fraction, count: int, unit: Fraction) -> tuple[Fraction, Fracti
     (q - p)*count*a / (q*b), each one Fraction of integer products, built
     without the numbers.Rational check each Fraction operator makes first.
     """
-    mass = count * unit.numerator
-    den = part.denominator * unit.denominator
-    return (
-        Fraction(part.numerator * mass, den),
-        Fraction((part.denominator - part.numerator) * mass, den),
-    )
+    (p, q), (a, b) = part.as_integer_ratio(), unit.as_integer_ratio()
+    mass = count * a
+    return Fraction(p * mass, q * b), Fraction((q - p) * mass, q * b)
 
 
 def build_governance_game(params: GovernanceParams) -> BimatrixGame:
@@ -246,9 +244,12 @@ def classify_regime(params: GovernanceParams) -> Regime:
     vote with gamma < 1 classifies as MAJORITY_ACCEPT and is flagged in
     prediction notes.
     """
-    if params.beta == 1 and params.gamma == 1:
-        return Regime.UNANIMOUS_ACCEPT
-    return _REGIME_BY_SIGN[_sign(params.beta, _HALF)]
+    return _regime(params, _sign(params.beta, _HALF))
+
+
+def _regime(params: GovernanceParams, sign: int) -> Regime:
+    """classify_regime, given the sign of beta - 1/2."""
+    return Regime.UNANIMOUS_ACCEPT if params.beta == 1 == params.gamma else _REGIME_BY_SIGN[sign]
 
 
 def _report(params: GovernanceParams, regime: Regime, game: BimatrixGame) -> SurplusReport:
@@ -256,8 +257,8 @@ def _report(params: GovernanceParams, regime: Regime, game: BimatrixGame) -> Sur
 
     The community is the game's, split by gamma, except after an on-chain
     rejection, where it is re-split by gamma_prime. The orientation -1
-    negates both numerators, and the total is the sum of the two
-    differences over the product of their denominators.
+    negates both numerators, and the total is the sum of the two reduced
+    surpluses, built from their integer pairs.
     """
     (s_yes, _), (s_no, _) = game.payoff1
     s_u, s_o = game.payoff2[0]
@@ -272,7 +273,8 @@ def _report(params: GovernanceParams, regime: Regime, game: BimatrixGame) -> Sur
     if rejects and not on_chain:
         num_v, num_c = -num_v, -num_c
     surplus_v, surplus_c = Fraction(num_v, den_v), Fraction(num_c, den_c)
-    total = Fraction(num_v * den_c + num_c * den_v, den_v * den_c)
+    (p, q), (r, t) = surplus_v.as_integer_ratio(), surplus_c.as_integer_ratio()
+    total = Fraction(p * t + r * q, q * t)
     return SurplusReport(s_yes, s_no, s_u, s_o, surplus_v, surplus_c, total)
 
 
@@ -314,12 +316,12 @@ def _predict(
     """predict_outcome, reading the masses off params' vote game (see _report)."""
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
-    regime = classify_regime(params)
+    beta_sign, gamma_sign = _sign(params.beta, _HALF), _sign(params.gamma, _HALF)
+    regime = _regime(params, beta_sign)
     unanimous = regime is Regime.UNANIMOUS_ACCEPT
     governed = params.mode is not Mode.NO_GOVERNANCE
-    gamma_sign = _sign(params.gamma, _HALF)
     notes: list[str] = []
-    if _sign(params.beta, _HALF) * gamma_sign < 0:
+    if beta_sign * gamma_sign < 0:
         notes.append("community majority decided independently of the voter majority")
     effective = regime
     if tie_break is None or unanimous:

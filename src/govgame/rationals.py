@@ -58,7 +58,7 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
             _checked_exponent(value, field)
         try:
             if plain:
-                return Fraction(int(num), int(den) if slash else 1)
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(value)
         except ZeroDivisionError:
             raise ValidationError(f"{field}: denominator must be positive") from None
@@ -116,12 +116,12 @@ def json_object(
     """
     if not isinstance(value, dict):
         raise ValidationError(f"{what} must be an object")
-    unknown = sorted(set(value).difference(allowed))
+    unknown = value.keys() - allowed
     if unknown:
-        raise ValidationError(f"unknown field {unknown[0]!r} in {what}")
-    missing = sorted(set(required).difference(value))
+        raise ValidationError(f"unknown field {min(unknown)!r} in {what}")
+    missing = [key for key in required if key not in value]
     if missing:
-        raise ValidationError(f"{what} is missing {missing[0]!r}")
+        raise ValidationError(f"{what} is missing {min(missing)!r}")
     return value
 
 

@@ -289,6 +289,7 @@ _EXPECTED_KEYS = {"equilibria", "majority_chain"}
 _EQUILIBRIUM_KEYS = ("row", "col", "payoff_v", "payoff_c")
 _MODES = {mode.value: mode for mode in Mode}
 _CHAINS = {chain.value: chain for chain in Chain}
+_GAMMA_PRIME, _K, _N, _S_V, _S_C, _MODE = GovernanceParams.__init__.__defaults__
 
 
 def _token(value: object, field: str, table: dict[str, Enum]) -> Enum:
@@ -326,12 +327,12 @@ def _parse_scenario(index: int, entry: object) -> Scenario:
     name = entry.get("name", f"scenario-{index + 1}")
     _check_name(name, f"scenario {index + 1}: name")
     try:
-        # GovernanceParams parses and range-checks every field it is given;
-        # absent optional fields take its defaults. Scenario checks the
-        # expectation's values.
+        # GovernanceParams parses and range-checks every field, absent ones
+        # taking its defaults; Scenario checks the expectation's values.
         params = GovernanceParams(
-            **{field: entry[field] for field in _PARAM_KEYS if field in entry},
-            mode=_token(entry.get("mode", Mode.OFF_CHAIN.value), "mode", _MODES),
+            entry["beta"], entry["gamma"], entry.get("gamma_prime", _GAMMA_PRIME),
+            entry.get("k", _K), entry.get("n", _N), entry.get("s_v", _S_V), entry.get("s_c", _S_C),
+            _token(entry.get("mode", _MODE.value), "mode", _MODES),
         )
         return Scenario(name, params, *_parse_expected(entry.get("expected")))
     except ValidationError as exc:

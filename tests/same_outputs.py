@@ -11,8 +11,9 @@ of the text written for every input in order: equilibria and
 predictions through format_rational, scenario results through
 results_to_json and results_to_csv, and the predict command's exit
 code, standard output and standard error through govgame.cli.main.
-Nothing is hashed through repr, so the hashes do not depend on the
-Python version. --check prints one line per family and exits 1 if any
+Only load_scenarios_messages hashes reprs, of records, Fractions, enums,
+tuples and strings, whose text is the same on every supported Python
+version, so the hashes do not depend on it. --check prints one line per family and exits 1 if any
 family differs from FILE.
 
 tests/golden/same_outputs.json holds the hashes of the current outputs,
@@ -41,6 +42,7 @@ from govgame import (
     build_governance_game,
     enumerate_mixed_equilibria,
     format_rational,
+    load_game,
     load_scenarios,
     predict_outcome,
     results_to_csv,
@@ -256,6 +258,132 @@ def _cli_text(argv: list[str]) -> str:
     return f"{' '.join(argv)}\nexit {code}\n{out.getvalue()}--\n{err.getvalue()}--\n"
 
 
+# Scenario fields with values each of them may reject, and a second value
+# for pairs of fields, whose first error in parse order is the one raised.
+_FIELDS = ("name", "mode", "beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
+_ODD_VALUES = (
+    None, "007", "0/5", "5/0", "1/2", 3, 0, "x", "", [], {}, True, "-0", " 1/2 ", "1e5000", "1e-5"
+)
+
+
+def _scenario_files() -> list[str]:
+    """Malformed and edge-case scenario files, as text."""
+    base = {"beta": "3/5", "gamma": "2/5"}
+    entries: list[object] = []
+    for mode, field, value in product(("none", "off_chain", "on_chain"), _FIELDS, _ODD_VALUES):
+        entries.append({**base, "mode": mode, field: value})
+    for i, first in enumerate(_FIELDS):
+        for second in _FIELDS[i + 1:]:
+            entries += [{**base, first: bad, second: bad} for bad in (None, [])]
+    entries += [
+        {**base, "zeta": 1, "alpha": 2, "mode2": 3},
+        {**base, "Beta": 1, "gammaprime": 2},
+        {"gamma": "1"},
+        {"beta": "1"},
+        {},
+        {"zeta": 1},
+        [],
+        "scenario",
+        {**base, "k": None, "n": None, "s_v": None, "s_c": None, "gamma_prime": None},
+        {**base, "gamma_prime": None, "mode": "on_chain"},
+        {**base, "gamma_prime": "1/5", "mode": "off_chain"},
+        {**base, "gamma_prime": "1/5", "mode": "on_chain"},
+        {**base, "k": 5, "n": 4},
+        {**base, "mode": "OFF_CHAIN"},
+        {**base, "mode": "off-chain"},
+        {**base, "expected": None},
+        {**base, "expected": {}},
+        {**base, "expected": []},
+        {**base, "expected": {"majority_chain": "upgraded", "zeta": 1, "alpha": 2}},
+        {**base, "expected": {"majority_chain": "sideways"}},
+        {**base, "expected": {"majority_chain": None}},
+        {**base, "expected": {"equilibria": {}}},
+        {**base, "expected": {"equilibria": []}},
+        {**base, "expected": {"equilibria": [{}]}},
+        {**base, "expected": {"equilibria": [{"row": "yes"}]}},
+        {**base, "expected": {"equilibria": [{"row": "yes", "payoff_c": "1"}]}},
+        {
+            **base,
+            "expected": {
+                "equilibria": [
+                    {"row": "yes", "col": "original", "payoff_v": "3/5", "payoff_c": "007"},
+                    {"row": "no", "col": "upgraded", "payoff_v": "5/0", "payoff_c": "1"},
+                ]
+            },
+        },
+        {
+            **base,
+            "expected": {
+                "equilibria": [
+                    {"row": "yes", "col": "original", "payoff_v": "3/5", "payoff_c": "0/5",
+                     "zz": 1, "aa": 2}
+                ]
+            },
+        },
+        {
+            **base,
+            "expected": {
+                "equilibria": [{"row": "maybe", "col": "up", "payoff_v": "1", "payoff_c": "1"}]
+            },
+        },
+    ]
+    files = [json.dumps({"scenarios": [entry]}) for entry in entries]
+    files.append(json.dumps({"scenarios": [base, {**base, "name": "b"}, {**base, "beta": "5/0"}]}))
+    files += [
+        json.dumps({"scenarios": [base], "zeta": 1, "alpha": 2}),
+        json.dumps({"scenarios": {}}),
+        json.dumps({"scenario": []}),
+        json.dumps({}),
+        json.dumps([]),
+        '{"scenarios": [{"beta": 0.5, "gamma": 1e-2, "k": 2, "n": 3, "s_v": 2.50, "s_c": 1E+1}]}',
+        '{"scenarios": [{"beta": 1/2}]}',
+        "",
+    ]
+    return files
+
+
+def _game_files() -> list[str]:
+    """Malformed and edge-case game files, as text."""
+    one = {"payoff1": [[1, "1/2"]], "payoff2": [[0, 2]]}
+    games: list[object] = [
+        one,
+        {**one, "zeta": 1, "beta": 2},
+        {**one, "Rows": 1, "cols": 2},
+        {},
+        {"payoff2": [[1]]},
+        {"payoff1": [[1]]},
+        {"payoff1": [["007", "0/5"]], "payoff2": [["1", "2"]]},
+        {"payoff1": [["5/0"]], "payoff2": [["1"]]},
+        {"payoff1": [["1e5000"]], "payoff2": [["1"]]},
+        {"payoff1": [[None]], "payoff2": [["1"]]},
+        {**one, "rows": None, "cols": None},
+        {**one, "rows": 2},
+        {**one, "cols": "2"},
+        {**one, "row_labels": None, "col_labels": ["x"]},
+        {**one, "row_labels": ["a"], "col_labels": ["x", 1]},
+        {"payoff1": [[1], [2]], "payoff2": [[1]]},
+        {"payoff1": [[1, 2], [3]], "payoff2": [[1, 2], [3, 4]]},
+        {"payoff1": [], "payoff2": []},
+        [],
+    ]
+    return [json.dumps(game) for game in games] + ['{"payoff1": [[0.1]], "payoff2": [[1e-2]]}']
+
+
+def _loaded(load, text: str) -> str:
+    """The text, then the repr of what load made of it or its ValidationError."""
+    try:
+        outcome = repr(load(text))
+    except ValidationError as error:
+        outcome = f"error: {error}"
+    return f"{text}\n{outcome}\n"
+
+
+def _load_messages() -> list[str]:
+    """load_scenarios and load_game on malformed and edge-case files."""
+    texts = [_loaded(load_scenarios, text) for text in _scenario_files()]
+    return texts + [_loaded(load_game, text) for text in _game_files()]
+
+
 def _solved(games) -> list[str]:
     return [_equilibria_text(game) for game in games]
 
@@ -272,6 +400,7 @@ FAMILIES = {
     "predict_outcome_grid": _predictions,
     "predict_cli_formats": _predict_cli,
     "predict_extreme_units": _predict_extreme_units,
+    "load_scenarios_messages": _load_messages,
 }
 
 

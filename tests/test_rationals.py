@@ -13,6 +13,7 @@ from govgame.rationals import (
     _checked_exponent,
     approx,
     format_rational,
+    json_object,
     parse_json,
     parse_rational,
 )
@@ -159,3 +160,25 @@ def test_exponent_beyond_the_bound_is_rejected(text):
 def test_format_rational_beyond_the_digit_limit():
     with pytest.raises(ValidationError, match="more than 4300 digits"):
         format_rational(Fraction(10**4300, 3))
+
+
+_KEYS = st.sets(st.text(alphabet="abAB_\u00e9", max_size=3), max_size=6)
+_COLLECTIONS = st.sampled_from([set, frozenset, tuple, list])
+
+
+@given(_KEYS, _KEYS, _KEYS, _COLLECTIONS)
+def test_json_object_names_the_first_unknown_then_missing_field(keys, allowed, required, kind):
+    """The message names the first unknown field in sorted order, else the first missing one."""
+    value = dict.fromkeys(keys, 0)
+    unknown = sorted(set(value).difference(allowed))
+    missing = sorted(set(required).difference(value))
+    args = value, "thing", kind(allowed), kind(required)
+    if not unknown and not missing:
+        assert json_object(*args) is value
+        return
+    with pytest.raises(ValidationError) as caught:
+        json_object(*args)
+    if unknown:
+        assert str(caught.value) == f"unknown field {unknown[0]!r} in thing"
+    else:
+        assert str(caught.value) == f"thing is missing {missing[0]!r}"

@@ -211,6 +211,24 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     assert repr(record) == RECORDS[name][3]
 
 
+def test_records_are_slotted(name):
+    record = _build(name)
+    cls = type(record)
+    assert not hasattr(record, "__dict__") and not hasattr(record, "__weakref__")
+    assert vars(cls)["__slots__"] == cls._fields == STORED[name]
+    assert all(vars(base).get("__slots__") == () for base in cls.__mro__[1:-1])
+    subclass = type("Sub" + name, (cls,), {})
+    twin = subclass._checked(*record._values())
+    assert vars(subclass)["__slots__"] == () and not hasattr(twin, "__dict__")
+    for each in (record, twin):
+        for field in (*STORED[name], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(each, field, None)
+            with pytest.raises(AttributeError):
+                delattr(each, field)
+        assert each._values() == record._values()
+
+
 @pytest.mark.parametrize(
     "clone",
     [
