@@ -107,6 +107,12 @@ class TestForkRiskOrdering:
         assert ForkRisk.REDUCED <= ForkRisk.REDUCED
         assert ForkRisk.PRESENT >= ForkRisk.REDUCED
 
+    def test_order_is_strict_on_every_member(self):
+        # Each member equals itself, so < and > are false and <= and >= true.
+        for risk in ForkRisk:
+            assert not risk < risk and not risk > risk
+            assert risk <= risk and risk >= risk
+
     def test_rank_values(self):
         assert [r.rank for r in (ForkRisk.NONE, ForkRisk.REDUCED, ForkRisk.PRESENT, ForkRisk.HIGH)] == [0, 1, 2, 3]
 

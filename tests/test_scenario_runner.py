@@ -686,8 +686,14 @@ def test_results_json_refuses_any_param_too_long_to_print(fields):
 @pytest.mark.parametrize(
     "payoffs",
     # 1x3 has four strategy entries in all, as many as a 2x2 game has.
-    [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
-    ids=["1x3", "3x3"],
+    # 2x3 and 3x2 have one strategy of the right size and one of the wrong.
+    [
+        [[1, 0, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0], [0, 1], [0, 0]],
+    ],
+    ids=["1x3", "3x3", "2x3", "3x2"],
 )
 def test_results_json_refuses_an_equilibrium_not_of_a_2x2_game(payoffs):
     # So do the CSV writer and the run/table1 table, rather than write a wrong row.
