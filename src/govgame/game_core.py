@@ -329,11 +329,11 @@ def _undominated(a: list[list[int]], bt: list[list[int]]) -> tuple[list[int], li
     a holds player 1's payoffs by row and bt player 2's by column. A row
     is dropped when another surviving row pays player 1 strictly more
     against every surviving column, and a column likewise for player 2.
-    The sides alternate until a pass over each drops nothing; a side with
-    one line left cannot lose it, so it counts as such a pass and is not
-    passed over. The order of elimination does not change the surviving
-    subgame (Gilboa, Kalai and Zemel 1990). Returns the surviving row and
-    column indices; the matrices are read in place, never restricted.
+    The sides alternate until a pass over each drops nothing; no line
+    beats itself, so a side's last line is never dropped. The order of
+    elimination does not change the surviving subgame (Gilboa, Kalai and
+    Zemel 1990). Returns the surviving row and column indices; the
+    matrices are read in place, never restricted.
     Strict dominance keeps every Nash equilibrium, and a weakly dominated
     strategy is kept because it may be played in one.
     """
@@ -343,7 +343,7 @@ def _undominated(a: list[list[int]], bt: list[list[int]]) -> tuple[list[int], li
     # A pass leaves its own side undominated until the other side shrinks.
     while idle < 2:
         keep = kept[side]
-        survivors = _survivors(sides[side], keep, kept[1 - side]) if len(keep) > 1 else keep
+        survivors = _survivors(sides[side], keep, kept[1 - side])
         if len(survivors) == len(keep):
             idle += 1
         else:
@@ -395,9 +395,9 @@ def _vertices(
     vertex have rank d, so they meet in that point alone. Each vertex
     maps to (basis, rhs, det) of the first basis found for it, rhs[k]
     being det times the value of basic variable basis[k], det the last
-    pivot. A basis whose right-hand side holds no zero carries exactly
-    the labels of its nonbasic variables, and each zero in it adds the
-    label of its basic variable.
+    pivot. Each basis is keyed by its nonbasic set, which is its label set
+    when its right-hand side holds no zero; each zero in it adds the label
+    of its basic variable.
 
     The search walks feasible bases from the slack basis by integer
     pivoting. The tableau is condensed: row k belongs to basic variable
@@ -436,20 +436,19 @@ def _vertices(
     """
     rows, d = len(keep), len(against)
     shift = 1 - min(lines[k][j] for k in keep for j in against)
-    full = (1 << (d + rows)) - 1
-    basic = full ^ ((1 << d) - 1)
-    known = {basic}
+    slack = (1 << d) - 1
+    known = {slack}
     start = [[lines[k][j] + shift for j in against] + [1] for k in keep]
     # The slack basis's own tableau needs no pivot: its pivot row is -1.
-    stack = [(start, -1, 0, 1, list(range(d, d + rows)), list(range(d)), basic, 1)]
+    stack = [(start, -1, 0, 1, list(range(d, d + rows)), list(range(d)), slack, 1)]
     found: dict[int, tuple[list[int], list[int], int]] = {}
     while stack:
         # old is the parent's det and det this basis's, the entry pivoted on.
-        parent, r, s, old, basis, nonbasic, basic, det = stack.pop()
+        parent, r, s, old, basis, nonbasic, key, det = stack.pop()
         bits = [1 << var for var in basis]
         missed = []
         for c, entering in enumerate(nonbasic):
-            across = basic ^ 1 << entering
+            across = key ^ 1 << entering
             for bit in bits:
                 if across ^ bit in known:
                     break
@@ -477,7 +476,7 @@ def _vertices(
             b = parent[r][d]
             rhs = [(row[d] * det - row[s] * b) // old for row in parent]
             rhs[r] = b
-        labels = full ^ basic
+        labels = key
         if 0 in rhs:
             for var, value in zip(basis, rhs):
                 if not value:
@@ -500,13 +499,13 @@ def _vertices(
                         continue
                 r, best = k, row
             entering, leaving = nonbasic[s], basis[r]
-            key = basic ^ (1 << leaving) ^ (1 << entering)
-            known.add(key)
+            swapped = key ^ (1 << leaving) ^ (1 << entering)
+            known.add(swapped)
             basis_next = basis[:]
             basis_next[r] = entering
             nonbasic_next = nonbasic[:]
             nonbasic_next[s] = leaving
-            stack.append((tableau, r, s, det, basis_next, nonbasic_next, key, best[s]))
+            stack.append((tableau, r, s, det, basis_next, nonbasic_next, swapped, best[s]))
     return found, shift
 
 
