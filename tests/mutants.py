@@ -49,14 +49,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 MODULES = ("cli", "game_core", "governance", "rationals", "scenario_runner")
 
-_SWAPS = {
-    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
-    ast.In: ast.NotIn, ast.NotIn: ast.In,
-    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
-    ast.BitOr: ast.BitXor, ast.BitXor: ast.BitOr, ast.LShift: ast.RShift, ast.RShift: ast.LShift,
-    ast.And: ast.Or, ast.Or: ast.And,
-}
+_PAIRS = (
+    (ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Is, ast.IsNot), (ast.In, ast.NotIn),
+    (ast.Add, ast.Sub), (ast.Mult, ast.FloorDiv), (ast.BitOr, ast.BitXor), (ast.LShift, ast.RShift),
+    (ast.And, ast.Or),
+)
+_SWAPS = {**dict(_PAIRS), **{b: a for a, b in _PAIRS}}
 _SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
@@ -91,7 +89,7 @@ def _swap(node: ast.AST, k: int | None = None) -> str:
 
 
 def _sites(tree: ast.AST) -> list[tuple[int, object]]:
-    """Each mutation site of tree as (line, apply), apply() making the change and returning it as text."""
+    """Each mutation site of tree as (line, apply); apply() makes the change and returns it as text."""
     sites = []
     for parent, field, index, node in _children(tree):
         line = getattr(node, "lineno", None)
@@ -134,7 +132,7 @@ def mutants(source: str) -> list[tuple[int, str, str]]:
 CHECKS = (
     ("hashes", ["tests/same_outputs.py", "--check", "tests/golden/same_outputs.json"]),
     ("golden", ["tests/test_golden.py", "--check", sys.executable, "-m", "govgame.cli"]),
-    ("tier-1", ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]),
+    ("tier-1", ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]),
 )
 
 
@@ -170,14 +168,15 @@ def _run(module: str, text: str, limits: list[float] | None) -> tuple[str | None
 
 
 def _module(module: str, jobs: int) -> dict[str, list[str]]:
-    """Run one module's mutants; return the mutants each check killed, and the survivors under None."""
+    """Run one module's mutants; return those each check killed, and the survivors under None."""
     source = (REPO / "src" / "govgame" / f"{module}.py").read_text(encoding="utf-8")
     failed, seconds = _run(module, ast.unparse(ast.parse(source)), None)
     if failed:
         sys.exit(f"{module}: the unmutated module fails the {failed} check")
     limits = [10 * s for s in seconds]
     found = mutants(source)
-    print(f"{module}: {len(found)} mutants; limits {', '.join(f'{s:.0f} s' for s in limits)}", flush=True)
+    shown = ", ".join(f"{s:.0f} s" for s in limits)
+    print(f"{module}: {len(found)} mutants; limits {shown}", flush=True)
     tally: dict[str | None, list[str]] = {name: [] for name, _ in CHECKS}
     tally[None] = []
 

@@ -12,6 +12,7 @@ up to 12x12.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +25,7 @@ F = Fraction
 
 
 def _listed(game: BimatrixGame) -> list[tuple]:
-    """Each result as (row mix, column mix, payoffs, kind, degenerate_game), in the solver's order."""
+    """Each result as (row mix, column mix, payoffs, kind, degenerate flag), in the solver's order."""
     return [
         (r.profile.sigma1.probs, r.profile.sigma2.probs, r.payoffs, r.kind, r.degenerate_game)
         for r in enumerate_mixed_equilibria(game)
@@ -86,49 +87,42 @@ def _ties(rng: random.Random, n: int) -> list[list[int]]:
     return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
 
 
-def _games() -> list[BimatrixGame]:
-    """Generic games over F(-20..20, 1..10) and tie-heavy ones over -2..2, 7x7 to 10x10, and a 12x12."""
+def _games() -> dict[str, BimatrixGame]:
+    """Generic games over F(-20..20, 1..10) and tie-heavy ones over -2..2, 7x7 to 10x10; a 12x12."""
     rng = random.Random(1997)
-    games = []
+    games = {}
     for n in range(7, 11):
-        games.append(BimatrixGame(_generic(rng, n), _generic(rng, n)))
-        games.append(BimatrixGame(_ties(rng, n), _ties(rng, n)))
-    games.append(BimatrixGame(_generic(rng, 12), _generic(rng, 12)))
+        games[f"{n}x{n}-generic"] = BimatrixGame(_generic(rng, n), _generic(rng, n))
+        games[f"{n}x{n}-ties"] = BimatrixGame(_ties(rng, n), _ties(rng, n))
+    games["12x12-generic"] = BimatrixGame(_generic(rng, 12), _generic(rng, 12))
     return games
 
 
 GAMES = _games()
-IDS = [f"{g.rows}x{g.cols}-{'ties' if all(v.denominator == 1 for row in g.payoff1 for v in row) else 'generic'}" for g in GAMES]
 
 
-@pytest.fixture(scope="module")
-def solved() -> dict[int, list[tuple]]:
-    return {}
-
-
-def _solve(solved: dict, index: int) -> list[tuple]:
-    if index not in solved:
-        solved[index] = _listed(GAMES[index])
-    return solved[index]
+@functools.cache
+def _original(name: str) -> list[tuple]:
+    return _listed(GAMES[name])
 
 
 def _transposed(matrix) -> list[list[Fraction]]:
     return [list(column) for column in zip(*matrix)]
 
 
-@pytest.mark.parametrize("index", range(len(GAMES)), ids=IDS)
-def test_swapping_the_players_roles_swaps_every_equilibrium(solved, index):
-    game = GAMES[index]
+@pytest.mark.parametrize("name", GAMES)
+def test_swapping_the_players_roles_swaps_every_equilibrium(name):
+    game = GAMES[name]
     swapped = _listed(BimatrixGame(_transposed(game.payoff2), _transposed(game.payoff1)))
     back = {(y, x, (u2, u1), kind, flag) for x, y, (u1, u2), kind, flag in swapped}
-    original = _solve(solved, index)
+    original = _original(name)
     assert len(swapped) == len(original) and back == set(original)
 
 
-@pytest.mark.parametrize("index", range(len(GAMES)), ids=IDS)
-def test_permuting_rows_and_columns_permutes_every_equilibrium(solved, index):
-    game = GAMES[index]
-    rng = random.Random(index)
+@pytest.mark.parametrize("name", GAMES)
+def test_permuting_rows_and_columns_permutes_every_equilibrium(name):
+    game = GAMES[name]
+    rng = random.Random(name)
     rows, cols = list(range(game.rows)), list(range(game.cols))
     rng.shuffle(rows)
     rng.shuffle(cols)
@@ -146,14 +140,14 @@ def test_permuting_rows_and_columns_permutes_every_equilibrium(solved, index):
         for k, j in enumerate(cols):
             y0[j] = y[k]
         back.add((tuple(x0), tuple(y0), payoffs, kind, flag))
-    original = _solve(solved, index)
+    original = _original(name)
     assert len(moved) == len(original) and back == set(original)
 
 
-@pytest.mark.parametrize("index", range(len(GAMES)), ids=IDS)
-def test_positive_affine_maps_of_the_payoffs_keep_every_strategy(solved, index):
+@pytest.mark.parametrize("name", GAMES)
+def test_positive_affine_maps_of_the_payoffs_keep_every_strategy(name):
     # The order of the results depends on the strategies alone, so it is kept too.
-    game = GAMES[index]
+    game = GAMES[name]
     (c1, d1), (c2, d2) = (F(3, 7), F(-5, 2)), (F(11), F(4, 9))
     mapped = _listed(
         BimatrixGame(
@@ -163,6 +157,6 @@ def test_positive_affine_maps_of_the_payoffs_keep_every_strategy(solved, index):
     )
     expected = [
         (x, y, (c1 * u1 + d1, c2 * u2 + d2), kind, flag)
-        for x, y, (u1, u2), kind, flag in _solve(solved, index)
+        for x, y, (u1, u2), kind, flag in _original(name)
     ]
     assert mapped == expected

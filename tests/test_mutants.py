@@ -26,7 +26,8 @@ def _differences(a: object, b: object) -> list[tuple[object, object]]:
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [d for x, y in zip(a, b) for d in _differences(x, y)]
     if isinstance(a, ast.AST) and type(a) is type(b):
-        return [d for field in a._fields for d in _differences(getattr(a, field), getattr(b, field))]
+        pairs = [(getattr(a, field), getattr(b, field)) for field in a._fields]
+        return [d for x, y in pairs for d in _differences(x, y)]
     return [] if a == b else [(a, b)]
 
 
@@ -60,4 +61,5 @@ def test_each_mutant_parses_and_differs_from_the_source_in_one_node():
         elif isinstance(old, int):
             assert new == old + 1
         else:
-            assert isinstance(old, (ast.operator, ast.cmpop, ast.boolop)) and type(new) is not type(old)
+            assert isinstance(old, (ast.operator, ast.cmpop, ast.boolop))
+            assert type(new) is not type(old)
