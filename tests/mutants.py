@@ -1,6 +1,6 @@
 """Run every single-node mutant of govgame's modules against the output checks and tier-1.
 
-    python tests/mutants.py [--jobs N] [MODULE ...]
+    python tests/mutants.py [MODULE ...]
 
 MODULE names a module of src/govgame, such as game_core; with none, the
 five modules that hold logic are run: cli, game_core, governance,
@@ -18,12 +18,15 @@ unevaluated. Each mutant is written, through ast.unparse, into a new
 copy of the repository, and three checks run there in order, each in
 its own process with PYTHONPATH at the copy's src: the output hashes
 (tests/same_outputs.py --check), the golden CLI cases (tests/test_golden.py
---check) and the tier-1 suite, stopping at its first failure. The first
+--check) and the tier-1 suite, run as CI runs it (-X dev -W error) with
+a fixed Hypothesis seed and stopping at its first failure. The first
 check that fails kills the mutant. So does one that runs past its time
 limit, ten times what the unmutated module took: a walk whose lookup
 misses a basis it has reached never ends. A mutant that passes all
 three survives, and is either a missing test, code that can be deleted,
-or equivalent to the module in every context it runs in.
+or equivalent to the module in every context it runs in. Mutants run one
+per CPU core at once, so that the time limits, taken with nothing else
+running, are not eaten by contention.
 
 Before its mutants, each module is run unmutated but rewritten by
 ast.unparse; every check must pass on it. One line is printed per
@@ -132,7 +135,8 @@ def mutants(source: str) -> list[tuple[int, str, str]]:
 CHECKS = (
     ("hashes", ["tests/same_outputs.py", "--check", "tests/golden/same_outputs.json"]),
     ("golden", ["tests/test_golden.py", "--check", sys.executable, "-m", "govgame.cli"]),
-    ("tier-1", ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]),
+    ("tier-1", ["-X", "dev", "-W", "error", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0"]),
 )
 
 
@@ -167,7 +171,7 @@ def _run(module: str, text: str, limits: list[float] | None) -> tuple[str | None
         return None, seconds
 
 
-def _module(module: str, jobs: int) -> dict[str, list[str]]:
+def _module(module: str) -> dict[str, list[str]]:
     """Run one module's mutants; return those each check killed, and the survivors under None."""
     source = (REPO / "src" / "govgame" / f"{module}.py").read_text(encoding="utf-8")
     failed, seconds = _run(module, ast.unparse(ast.parse(source)), None)
@@ -185,7 +189,7 @@ def _module(module: str, jobs: int) -> dict[str, list[str]]:
         killer, _ = _run(module, text, limits)
         return f"{module}.py:{line}: {change}", killer
 
-    with ThreadPoolExecutor(jobs) as pool:
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
         for where, killer in pool.map(one, found):
             tally[killer].append(where)
             print(f"  {where}  {'killed by ' + killer if killer else 'SURVIVED'}", flush=True)
@@ -195,7 +199,6 @@ def _module(module: str, jobs: int) -> dict[str, list[str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*", metavar="MODULE", help="default: " + " ".join(MODULES))
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once (default 2)")
     args = parser.parse_args(argv)
     for module in args.modules:
         if not (REPO / "src" / "govgame" / f"{module}.py").is_file():
@@ -203,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     survivors = []
     for module in args.modules or MODULES:
-        tally = _module(module, args.jobs)
+        tally = _module(module)
         counts = ", ".join(f"{name} {len(tally[name])}" for name, _ in CHECKS)
         print(f"{module}: killed by {counts}; survived {len(tally[None])}", flush=True)
         survivors += tally[None]

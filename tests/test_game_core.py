@@ -78,6 +78,11 @@ class TestBimatrixGame:
         with pytest.raises(ValidationError):
             BimatrixGame(payoff1=[[1, 2]], payoff2=[[1], [2]])
 
+    @pytest.mark.parametrize("row", [[], (), 5, "12"], ids=["empty-list", "empty-tuple", "int", "str"])
+    def test_row_must_be_a_non_empty_list(self, row):
+        with pytest.raises(ValidationError, match=r"payoff1 row 1 must be a non-empty list"):
+            BimatrixGame(payoff1=[[1], row], payoff2=[[1], [1]])
+
     def test_bad_entry_names_position(self):
         with pytest.raises(ValidationError, match=r"payoff1\[0\]\[0\]"):
             BimatrixGame(payoff1=[["1/0", 1]], payoff2=[[1, 1]])
