@@ -420,24 +420,26 @@ def _vertices(
     the slack basis is lexicographically positive and lexicographic
     pivots keep every basis so; the perturbed polytope is bounded, so its
     edge graph is connected; and every vertex of the polytope has a
-    lexicographically positive basis. known holds every basis reached, and
-    an edge whose far end is in known is found by lookup, not by a ratio
-    test. The perturbed polytope is simple, so from a basis B exactly one
+    lexicographically positive basis. The edge on which e enters B is
+    keyed by its ridge, B's nonbasic set less e, which both its ends
+    share. The perturbed polytope is simple, so from a basis B exactly one
     swap B - l + e that brings e in is lexicographically positive, the one
-    at e's lexicographic minimum ratio row; every basis in known was
-    reached by lexicographic pivots, so is one. If some B - l + e is in
-    known it is therefore the far end of e's edge, so an edge is
-    ratio-tested only when it leads to a basis not yet reached, one edge
-    per basis. A basis is pivoted only when it is popped: the stack holds
-    its parent's tableau with the pivot row and column and the parent's
-    det. A basis whose every edge is found by lookup leads nowhere new, so
-    only its right-hand side is computed, one entry per row; any other
-    basis is pivoted whole and ratio-tests the edges whose lookup missed.
+    at e's lexicographic minimum ratio row: each ridge of a
+    lexicographically positive basis lies in exactly two such bases, and
+    every basis reached, by lexicographic pivots, is one. ridges toggles
+    the d ridges of each basis reached, so it holds exactly the edges with
+    one end reached, and an edge is ratio-tested only when it leads to a
+    basis not yet reached, one edge per basis. A basis is pivoted only
+    when it is popped: the stack holds its parent's tableau with the pivot
+    row and column and the parent's det. A basis with no ridge in ridges
+    leads nowhere new, so only its right-hand side is computed, one entry
+    per row; any other is pivoted whole and ratio-tests the columns whose
+    ridge is in ridges.
     """
     rows, d = len(keep), len(against)
     shift = 1 - min(lines[k][j] for k in keep for j in against)
     slack = (1 << d) - 1
-    known = {slack}
+    ridges = {slack ^ 1 << t for t in range(d)}
     start = [[lines[k][j] + shift for j in against] + [1] for k in keep]
     # The slack basis's own tableau needs no pivot: its pivot row is -1.
     stack = [(start, -1, 0, 1, list(range(d, d + rows)), list(range(d)), slack, 1)]
@@ -445,15 +447,7 @@ def _vertices(
     while stack:
         # old is the parent's det and det this basis's, the entry pivoted on.
         parent, r, s, old, basis, nonbasic, key, det = stack.pop()
-        bits = [1 << var for var in basis]
-        missed = []
-        for c, entering in enumerate(nonbasic):
-            across = key ^ 1 << entering
-            for bit in bits:
-                if across ^ bit in known:
-                    break
-            else:
-                missed.append(c)
+        missed = [c for c, entering in enumerate(nonbasic) if key ^ 1 << entering in ridges]
 
         if missed:
             tableau = parent
@@ -471,7 +465,7 @@ def _vertices(
                     tableau.append(row)
             rhs = [row[d] for row in tableau]
         else:
-            # Every edge leads to a known basis (never so at the
+            # Every edge leads to a reached basis (never so at the
             # slack basis): the labels need only the right-hand side.
             b = parent[r][d]
             rhs = [(row[d] * det - row[s] * b) // old for row in parent]
@@ -500,11 +494,11 @@ def _vertices(
                 r, best = k, row
             entering, leaving = nonbasic[s], basis[r]
             swapped = key ^ (1 << leaving) ^ (1 << entering)
-            known.add(swapped)
             basis_next = basis[:]
             basis_next[r] = entering
             nonbasic_next = nonbasic[:]
             nonbasic_next[s] = leaving
+            ridges.symmetric_difference_update([swapped ^ 1 << var for var in nonbasic_next])
             stack.append((tableau, r, s, det, basis_next, nonbasic_next, swapped, best[s]))
     return found, shift
 

@@ -21,12 +21,12 @@ its own process with PYTHONPATH at the copy's src: the output hashes
 --check) and the tier-1 suite, run as CI runs it (-X dev -W error) with
 a fixed Hypothesis seed and stopping at its first failure. The first
 check that fails kills the mutant. So does one that runs past its time
-limit, ten times what the unmutated module took: a walk whose lookup
-misses a basis it has reached never ends. A mutant that passes all
-three survives, and is either a missing test, code that can be deleted,
-or equivalent to the module in every context it runs in. Mutants run one
-per CPU core at once, so that the time limits, taken with nothing else
-running, are not eaten by contention.
+limit, ten times what the unmutated module took: a walk whose edge
+test takes a basis it has reached for a new one never ends. A mutant
+that passes all three survives, and is either a missing test, code that
+can be deleted, or equivalent to the module in every context it runs
+in. Mutants run one per CPU core at once, so that the time limits,
+taken with nothing else running, are not eaten by contention.
 
 Before its mutants, each module is run unmutated but rewritten by
 ast.unparse; every check must pass on it. One line is printed per

@@ -117,6 +117,24 @@ def _games_large() -> list[BimatrixGame]:
     return games
 
 
+def _games_larger() -> list[BimatrixGame]:
+    """Four seeded generic games per size at 11x11 and 12x12, and identity against all-ones at 11 and 12.
+
+    The largest walks of any family: the most bases, each with the most
+    columns whose edge must be told new or already reached.
+    """
+    rng = random.Random(2029)
+
+    def draw(n: int) -> list[list[Fraction]]:
+        return [[F(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n)] for _ in range(n)]
+
+    games = [BimatrixGame(draw(n), draw(n)) for n in (11, 12) for _ in range(4)]
+    for n in (11, 12):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        games.append(BimatrixGame(identity, [[1] * n] * n))
+    return games
+
+
 def _games_ties() -> list[BimatrixGame]:
     """Four seeded games per size from 7x7 to 9x9 over {0, 1} and over {-2..2}, and identity against all-ones at 9.
 
@@ -393,6 +411,7 @@ FAMILIES = {
     "mixed_random_1x1_to_6x6": lambda: _solved(_games_random()),
     "mixed_identity_and_zero_2_to_6": lambda: _solved(_games_identity_zero()),
     "mixed_large_7x7_to_10x10": lambda: _solved(_games_large()),
+    "mixed_larger_11x11_and_12x12": lambda: _solved(_games_larger()),
     "mixed_ties_7x7_to_9x9": lambda: _solved(_games_ties()),
     "mixed_vote_games_w1": lambda: _solved(_games_vote()),
     "run_scenario_w1_seed_11": lambda: _sweep(11),

@@ -32,16 +32,18 @@ from reference_solvers import (
 F = Fraction
 
 
-# The walk finds the far end of an edge by looking up each swap B - l + e
-# among the bases it has reached. That rests on a fact about the
-# lexicographically perturbed polytope: from a lexicographically feasible
-# basis, each entering variable e has exactly one leaving l that gives a
-# lexicographically feasible basis, the row of the lexicographic minimum
-# ratio. The first test below checks the fact on its own, by Fraction
-# elimination with no code from govgame; the second counts the bases the
-# walk pops. They come first in this file: a walk whose lookup misses a
-# basis it has reached walks that basis again and never ends, and the
-# pop count fails at once instead.
+# The walk keys the edge on which e enters a basis by its ridge, the
+# basis's nonbasic set less e, and keeps the set of ridges with one end
+# reached. That rests on a fact about the lexicographically perturbed
+# polytope: from a lexicographically feasible basis, each entering
+# variable e has exactly one leaving l that gives a lexicographically
+# feasible basis, the row of the lexicographic minimum ratio; so each
+# ridge of such a basis lies in exactly two of them. The first two tests
+# below check the fact in both forms, by Fraction elimination with no
+# code from govgame; the third counts the bases the walk pops. They come
+# first in this file: a walk whose edge test takes a basis it has reached
+# for a new one walks that basis again and never ends, and the pop count
+# fails at once instead.
 
 
 def _inverse(m: list[list[int]]) -> list[list[Fraction]] | None:
@@ -134,6 +136,39 @@ def test_one_lexicographically_feasible_swap_per_entering_variable():
     assert ties == 844
 
 
+def _assert_two_lex_feasible_bases_per_ridge(coeffs: list[list[int]]) -> int:
+    """Check the ridge form of the fact on {z >= 0 : coeffs z <= 1}; return how many edges have zero length.
+
+    A ridge of a basis is its nonbasic set less one variable, and a basis
+    contains a ridge when its nonbasic set does, that is, when the ridge
+    is one of its own. The two ends of an edge of zero length are bases
+    of one point: the same variables are nonzero there, with the same
+    values.
+    """
+    lexical = _bases(coeffs)[1]
+    variables = frozenset(range(len(coeffs) + len(coeffs[0])))
+    ends: dict[frozenset, list[set]] = {}
+    for key, (basis, _, lex) in lexical.items():
+        point = {(var, value) for var, (value, *_) in zip(basis, lex) if value}
+        nonbasic = variables - key
+        for var in nonbasic:
+            ends.setdefault(nonbasic - {var}, []).append(point)
+    assert all(len(points) == 2 for points in ends.values())
+    return sum(a == b for a, b in ends.values())
+
+
+def test_each_ridge_lies_in_two_lexicographically_feasible_bases():
+    rng = random.Random(2011)
+    matrices = [[[rng.randint(0, 3) for _ in range(5)] for _ in range(5)] for _ in range(10)]
+    matrices += [[[int(i == j) for j in range(5)] for i in range(5)], [[0] * 5 for _ in range(5)]]
+    shifts = [1 - min(map(min, matrix)) for matrix in matrices]
+    polytopes = _small_polytopes()
+    polytopes += [[[v + shift for v in line] for line in matrix] for matrix, shift in zip(matrices, shifts)]
+    # Degenerate vertices are reached: 309 edges of these polytopes have
+    # zero length, both their ends bases of one vertex.
+    assert sum(_assert_two_lex_feasible_bases_per_ridge(coeffs) for coeffs in polytopes) == 309
+
+
 def _walk_pops(coeffs: list[list[int]], limit: int) -> int:
     """How many bases _vertices pops from its stack on coeffs; fails once that passes limit."""
     pops = 0
@@ -153,10 +188,10 @@ def _walk_pops(coeffs: list[list[int]], limit: int) -> int:
 
 
 def test_walk_pops_each_lexicographically_feasible_basis_once():
-    # A swap found by lookup is never walked again, and every
-    # lexicographically feasible basis is reached, so the walk pops
-    # exactly those bases; a lookup that misses a known basis walks it
-    # again and again.
+    # A basis reached is never walked again, and every lexicographically
+    # feasible basis is reached, so the walk pops exactly those bases; an
+    # edge test that takes a reached basis for a new one walks it again
+    # and again.
     for coeffs in _small_polytopes():
         lexical = _bases(coeffs)[1]
         assert _walk_pops(coeffs, len(lexical)) == len(lexical)
