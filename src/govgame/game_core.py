@@ -329,55 +329,49 @@ def _undominated(a: list[list[int]], bt: list[list[int]]) -> tuple[list[int], li
     a holds player 1's payoffs by row and bt player 2's by column. A row
     is dropped when another surviving row pays player 1 strictly more
     against every surviving column, and a column likewise for player 2.
-    The sides alternate until a pass over each drops nothing; no line
-    beats itself, so a side's last line is never dropped. The order of
-    elimination does not change the surviving subgame (Gilboa, Kalai and
-    Zemel 1990). Returns the surviving row and column indices; the
-    matrices are read in place, never restricted.
+    Each round passes over the rows against the surviving columns, then
+    over the columns against the rows just kept. A round whose column
+    pass drops nothing is the last: its rows were kept against those same
+    columns. No line beats itself, so a side's last line is never
+    dropped. The order of elimination does not change the surviving
+    subgame (Gilboa, Kalai and Zemel 1990). Returns the surviving row and
+    column indices; the matrices are read in place, never restricted.
     Strict dominance keeps every Nash equilibrium, and a weakly dominated
     strategy is kept because it may be played in one.
     """
-    kept = [list(range(len(a))), list(range(len(bt)))]
-    sides = (a, bt)
-    side = idle = 0
-    # A pass leaves its own side undominated until the other side shrinks.
-    while idle < 2:
-        keep = kept[side]
-        survivors = _survivors(sides[side], keep, kept[1 - side])
-        if len(survivors) == len(keep):
-            idle += 1
-        else:
-            idle = 1
-            kept[side] = survivors
-        side = 1 - side
-    return kept[0], kept[1]
+    rows, cols = list(range(len(a))), list(range(len(bt)))
+    while True:
+        rows = _survivors(a, rows, cols)
+        kept = _survivors(bt, cols, rows)
+        if kept == cols:
+            return rows, cols
+        cols = kept
 
 
 def _lex_cross(
     tableau: list[list[int]], k: int, r: int, s: int, basis: list[int], nonbasic: list[int]
-) -> int:
-    """Sign of row k's lexicographic ratio minus row r's in column s.
+) -> bool:
+    """Whether row k's lexicographic ratio in column s is larger than row r's.
 
     Called when the two rows tie on the right-hand side. The tie is
     broken by the rows' entries in the slack columns, constraint by
     constraint, each divided by the row's entry in column s. A basic
-    slack's column is det times a unit vector, positive in its own row.
+    slack's column is det times a unit vector, positive in its own row, so
+    unless a nonbasic slack decides first, the row whose own slack comes
+    first has the larger ratio.
     The slack columns form the basis inverse, whose rows are never
-    proportional, so the loop always decides before it ends.
+    proportional, so the loop always returns.
     """
     row, best = tableau[k], tableau[r]
     own, other = basis[k], basis[r]
     for var in range(len(nonbasic), len(nonbasic) + len(tableau)):
-        if var == own:
-            return 1
-        if var == other:
-            return -1
+        if var == own or var == other:
+            return var == own
         if var in nonbasic:
             c = nonbasic.index(var)
             cross = row[c] * best[s] - best[c] * row[s]
             if cross:
-                return cross
-    return 0
+                return cross > 0
 
 
 def _vertices(
@@ -441,8 +435,8 @@ def _vertices(
     slack = (1 << d) - 1
     ridges = {slack ^ 1 << t for t in range(d)}
     start = [[lines[k][j] + shift for j in against] + [1] for k in keep]
-    # The slack basis's own tableau needs no pivot: its pivot row is -1.
-    stack = [(start, -1, 0, 1, list(range(d, d + rows)), list(range(d)), slack, 1)]
+    # The slack basis's own tableau needs no pivot: no pivot row, column or parent det.
+    stack = [(start, None, None, None, list(range(d, d + rows)), list(range(d)), slack, 1)]
     found: dict[int, tuple[list[int], list[int], int]] = {}
     while stack:
         # old is the parent's det and det this basis's, the entry pivoted on.
@@ -451,7 +445,7 @@ def _vertices(
 
         if missed:
             tableau = parent
-            if r >= 0:
+            if r is not None:
                 best = parent[r]
                 tableau = []
                 for k, row in enumerate(parent):
@@ -480,16 +474,14 @@ def _vertices(
 
         for s in missed:
             # The polytope is bounded, so every column has a positive entry.
-            r = -1
+            r = None
             for k, row in enumerate(tableau):
                 entry = row[s]
                 if entry <= 0:
                     continue
-                if r >= 0:
+                if r is not None:
                     cross = row[d] * best[s] - best[d] * entry
-                    if not cross:
-                        cross = _lex_cross(tableau, k, r, s, basis, nonbasic)
-                    if cross > 0:
+                    if cross > 0 or not cross and _lex_cross(tableau, k, r, s, basis, nonbasic):
                         continue
                 r, best = k, row
             entering, leaving = nonbasic[s], basis[r]

@@ -491,6 +491,23 @@ def test_equal_lines_never_remove_each_other():
         _assert_matches_vertex_oracle(game)
 
 
+def test_staircase_games_drop_one_line_per_pass():
+    # Row i pays player 1 2 only at column i + 1, column j pays player 2
+    # 2 only at row j, and every other entry of line i or j is -i/n or
+    # -j/n. Only the last row is dominated at first, by row 0; its loss
+    # leaves only the last column dominated, and so on down the stair:
+    # each pass drops one line, 2n - 2 in all, down to row 0 and column 0.
+    for n in range(2, 9):
+        game = BimatrixGame(
+            payoff1=[[2 * (j == i + 1) - F(i, n) for j in range(n)] for i in range(n)],
+            payoff2=[[2 * (i == j) - F(j, n) for j in range(n)] for i in range(n)],
+        )
+        assert undominated_reference(game.payoff1, game.payoff2) == ([0], [0])
+        a, bt = game_core._integers(game.payoff1)[0], game_core._integers(tuple(zip(*game.payoff2)))[0]
+        assert game_core._undominated(a, bt) == ([0], [0])
+        _assert_agrees_with_undominated_reference(game)
+
+
 def test_vote_games_with_a_half_share_match_the_vertex_oracle():
     # On the beta = 1/2 row and the gamma = 1/2 column of the W1 grid one
     # side of the vote game ties, so elimination leaves one line against
