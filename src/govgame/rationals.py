@@ -180,12 +180,6 @@ def format_rational(value: Fraction) -> str:
 
 
 def approx(value: Fraction) -> str:
-    """Six-decimal fixed-point approximation for human-facing table output.
-
-    Values beyond float range read "inf" or "-inf", as Python formats an
-    infinite float.
-    """
-    try:
-        return f"{float(value):.6f}"
-    except OverflowError:
-        return "inf" if value > 0 else "-inf"
+    """Table text: the value to six decimals, rounded half to even; too long raises as _fill."""
+    whole, micros = divmod(abs(round(value * 1000000)), 1000000)
+    return _fill("%s%d.%06d", ("-" if value < 0 else "", whole, micros))

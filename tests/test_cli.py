@@ -172,12 +172,12 @@ class TestSolve:
         assert main(["solve", missing]) == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
 
-    def test_payoff_beyond_float_range(self, tmp_path, capsys):
+    def test_payoff_beyond_float_range_prints_its_exact_decimal(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text('{"payoff1": [[1e400, 0], [0, 1]], "payoff2": [[1, 0], [0, 1]]}')
         assert main(["solve", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert f"{10**400} (inf)" in out
+        assert f"{10**400} ({10**400}.000000)" in out
         assert "1 (1.000000)" in out
 
     def test_payoff_too_long_to_print(self, tmp_path, capsys):
@@ -288,11 +288,11 @@ class TestPredict:
         assert lines[0].startswith("regime,majority_chain,fork_risk")
         assert lines[1] == "majority_accept,upgraded,present,27/50,23/50,7/10,3/10,2/25,2/5,12/25"
 
-    def test_unit_beyond_float_range(self, capsys):
+    def test_unit_beyond_float_range_prints_its_exact_decimal(self, capsys):
         code = main(["predict", "--beta", "3/5", "--gamma", "7/10", "--sv", "1e400"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert f"  s_yes     = {6 * 10**399} (inf)" in out
+        assert f"  s_yes     = {6 * 10**399} ({6 * 10**399}.000000)" in out
         assert "  s_u       = 7/10 (0.700000)" in out
 
     def test_unit_too_long_to_print(self, capsys):

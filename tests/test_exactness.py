@@ -2,8 +2,8 @@
 
 Every number govgame computes is an int or a Fraction. The scan allows no
 true division (/ or /=), which turns two ints into a float, no float or
-complex literal, and exactly one float() call: the one in rationals.approx,
-which formats the six-decimal figures of table output.
+complex literal, and no float() call: even the six-decimal figures of table
+output are rounded from the exact value.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ def _float_sources(path: Path) -> tuple[list[str], list[str]]:
     return faults, calls
 
 
-def test_the_package_has_no_division_or_float_literal_and_one_float_call():
+def test_the_package_has_no_division_float_literal_or_float_call():
     faults, calls = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         found, called = _float_sources(path)
         faults += found
         calls += called
     assert faults == []
-    assert calls == ["rationals.approx"]
+    assert calls == []
 
 
 def test_the_scan_finds_a_division_a_float_literal_and_a_float_call(tmp_path):

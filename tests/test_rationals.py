@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import ROUND_05UP, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -135,12 +136,64 @@ def test_approx_six_decimals():
     assert approx(Fraction(3, 5)) == "0.600000"
     assert approx(Fraction(7, 10)) == "0.700000"
     assert approx(Fraction(1, 3)) == "0.333333"
+    # Through a float, which keeps 53 bits, these read 24812423681.090908 and
+    # 0.000003 (the float lies just above the tie 0.0000025).
+    assert approx(Fraction(272936660492, 11)) == "24812423681.090909"
+    assert approx(Fraction(1, 400000)) == "0.000002"
+    assert approx(Fraction(-1, 10**7)) == "-0.000000"
 
 
-def test_approx_beyond_float_range_is_infinite():
-    # float() of these raises OverflowError; the text matches an infinite float's.
-    assert approx(Fraction(10) ** 400) == "inf"
-    assert approx(-(Fraction(10) ** 400)) == "-inf"
+def _decimal_oracle(value: Fraction) -> str:
+    """The value to six places, rounded half to even, in decimal arithmetic.
+
+    The quotient keeps three digits beyond the sixth place. ROUND_05UP ends
+    an inexact quotient in a digit other than 0 or 5, so it is never taken
+    for a tie or an exact value, and the quantize rounds as the exact
+    quotient would.
+    """
+    whole = len(str(abs(value.numerator) // value.denominator))
+    with localcontext() as context:
+        context.prec = whole + 9
+        context.rounding = ROUND_05UP
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        return format(quotient.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN), "f")
+
+
+_TIES = [
+    Fraction(sign * (2 * k + 1), 2000000)
+    for sign in (1, -1)
+    for k in (0, 1, 2, 3, 7, 499999, 500000, 10**15)
+]
+_LARGE = [
+    Fraction(10**e) + offset
+    for e in range(9, 21)
+    for offset in (Fraction(0), Fraction(1, 3), Fraction(-1, 7), Fraction(5, 2000000), Fraction(-7, 2000000))
+]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(272936660492, 11), Fraction(1, 400000), Fraction(-1, 10**7), Fraction(0), *_TIES, *_LARGE],
+    ids=str,
+)
+def test_approx_rounds_the_exact_value_half_to_even(value):
+    assert approx(value) == _decimal_oracle(value)
+
+
+@given(st.fractions(max_denominator=4 * 10**12) | st.builds(Fraction, st.integers(), st.integers(1, 10**21)))
+def test_approx_agrees_with_decimal_arithmetic(value):
+    assert approx(value) == _decimal_oracle(value)
+
+
+def test_approx_beyond_float_range_is_exact():
+    assert approx(Fraction(10) ** 400) == f"{10**400}.000000"
+    assert approx(-(Fraction(10) ** 400) - Fraction(1, 3)) == f"-{10**400}.333333"
+
+
+def test_approx_too_long_to_print_raises_validation_error():
+    assert approx(Fraction(10) ** 4299) == f"{10**4299}.000000"
+    with pytest.raises(ValidationError, match="4300 digits"):
+        approx(Fraction(10) ** 4300)
 
 
 @pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "2.5e+04300"])
