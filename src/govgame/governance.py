@@ -77,8 +77,9 @@ _FORK_RISK = {
 
 # The checks and sign rules below read a Fraction's numerator p and denominator
 # q > 0, in lowest terms (_difference and _split each pair once, by as_integer_ratio):
-# 0 <= p/q <= 1 is 0 <= p <= q, and every surplus and sign is one _difference. Integer
-# arithmetic skips the numbers.Rational check that each Fraction operator makes first.
+# 0 <= p/q <= 1 is 0 <= p <= q, and each sign below is that of an integer numerator
+# built from _difference's pairs. Integer arithmetic skips the numbers.Rational check
+# that each Fraction operator makes first.
 
 
 def _share(value: object, name: str) -> Fraction:
@@ -107,11 +108,11 @@ def _sign(a: Fraction, b: Fraction) -> int:
     return (excess > 0) - (excess < 0)
 
 
-_ZERO, _HALF = Fraction(0), Fraction(1, 2)
+_HALF = Fraction(1, 2)
 
 
-# GovernanceParams' arguments other than mode, in order; every reader and writer of a
-# scenario's parameters iterates these.
+# GovernanceParams' arguments other than mode, in order; the scenario-file and CLI
+# readers and the JSON writer of a scenario's parameters iterate these.
 _PARAM_KEYS = ("beta", "gamma", "gamma_prime", "k", "n", "s_v", "s_c")
 
 
@@ -221,8 +222,8 @@ def build_governance_game(params: GovernanceParams) -> BimatrixGame:
     strategies (Upgraded, Original). The voter side earns s_yes on Yes
     and s_no on No regardless of the column, beta's split of k*s_v; the
     community side earns s_u on Upgraded and s_o on Original regardless
-    of the row, gamma's split of n*s_c. The predictor reads
-    SurplusReport's masses off this game.
+    of the row, gamma's split of n*s_c. The predictor reads the vote's
+    signs and SurplusReport's masses off this game.
     """
     s_yes, s_no = _split(params.beta, params.k, params.s_v)
     s_u, s_o = _split(params.gamma, params.n, params.s_c)
@@ -250,32 +251,6 @@ def classify_regime(params: GovernanceParams) -> Regime:
 def _regime(params: GovernanceParams, sign: int) -> Regime:
     """classify_regime, given the sign of beta - 1/2."""
     return Regime.UNANIMOUS_ACCEPT if params.beta == 1 == params.gamma else _REGIME_BY_SIGN[sign]
-
-
-def _report(params: GovernanceParams, regime: Regime, game: BimatrixGame) -> SurplusReport:
-    """The SurplusReport of the vote game's masses, each surplus one _difference.
-
-    The community is the game's, split by gamma, except after an on-chain
-    rejection, where it is re-split by gamma_prime. The orientation -1
-    negates both numerators, and the total is the sum of the two reduced
-    surpluses, built from their integer pairs.
-    """
-    (s_yes, _), (s_no, _) = game.payoff1
-    s_u, s_o = game.payoff2[0]
-    rejects = regime is Regime.MAJORITY_REJECT
-    on_chain = params.mode is Mode.ON_CHAIN
-    if rejects and on_chain:
-        if params.gamma_prime is None:
-            raise ValidationError("gamma_prime is required in on_chain mode when the vote rejects")
-        s_u, s_o = _split(params.gamma_prime, params.n, params.s_c)
-    num_v, den_v = _difference(s_yes, s_no)
-    num_c, den_c = _difference(s_u, s_o)
-    if rejects and not on_chain:
-        num_v, num_c = -num_v, -num_c
-    surplus_v, surplus_c = Fraction(num_v, den_v), Fraction(num_c, den_c)
-    (p, q), (r, t) = surplus_v.as_integer_ratio(), surplus_c.as_integer_ratio()
-    total = Fraction(p * t + r * q, q * t)
-    return SurplusReport(s_yes, s_no, s_u, s_o, surplus_v, surplus_c, total)
 
 
 def predict_outcome(
@@ -313,10 +288,17 @@ def predict_outcome(
 def _predict(
     params: GovernanceParams, tie_break: str | None, game: BimatrixGame
 ) -> PredictionResult:
-    """predict_outcome, reading the masses off params' vote game (see _report)."""
+    """predict_outcome, reading each vote sign and surplus once off params' vote game.
+
+    Each side's masses differ by (2*share - 1) times k*s_v or n*s_c, so the numerators
+    of s_yes - s_no and s_u - s_o carry the signs of beta - 1/2 and gamma - 1/2.
+    """
     if tie_break not in (None, "accept", "reject"):
         raise ValidationError("tie_break must be 'accept' or 'reject'")
-    beta_sign, gamma_sign = _sign(params.beta, _HALF), _sign(params.gamma, _HALF)
+    (s_yes, _), (s_no, _) = game.payoff1
+    s_u, s_o = game.payoff2[0]
+    (num_v, den_v), (num_c, den_c) = _difference(s_yes, s_no), _difference(s_u, s_o)
+    beta_sign, gamma_sign = (num_v > 0) - (num_v < 0), (num_c > 0) - (num_c < 0)
     regime = _regime(params, beta_sign)
     unanimous = regime is Regime.UNANIMOUS_ACCEPT
     governed = params.mode is not Mode.NO_GOVERNANCE
@@ -334,7 +316,19 @@ def _predict(
     else:
         notes.append("tie_break ignored: the vote is not tied")
 
-    surplus = _report(params, effective, game)
+    rejects = effective is Regime.MAJORITY_REJECT
+    if rejects and params.mode is Mode.ON_CHAIN:
+        if params.gamma_prime is None:
+            raise ValidationError("gamma_prime is required in on_chain mode when the vote rejects")
+        s_u, s_o = _split(params.gamma_prime, params.n, params.s_c)
+        num_c, den_c = _difference(s_u, s_o)
+    elif rejects:
+        num_v, num_c = -num_v, -num_c
+    total = num_v * den_c + num_c * den_v
+    surplus = SurplusReport(
+        s_yes, s_no, s_u, s_o, Fraction(num_v, den_v), Fraction(num_c, den_c),
+        Fraction(total, den_v * den_c),
+    )
     if unanimous:
         chain = Chain.UPGRADED
     elif not governed:
@@ -349,7 +343,7 @@ def _predict(
     elif params.mode is Mode.OFF_CHAIN:
         chain = Chain.ORIGINAL
     else:
-        chain = _CHAIN_BY_SIGN[_sign(surplus.total, _ZERO)]
+        chain = _CHAIN_BY_SIGN[(total > 0) - (total < 0)]
         if chain is Chain.SPLIT_50_50:
             notes.append("total surplus is exactly zero: the community splits evenly")
     risk = ForkRisk.NONE if unanimous else _FORK_RISK[params.mode]

@@ -289,7 +289,6 @@ _EXPECTED_KEYS = {"equilibria", "majority_chain"}
 _EQUILIBRIUM_KEYS = ("row", "col", "payoff_v", "payoff_c")
 _MODES = {mode.value: mode for mode in Mode}
 _CHAINS = {chain.value: chain for chain in Chain}
-_GAMMA_PRIME, _K, _N, _S_V, _S_C, _MODE = GovernanceParams.__init__.__defaults__
 
 
 def _token(value: object, field: str, table: dict[str, Enum]) -> Enum:
@@ -329,11 +328,10 @@ def _parse_scenario(index: int, entry: object) -> Scenario:
     try:
         # GovernanceParams parses and range-checks every field, absent ones
         # taking its defaults; Scenario checks the expectation's values.
-        params = GovernanceParams(
-            entry["beta"], entry["gamma"], entry.get("gamma_prime", _GAMMA_PRIME),
-            entry.get("k", _K), entry.get("n", _N), entry.get("s_v", _S_V), entry.get("s_c", _S_C),
-            _token(entry.get("mode", _MODE.value), "mode", _MODES),
-        )
+        given = {key: entry[key] for key in _PARAM_KEYS if key in entry}
+        if "mode" in entry:
+            given["mode"] = _token(entry["mode"], "mode", _MODES)
+        params = GovernanceParams(**given)
         return Scenario(name, params, *_parse_expected(entry.get("expected")))
     except ValidationError as exc:
         raise ValidationError(f"scenario {name!r}: {exc}") from None

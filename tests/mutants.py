@@ -30,9 +30,10 @@ taken with nothing else running, are not eaten by contention.
 
 Before its mutants, each module is run unmutated but rewritten by
 ast.unparse; every check must pass on it. One line is printed per
-mutant, then a count per check and the wall time. The run takes minutes
-per module, so it is no CI step; tests/test_mutants.py checks how the
-mutants are made.
+mutant as soon as its checks end, so in the order they finish; then come
+a count per check, the wall time and the survivors in source order. The
+run takes minutes per module, so it is no CI step; tests/test_mutants.py
+checks how the mutants are made.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -184,15 +185,18 @@ def _module(module: str) -> dict[str, list[str]]:
     tally: dict[str | None, list[str]] = {name: [] for name, _ in CHECKS}
     tally[None] = []
 
-    def one(mutant):
-        line, change, text = mutant
-        killer, _ = _run(module, text, limits)
-        return f"{module}.py:{line}: {change}", killer
-
+    places = [f"{module}.py:{line}: {change}" for line, change, _ in found]
+    killers = {}
     with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        for where, killer in pool.map(one, found):
-            tally[killer].append(where)
-            print(f"  {where}  {'killed by ' + killer if killer else 'SURVIVED'}", flush=True)
+        runs = {pool.submit(_run, module, text, limits): k for k, (_, _, text) in enumerate(found)}
+        # A line is printed as soon as its mutant's checks end, so one slow
+        # survivor holds back no other; the tally keeps source order.
+        for run in as_completed(runs):
+            k = runs[run]
+            killer = killers[k] = run.result()[0]
+            print(f"  {places[k]}  {'killed by ' + killer if killer else 'SURVIVED'}", flush=True)
+    for k, where in enumerate(places):
+        tally[killers[k]].append(where)
     return tally
 
 

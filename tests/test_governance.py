@@ -331,6 +331,14 @@ class TestPredictOutcome:
         assert result.surplus.total == F(-1, 10)
         assert result.majority_chain is Chain.ORIGINAL
 
+    def test_on_chain_reject_total_of_plus_or_minus_one(self):
+        # The chain follows the total's sign, not its size: +1 and -1 do not split.
+        for gamma_prime, total, chain in (("1", 1, Chain.UPGRADED), ("1/2", -1, Chain.ORIGINAL)):
+            p = params(0, "1/2", gamma_prime=gamma_prime, s_c=F(2), mode=Mode.ON_CHAIN)
+            result = predict_outcome(p)
+            assert result.surplus.total == total
+            assert result.majority_chain is chain
+
     def test_on_chain_reject_zero_total_splits(self):
         p = params("2/5", "2/5", gamma_prime="3/5", mode=Mode.ON_CHAIN)
         result = predict_outcome(p)

@@ -417,6 +417,21 @@ def test_fork_risk_by_mode(params, tie_break):
         assert prediction.fork_risk is RISK_BY_MODE[params.mode]
 
 
+def test_classify_regime_is_the_predicted_regime_on_the_w1_grid():
+    # classify_regime reads the sign of beta - 1/2 off the share, the predictor
+    # off the vote game's masses; they agree at every grid point, the ties and
+    # end points included, whatever the size of the payoff units.
+    for mode in Mode:
+        gamma_prime = F(1) if mode is Mode.ON_CHAIN else None
+        for unit_mass in (F(1), F(10**400)):
+            for b in range(61):
+                for g in range(0, 61, 3):
+                    params = GovernanceParams(
+                        F(b, 60), F(g, 60), gamma_prime, s_v=unit_mass, s_c=unit_mass, mode=mode
+                    )
+                    assert classify_regime(params) is predict_outcome(params).regime, params
+
+
 # Signed rationals for the difference rule: zero, small values, and numerators
 # and denominators of up to 300 digits.
 BIG = 10**300
