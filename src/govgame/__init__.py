@@ -7,7 +7,6 @@ destination chain and the chain-split risk under no governance,
 off-chain governance, and on-chain governance.
 """
 
-from .errors import ValidationError
 from .game_core import (
     BimatrixGame,
     EquilibriumKind,
@@ -30,10 +29,9 @@ from .governance import (
     Regime,
     SurplusReport,
     build_governance_game,
-    classify_regime,
     predict_outcome,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import ValidationError, format_rational, parse_rational
 from .scenario_runner import (
     CheckStatus,
     Scenario,
@@ -68,7 +66,6 @@ __all__ = [
     "ValidationError",
     "build_governance_game",
     "builtin_table1_scenarios",
-    "classify_regime",
     "enumerate_mixed_equilibria",
     "enumerate_pure_equilibria",
     "format_rational",

@@ -15,7 +15,6 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from .errors import ValidationError
 from .game_core import (
     MixedStrategy,
     enumerate_mixed_equilibria,
@@ -31,7 +30,9 @@ from .governance import (
     SurplusReport,
     predict_outcome,
 )
-from .rationals import _RAW, _fill, _json_array, _quote, _template, approx, format_rational
+from .rationals import (
+    _RAW, ValidationError, _fill, _json_array, _quote, _template, approx, format_rational
+)
 from .scenario_runner import (
     RESULT_CSV_COLUMNS,
     _PREDICTION_COLUMNS,

@@ -24,8 +24,9 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .errors import ValidationError
-from .rationals import json_object, parse_json, parse_rational, reject_lone_surrogates
+from .rationals import (
+    ValidationError, json_object, parse_json, parse_rational, reject_lone_surrogates
+)
 
 PayoffMatrix = tuple[tuple[Fraction, ...], ...]
 

@@ -14,9 +14,8 @@ import functools
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ValidationError
 from .game_core import BimatrixGame, _Record, _check_positive_int
-from .rationals import parse_rational
+from .rationals import ValidationError, parse_rational
 
 
 class Mode(Enum):
@@ -28,7 +27,11 @@ class Mode(Enum):
 
 
 class Regime(Enum):
-    """Vote outcome classes derived from beta (gamma enters only for unanimity)."""
+    """Vote outcome classes derived from beta (gamma enters only for unanimity).
+
+    Unanimity also requires gamma = 1, the whole community following the vote:
+    a unanimous yes with gamma < 1 is MAJORITY_ACCEPT, noted under governance.
+    """
 
     UNANIMOUS_ACCEPT = "unanimous_accept"
     MAJORITY_ACCEPT = "majority_accept"
@@ -56,15 +59,10 @@ class ForkRisk(Enum):
     PRESENT = "present"
     HIGH = "high"
 
-    @property
-    def rank(self) -> int:
-        """Position on the ordinal scale, NONE = 0 up to HIGH = 3."""
-        return list(ForkRisk).index(self)
-
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, ForkRisk):
             return NotImplemented
-        return self.rank < other.rank
+        return list(ForkRisk).index(self) < list(ForkRisk).index(other)
 
 
 # Chain-split risk of every vote that is not unanimous; unanimity has risk NONE.
@@ -100,15 +98,6 @@ def _difference(a: Fraction, b: Fraction) -> tuple[int, int]:
     """a - b as an integer numerator over a positive denominator, not reduced."""
     (p, q), (r, t) = a.as_integer_ratio(), b.as_integer_ratio()
     return p * t - r * q, q * t
-
-
-def _sign(a: Fraction, b: Fraction) -> int:
-    """-1, 0 or 1: the sign of a - b, read off _difference's numerator."""
-    excess = _difference(a, b)[0]
-    return (excess > 0) - (excess < 0)
-
-
-_HALF = Fraction(1, 2)
 
 
 # GovernanceParams' arguments other than mode, in order; the scenario-file and CLI
@@ -165,7 +154,7 @@ class GovernanceParams(_Record):
         if gamma_prime is not None:
             if mode is not Mode.ON_CHAIN:
                 warnings.append("gamma_prime is only used in on_chain mode")
-            elif _sign(gamma_prime, gamma) <= 0:
+            elif _difference(gamma_prime, gamma)[0] <= 0:
                 warnings.append(
                     "gamma_prime does not exceed gamma; the consultation round "
                     "is expected to increase the upgraded-chain share"
@@ -237,22 +226,6 @@ _REGIME_BY_SIGN = {1: Regime.MAJORITY_ACCEPT, 0: Regime.TIE, -1: Regime.MAJORITY
 _CHAIN_BY_SIGN = {1: Chain.UPGRADED, 0: Chain.SPLIT_50_50, -1: Chain.ORIGINAL}
 
 
-def classify_regime(params: GovernanceParams) -> Regime:
-    """Classify the vote outcome by beta.
-
-    Unanimity additionally requires gamma = 1: a vote is only fully
-    consensual when the whole community follows it. A unanimous yes
-    vote with gamma < 1 classifies as MAJORITY_ACCEPT and is flagged in
-    prediction notes.
-    """
-    return _regime(params, _sign(params.beta, _HALF))
-
-
-def _regime(params: GovernanceParams, sign: int) -> Regime:
-    """classify_regime, given the sign of beta - 1/2."""
-    return Regime.UNANIMOUS_ACCEPT if params.beta == 1 == params.gamma else _REGIME_BY_SIGN[sign]
-
-
 def predict_outcome(
     params: GovernanceParams, tie_break: str | None = None
 ) -> PredictionResult:
@@ -299,8 +272,8 @@ def _predict(
     s_u, s_o = game.payoff2[0]
     (num_v, den_v), (num_c, den_c) = _difference(s_yes, s_no), _difference(s_u, s_o)
     beta_sign, gamma_sign = (num_v > 0) - (num_v < 0), (num_c > 0) - (num_c < 0)
-    regime = _regime(params, beta_sign)
-    unanimous = regime is Regime.UNANIMOUS_ACCEPT
+    unanimous = params.beta == 1 == params.gamma
+    regime = Regime.UNANIMOUS_ACCEPT if unanimous else _REGIME_BY_SIGN[beta_sign]
     governed = params.mode is not Mode.NO_GOVERNANCE
     notes: list[str] = []
     if beta_sign * gamma_sign < 0:

@@ -10,7 +10,8 @@ goes through `parse_json`, and each object in it through `json_object`.
 The JSON it writes, laid out as json.dumps(..., indent=2) lays it out, fills
 each fixed-key object's `_template` with `_fill`, which like `format_rational`
 refuses a value too long to print, and writes each array with `_json_array`.
-`reject_lone_surrogates` refuses text that UTF-8 cannot encode.
+`reject_lone_surrogates` refuses text that UTF-8 cannot encode. Every
+module raises this module's `ValidationError` on input it refuses.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from collections.abc import Collection
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import ValidationError
+
+class ValidationError(ValueError):
+    """An input violates a documented invariant; the message names the field or player."""
+
 
 # Fraction expands "1e<exp>" into an integer of about exp digits, at a
 # cost that grows with exp rather than with the length of the text. 4300

@@ -16,7 +16,6 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ValidationError
 from .game_core import EquilibriumResult, _Record, enumerate_mixed_equilibria
 from .governance import (
     SURPLUS_FIELDS,
@@ -31,6 +30,7 @@ from .governance import (
 )
 from .rationals import (
     _RAW,
+    ValidationError,
     _fill,
     _json_array,
     _quote,

@@ -24,7 +24,6 @@ from govgame.governance import (
     GovernanceParams,
     Mode,
     Regime,
-    classify_regime,
     predict_outcome,
 )
 from govgame.scenario_runner import (
@@ -178,7 +177,7 @@ def test_criterion_5_conservation_and_destination_dichotomy():
         report = prediction.surplus
         assert report.s_yes + report.s_no == params.k * params.s_v
         assert report.s_u + report.s_o == params.n * params.s_c
-        if mode is Mode.ON_CHAIN and classify_regime(params) is Regime.MAJORITY_REJECT:
+        if mode is Mode.ON_CHAIN and params.beta < F(1, 2):
             reject_branch_seen += 1
             gain = (2 * params.gamma_prime - 1) * params.n * params.s_c
             loss = (1 - 2 * params.beta) * params.k * params.s_v

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from govgame import cli
+from govgame import ValidationError, cli
 from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from govgame.errors import ValidationError
 from govgame.game_core import (
     enumerate_mixed_equilibria,
     enumerate_pure_equilibria,

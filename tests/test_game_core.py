@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import govgame
-from govgame.errors import ValidationError
+from govgame import ValidationError
 from govgame.game_core import (
     BimatrixGame,
     EquilibriumKind,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from govgame.errors import ValidationError
+from govgame import ValidationError
 from govgame.game_core import enumerate_pure_equilibria
 from govgame.governance import (
     Chain,
@@ -16,7 +16,6 @@ from govgame.governance import (
     Mode,
     Regime,
     build_governance_game,
-    classify_regime,
     predict_outcome,
 )
 from govgame.scenario_runner import _prediction_json
@@ -114,7 +113,8 @@ class TestForkRiskOrdering:
             assert risk <= risk and risk >= risk
 
     def test_rank_values(self):
-        assert [r.rank for r in (ForkRisk.NONE, ForkRisk.REDUCED, ForkRisk.PRESENT, ForkRisk.HIGH)] == [0, 1, 2, 3]
+        # Sorting puts the members back in declaration order, NONE up to HIGH.
+        assert sorted(reversed(list(ForkRisk))) == list(ForkRisk)
 
     def test_comparison_with_another_type_raises(self):
         with pytest.raises(TypeError):
@@ -211,19 +211,19 @@ class TestNoGovernanceSplit:
 
 class TestClassifyRegime:
     def test_unanimous(self):
-        assert classify_regime(params(1, 1)) is Regime.UNANIMOUS_ACCEPT
+        assert predict_outcome(params(1, 1)).regime is Regime.UNANIMOUS_ACCEPT
 
     def test_majority_accept(self):
-        assert classify_regime(params("27/50", "7/10")) is Regime.MAJORITY_ACCEPT
+        assert predict_outcome(params("27/50", "7/10")).regime is Regime.MAJORITY_ACCEPT
 
     def test_tie(self):
-        assert classify_regime(params("1/2", "7/10")) is Regime.TIE
+        assert predict_outcome(params("1/2", "7/10")).regime is Regime.TIE
 
     def test_majority_reject(self):
-        assert classify_regime(params("1/5", "2/5")) is Regime.MAJORITY_REJECT
+        assert predict_outcome(params("1/5", "2/5")).regime is Regime.MAJORITY_REJECT
 
     def test_unanimous_vote_with_partial_community(self):
-        assert classify_regime(params(1, "7/10")) is Regime.MAJORITY_ACCEPT
+        assert predict_outcome(params(1, "7/10")).regime is Regime.MAJORITY_ACCEPT
 
 
 def surplus_v(p: GovernanceParams) -> F:

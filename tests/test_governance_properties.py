@@ -24,8 +24,6 @@ from govgame.governance import (
     SurplusReport,
     build_governance_game,
     _difference,
-    _sign,
-    classify_regime,
     predict_outcome,
 )
 from govgame.scenario_runner import Scenario, run_scenario
@@ -55,6 +53,15 @@ RISK_BY_MODE = {
     Mode.OFF_CHAIN: ForkRisk.PRESENT,
     Mode.ON_CHAIN: ForkRisk.REDUCED,
 }
+
+
+def regime_reference(params: GovernanceParams) -> Regime:
+    """The vote's regime by Fraction comparisons: beta = gamma = 1 is unanimity, else beta vs 1/2."""
+    if params.beta == 1 and params.gamma == 1:
+        return Regime.UNANIMOUS_ACCEPT
+    if params.beta == HALF:
+        return Regime.TIE
+    return Regime.MAJORITY_ACCEPT if params.beta > HALF else Regime.MAJORITY_REJECT
 
 
 @st.composite
@@ -185,7 +192,7 @@ def test_scale_equivariance_voter_side(params, factor):
     same = predict_outcome(scaled).surplus
     assert same.surplus_v == factor * base.surplus_v
     assert same.surplus_c == base.surplus_c
-    assert classify_regime(scaled) is classify_regime(params)
+    assert predict_outcome(scaled).regime is regime_reference(params)
 
 
 @settings(max_examples=150)
@@ -214,7 +221,7 @@ def test_joint_scaling_never_changes_prediction(params, factor):
 @settings(max_examples=150)
 @given(governance_params(), positive)
 def test_single_scale_fixed_outside_on_chain_reject(params, factor):
-    regime = classify_regime(params)
+    regime = regime_reference(params)
     if params.mode is Mode.ON_CHAIN and regime is Regime.MAJORITY_REJECT:
         return
     scaled = GovernanceParams(
@@ -299,13 +306,8 @@ def _operator_prediction(params: GovernanceParams, tie_break) -> PredictionResul
     """predict_outcome's documented rules, by Fraction operators and comparisons."""
     beta, gamma, mode = params.beta, params.gamma, params.mode
     governed = mode is not Mode.NO_GOVERNANCE
-    unanimous = beta == 1 and gamma == 1
-    if unanimous:
-        regime = Regime.UNANIMOUS_ACCEPT
-    elif beta == HALF:
-        regime = Regime.TIE
-    else:
-        regime = Regime.MAJORITY_ACCEPT if beta > HALF else Regime.MAJORITY_REJECT
+    regime = regime_reference(params)
+    unanimous = regime is Regime.UNANIMOUS_ACCEPT
     notes = []
     if beta < HALF < gamma or gamma < HALF < beta:
         notes.append("community majority decided independently of the voter majority")
@@ -352,7 +354,7 @@ def test_vote_game_entries_are_the_surplus_masses(params):
     assert all(type(v) is F for matrix in (game.payoff1, game.payoff2) for row in matrix for v in row)
     report = predict_outcome(params).surplus
     share = params.gamma
-    if params.mode is Mode.ON_CHAIN and classify_regime(params) is Regime.MAJORITY_REJECT:
+    if params.mode is Mode.ON_CHAIN and regime_reference(params) is Regime.MAJORITY_REJECT:
         # The report splits the community by gamma_prime, the game by gamma.
         share = params.gamma_prime
     expected = _operator_masses(params, params.gamma)
@@ -417,10 +419,10 @@ def test_fork_risk_by_mode(params, tie_break):
         assert prediction.fork_risk is RISK_BY_MODE[params.mode]
 
 
-def test_classify_regime_is_the_predicted_regime_on_the_w1_grid():
-    # classify_regime reads the sign of beta - 1/2 off the share, the predictor
-    # off the vote game's masses; they agree at every grid point, the ties and
-    # end points included, whatever the size of the payoff units.
+def test_predicted_regime_is_the_reference_on_the_w1_grid():
+    # The predictor reads the sign of beta - 1/2 off the vote game's masses, the
+    # reference compares the share with 1/2; they agree at every grid point, the
+    # ties and end points included, whatever the size of the payoff units.
     for mode in Mode:
         gamma_prime = F(1) if mode is Mode.ON_CHAIN else None
         for unit_mass in (F(1), F(10**400)):
@@ -429,7 +431,7 @@ def test_classify_regime_is_the_predicted_regime_on_the_w1_grid():
                     params = GovernanceParams(
                         F(b, 60), F(g, 60), gamma_prime, s_v=unit_mass, s_c=unit_mass, mode=mode
                     )
-                    assert classify_regime(params) is predict_outcome(params).regime, params
+                    assert predict_outcome(params).regime is regime_reference(params), params
 
 
 # Signed rationals for the difference rule: zero, small values, and numerators
@@ -450,7 +452,7 @@ def test_difference_is_a_minus_b_over_a_positive_denominator(a, b):
     assert type(num) is int and type(den) is int
     assert den > 0
     assert F(num, den) == a - b
-    assert (num > 0) - (num < 0) == (a > b) - (a < b) == _sign(a, b)
+    assert (num > 0) - (num < 0) == (a > b) - (a < b)
 
 
 @settings(max_examples=200)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from govgame.errors import ValidationError
+from govgame import ValidationError
 from govgame.game_core import load_game
 from govgame.scenario_runner import load_scenarios
 

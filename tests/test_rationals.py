@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from govgame.errors import ValidationError
+from govgame import ValidationError
 from govgame.rationals import (
     _checked_exponent,
     approx,

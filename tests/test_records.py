@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from govgame.errors import ValidationError
+from govgame import ValidationError
 from govgame.game_core import (
     BimatrixGame,
     EquilibriumKind,

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from govgame import cli
-from govgame.errors import ValidationError
+from govgame import ValidationError, cli
 from govgame.game_core import BimatrixGame, enumerate_mixed_equilibria
 from govgame.governance import Chain, ForkRisk, GovernanceParams, Mode, Regime
 from govgame.scenario_runner import (

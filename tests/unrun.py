@@ -5,10 +5,11 @@
 Runs the tier-1 suite in this process, with any arguments passed on to
 pytest, under a line tracer limited to src/govgame. Then prints one line,
 module.py:line: statement, per statement inside a function body whose
-first line never ran, and exits with pytest's code. Docstrings run no
-code and are not counted; code that only child processes run counts as
-unrun. The traced run takes about twice as long as tier-1 alone. The
-file's name keeps pytest from collecting it.
+first line never ran. It exits 1 when it prints any such line, and
+otherwise with pytest's code. Docstrings run no code and are not
+counted; code that only child processes run counts as unrun. The traced
+run takes about twice as long as tier-1 alone. The file's name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -60,11 +61,13 @@ def main() -> int:
         code = pytest.main(sys.argv[1:])
     finally:
         sys.settrace(None)
+    listed = 0
     for path in sorted(SRC.glob("*.py")):
         for line, text in sorted(_statements(path.read_text(encoding="utf-8")).items()):
             if (path.name, line) not in ran:
                 print(f"{path.name}:{line}: {text}")
-    return int(code)
+                listed += 1
+    return 1 if listed else int(code)
 
 
 if __name__ == "__main__":
